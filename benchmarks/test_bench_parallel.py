@@ -12,11 +12,7 @@ run on real hardware blocks on the workload's wall time; a real
 candidate evaluation blocks on the fit, which one CI core cannot
 overlap).  The dwell makes overlap measurable on a single-core runner,
 so what the process rows actually grade is the dispatch machinery —
-payload size, batching, reduce — not the box's core count.  That is
-exactly what ISSUE 9 fixed: per-item pickled payloads produced the
-0.11×/0.62× "speedups" of the pre-arena process backend, and the
-``pickled_*`` rows (``REPRO_ARENA=0``) keep that before/after
-trajectory measurable next to the arena rows.
+payload size, batching, reduce — not the box's core count.
 
 Plain pytest is enough (no pytest-benchmark fixture): CI runs this
 file directly and uploads the JSON artifact.
@@ -25,7 +21,6 @@ file directly and uploads the JSON artifact.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -36,7 +31,6 @@ from repro.core import select_events
 from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS, Platform
 from repro.io.atomic import atomic_write_json
 from repro.parallel import MONOTONIC_CLOCK, ProcessExecutor, shutdown_pools
-from repro.parallel.arena import ARENA_ENV
 from repro.stats import cross_validate
 from repro.stats.ols import fit_ols
 from repro.stats.selection_criteria import CRITERIA
@@ -209,18 +203,7 @@ def test_bench_parallel_layers():
             wide, 2, parallel="process", max_workers=4, **sel_kwargs
         )
     )
-    # The before-arena trajectory: identical fan-out, pickled payloads,
-    # per-item dispatch (the REPRO_ARENA=0 escape hatch).
-    os.environ[ARENA_ENV] = "0"
-    try:
-        selp_s, selp = timed(
-            lambda: select_events(
-                wide, 2, parallel="process", max_workers=4, **sel_kwargs
-            )
-        )
-    finally:
-        del os.environ[ARENA_ENV]
-    for other in (sel2, sel4, selp):
+    for other in (sel2, sel4):
         assert selection_results_equal(other, sel_ref)
     results["selection"] = {
         "n_candidates": N_CANDIDATES,
@@ -232,8 +215,6 @@ def test_bench_parallel_layers():
         "workers4_s": round(sel4_s, 4),
         "speedup_2": round(sel_serial_s / sel2_s, 2),
         "speedup_4": round(sel_serial_s / sel4_s, 2),
-        "pickled_workers4_s": round(selp_s, 4),
-        "pickled_speedup_4": round(sel_serial_s / selp_s, 2),
     }
 
     # -- k-fold CV (latency-bound, process backend + arena) -------------
@@ -256,18 +237,8 @@ def test_bench_parallel_layers():
             y, x, parallel="process", max_workers=4, **cv_kwargs
         )
     )
-    os.environ[ARENA_ENV] = "0"
-    try:
-        cvp_s, cvp = timed(
-            lambda: cross_validate(
-                y, x, parallel="process", max_workers=4, **cv_kwargs
-            )
-        )
-    finally:
-        del os.environ[ARENA_ENV]
     assert cv2.folds == cv_ref.folds
     assert cv4.folds == cv_ref.folds
-    assert cvp.folds == cv_ref.folds
     results["crossval"] = {
         "n_samples": 20000,
         "n_splits": 40,
@@ -277,21 +248,6 @@ def test_bench_parallel_layers():
         "workers4_s": round(cv4_s, 4),
         "speedup_2": round(cv_serial_s / cv2_s, 2),
         "speedup_4": round(cv_serial_s / cv4_s, 2),
-        "pickled_workers4_s": round(cvp_s, 4),
-        "pickled_speedup_4": round(cv_serial_s / cvp_s, 2),
-    }
-
-    results["trajectory"] = {
-        "note": (
-            "pickled_* rows replay the pre-arena dispatch "
-            "(REPRO_ARENA=0, per-item payloads); the arena rows are "
-            "the same fan-out through shared-memory handles and "
-            "batched candidates"
-        ),
-        "selection_before_x": results["selection"]["pickled_speedup_4"],
-        "selection_after_x": results["selection"]["speedup_4"],
-        "crossval_before_x": results["crossval"]["pickled_speedup_4"],
-        "crossval_after_x": results["crossval"]["speedup_4"],
     }
 
     shutdown_pools()

@@ -58,7 +58,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import validate_profiles, validate_trace
 from repro.hardware.counters import COUNTER_NAMES
-from repro.hardware.fastsim import fastsim_enabled
 from repro.hardware.platform import Platform
 from repro.hardware.pmu import EventSet, schedule_events
 from repro.parallel import StageTimer, TimingReport, resolve_executor
@@ -186,18 +185,11 @@ class Campaign:
         return state
 
     def _cell_tracer(self, cell: "CampaignCell") -> ScorePTracer:
-        """The tracer for a cell's counter group, cached per event set.
-
-        Caching rides the fastsim switch: under ``REPRO_FASTSIM=0``
-        every cell rebuilds its tracer and plugins, as the original
-        per-cell acquisition loop did.
-        """
+        """The tracer for a cell's counter group, cached per event set."""
         key = None if cell.event_set is None else cell.run_index
-        use_cache = fastsim_enabled(None)
-        if use_cache:
-            tracer = self._tracer_cache.get(key)
-            if tracer is not None:
-                return tracer
+        tracer = self._tracer_cache.get(key)
+        if tracer is not None:
+            return tracer
         if cell.event_set is None:
             counter_plugin: Any = MultiplexedApapiPlugin(
                 self.platform, self.plan.events
@@ -213,23 +205,16 @@ class Campaign:
             ],
             sampling_interval_s=self.plan.sampling_interval_s,
             fault_injector=getattr(self, "injector", None),
-            # A cached tracer only ever serves the fast path (the cache
-            # is bypassed under REPRO_FASTSIM=0), so pin the mode and
-            # spare every trace an environment lookup.
-            fast=True if use_cache else None,
         )
-        if use_cache:
-            self._tracer_cache[key] = tracer
+        self._tracer_cache[key] = tracer
         return tracer
 
-    def _prime_fast_path(self, cells: List["CampaignCell"]) -> None:
+    def _prime_caches(self, cells: List["CampaignCell"]) -> None:
         """Warm the batched kernel's caches for the whole campaign.
 
         Pure cache warm-ups — phase-state skeletons and pre-expanded
         RNG state words — so primed and unprimed acquisition produce
-        byte-identical datasets.  Callers gate this on
-        :func:`fastsim_enabled`: under ``REPRO_FASTSIM=0`` the scalar
-        loop replays per-cell builds and per-stream constructions.
+        byte-identical datasets.
         """
         self.platform.prime_run_skeletons(self.plan.experiments())
         counter_plugin_name = (
@@ -307,9 +292,7 @@ class Campaign:
         cells = self.cells()
         # One batched warm-up covers every cell's skeleton and RNG
         # streams up front (pure cache warm-ups — outputs unchanged).
-        # Gated so REPRO_FASTSIM=0 replays the per-cell builds.
-        if fastsim_enabled(None):
-            self._prime_fast_path(cells)
+        self._prime_caches(cells)
         if self.executor.kind == "serial":
             profiles: List[PhaseProfile] = []
             last_announced = None
@@ -788,9 +771,8 @@ class ResilientCampaign(Campaign):
         self._hook_errors = []
         cells = self.cells()
         # The resilient path bypasses collect_profiles, so it warms the
-        # batched kernel's caches itself (same gate, same warm-ups).
-        if fastsim_enabled(None):
-            self._prime_fast_path(cells)
+        # batched kernel's caches itself (same warm-ups).
+        self._prime_caches(cells)
         timer = StageTimer()
         with timer.stage(
             "acquisition", n_items=len(cells), executor=self.executor

@@ -26,13 +26,12 @@ from repro.core.model import PowerModel
 from repro.parallel import (
     ProcessExecutor,
     SharedArena,
-    arena_enabled,
     resolve_executor,
     split_batches,
 )
 from repro.seeding import DEFAULT_SEED, derive_rng
 from repro.stats.crossval import KFold
-from repro.stats.fastfit import FoldGramSolver, fastfit_enabled
+from repro.stats.fastfit import FoldGramSolver
 from repro.stats.metrics import bias, mape, r2_score
 
 __all__ = [
@@ -203,7 +202,7 @@ def cv_out_of_fold_predictions(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> Tuple[np.ndarray, Tuple[float, ...], List[Dict[str, float]]]:
     """k-fold CV with random indexing: out-of-fold predictions.
 
@@ -215,16 +214,15 @@ def cv_out_of_fold_predictions(
     the ``parallel``/``max_workers`` backend (see
     :mod:`repro.parallel`), assembled in fold order — bit-identical to
     serial; the process backend shares the dataset through a zero-copy
-    arena and dispatches fold batches as handles (``REPRO_ARENA=0``
-    restores pickled per-fold payloads).  ``fast`` (default: ``REPRO_FASTFIT``, on) solves the OLS
-    folds from Gram downdates (:mod:`repro.stats.fastfit`) within 1e-9
+    arena and dispatches fold batches as handles.  ``fast`` solves the
+    OLS folds from Gram downdates (:mod:`repro.stats.fastfit`) within 1e-9
     relative tolerance of the per-fold refits; Huber folds and any fold
     the solver declines take the exact path.
     """
     splits = list(
         KFold(n_splits, shuffle=True, seed=seed).split(dataset.n_samples)
     )
-    if estimator == "ols" and fastfit_enabled(fast):
+    if estimator == "ols" and fast:
         # Constructing the model validates the counter list (duplicate
         # names) exactly as the per-fold workers would.
         PowerModel(tuple(counters), cov_type=cov_type, estimator=estimator)
@@ -272,11 +270,10 @@ def cv_out_of_fold_predictions(
             parallel, max_workers, n_items=len(splits),
             min_items_per_worker=8,
         )
-        if isinstance(executor, ProcessExecutor) and arena_enabled():
+        if isinstance(executor, ProcessExecutor):
             # Zero-copy dispatch: publish the dataset once, ship
             # handles plus contiguous fold batches; flatten in batch
-            # order = fold order.  REPRO_ARENA=0 restores the pickled
-            # per-fold dispatch.
+            # order = fold order.
             with SharedArena() as arena:
                 handle = dataset.share(arena)
                 batches = split_batches(splits, executor.max_workers)
@@ -427,7 +424,7 @@ def scenario_cv_all(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> ScenarioResult:
     """Scenario 3: 10-fold CV over all experiments (the Table II run)."""
     preds, fold_mapes, _ = cv_out_of_fold_predictions(
@@ -461,7 +458,7 @@ def scenario_cv_synthetic(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> ScenarioResult:
     """Scenario 4: 10-fold CV over the roco2 experiments only."""
     synth = dataset.filter(suite="roco2")
@@ -497,7 +494,7 @@ def run_all_scenarios(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> Dict[str, ScenarioResult]:
     """All four scenarios (Fig. 4), keyed by scenario name."""
     return {

@@ -32,12 +32,11 @@ from repro.parallel import (
     BaseExecutor,
     ProcessExecutor,
     SharedArena,
-    arena_enabled,
     resolve_executor,
     split_batches,
 )
 from repro.stats.errors import EstimationError
-from repro.stats.fastfit import GramCache, GramCacheHandle, fastfit_enabled
+from repro.stats.fastfit import GramCache, GramCacheHandle
 from repro.stats.selection_criteria import CRITERIA
 from repro.stats.vif import VIF_PROBLEM_THRESHOLD, mean_vif
 
@@ -279,7 +278,7 @@ def select_events(
     on_missing: str = "raise",
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> SelectionResult:
     """Run Algorithm 1 on a dataset.
 
@@ -315,14 +314,12 @@ def select_events(
         backend selects bit-identically.  The process backend
         dispatches through a zero-copy shared-memory arena (dataset
         columns or Gram-cache buffers published once, work items
-        carrying handles and contiguous candidate batches);
-        ``REPRO_ARENA=0`` restores the pickled-payload dispatch.
+        carrying handles and contiguous candidate batches).
     fast:
         Score candidates through the Gram-cache fast-fit kernel
         (:mod:`repro.stats.fastfit`) instead of one full OLS refit per
-        candidate.  Default (``None``) resolves ``REPRO_FASTFIT`` and
-        falls back to **on**; only the ``"ols"`` estimator has a fast
-        kernel.  The selected sequence and all warnings are identical
+        candidate (default **on**; ``False`` forces the exact path).
+        Only the ``"ols"`` estimator has a fast kernel.  The selected sequence and all warnings are identical
         to the slow path, scores agree within 1e-9 relative tolerance,
         and any candidate the kernel cannot certify well-conditioned is
         transparently re-evaluated on the exact slow path.
@@ -384,7 +381,7 @@ def select_events(
     )
     cache: Optional[GramCache] = None
     pool_pos: dict = {}
-    if fastfit_enabled(fast) and estimator == "ols":
+    if fast and estimator == "ols":
         cache = GramCache(
             dataset.power_w,
             design_matrix(dataset, pool),
@@ -394,11 +391,11 @@ def select_events(
     # Zero-copy dispatch for the process backend: publish the shared
     # state (Gram-cache buffers on the fast path, the dataset columns
     # on the slow one) once, then fan out ~100-byte handles per step.
-    # REPRO_ARENA=0 keeps the historical pickled-payload dispatch.
+    # Serial and thread backends take the per-candidate path.
     arena: Optional[SharedArena] = None
     dataset_handle: Optional[DatasetHandle] = None
     cache_handle: Optional[GramCacheHandle] = None
-    if isinstance(executor, ProcessExecutor) and arena_enabled():
+    if isinstance(executor, ProcessExecutor):
         arena = SharedArena()
         if cache is not None:
             cache_handle = cache.share(arena)

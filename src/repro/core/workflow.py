@@ -113,7 +113,7 @@ def run_workflow(
     robust: bool = False,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
     audit: bool = True,
 ) -> WorkflowResult:
     """Run the complete methodology of the paper.
@@ -147,14 +147,12 @@ def run_workflow(
         arena (each stage publishes its arrays once, closes — and
         thereby unlinks — its segments on the way out, success or
         failure, so a completed workflow leaves nothing in
-        ``/dev/shm``); ``REPRO_ARENA=0`` restores the historical
-        pickled-payload dispatch.
+        ``/dev/shm``).
     fast:
         Run selection and cross validation through the Gram-cache
-        fast-fit kernels (:mod:`repro.stats.fastfit`).  Default
-        (``None``) resolves the ``REPRO_FASTFIT`` environment variable
-        and falls back to on; the robust (Huber) pipeline always uses
-        the exact per-fit path.  Selected counters and warnings are
+        fast-fit kernels (:mod:`repro.stats.fastfit`; default on,
+        ``False`` forces the exact path).  The robust (Huber) pipeline
+        always uses the exact per-fit path.  Selected counters and warnings are
         identical either way, fit statistics agree within 1e-9
         relative tolerance.
     audit:

@@ -36,7 +36,7 @@ __all__ = [
 #: Bump when the simulated platform or workload definitions change in a
 #: way that alters campaign output.  Lint rule RL005 enforces the bump
 #: whenever a diff touches the physics modules (hardware/, workloads/).
-DATA_VERSION = 6
+DATA_VERSION = 7
 
 _MEMORY_CACHE: Dict[Tuple[int, Tuple[int, ...]], PowerDataset] = {}
 _SELECTION_CACHE: Dict[Tuple[int, int, int], SelectionResult] = {}

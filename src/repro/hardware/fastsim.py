@@ -1,11 +1,12 @@
 """Batched acquisition kernel: vectorized phase simulation + memoization.
 
 Campaign acquisition is the outer loop everything in Section III-A
-feeds on, and the scalar path evaluates the microarchitecture and
-power models one phase at a time through Python dict arithmetic
+feeds on, and the scalar microarchitecture and power models
 (:func:`repro.hardware.microarch.evaluate`,
-:func:`repro.hardware.power.compute_power`).  This module provides the
-same physics as ndarray expressions over a *stack* of phases:
+:func:`repro.hardware.power.compute_power`) evaluate one phase at a
+time through Python dict arithmetic.  This module provides the same
+physics as ndarray expressions over a *stack* of phases — the only
+path :meth:`~repro.hardware.platform.Platform.execute` takes:
 
 * :func:`simulate_phases` — evaluate ``(characterization, placement)``
   rows against one operating point in a single pass, producing the
@@ -16,12 +17,9 @@ same physics as ndarray expressions over a *stack* of phases:
   operating_point, placement, cfg)`` and a multi-run campaign
   re-executes every experiment once per PMU event set
   (``runs_per_experiment = len(event_sets)``), so pre-jitter states
-  are recomputed N× by the scalar loop; the memo computes them once
+  would be recomputed N× by a per-run loop; the memo computes them once
   and replays them, while run jitter and sensor noise stay per-run on
-  their existing ``derive_rng`` streams;
-* :func:`fastsim_enabled` — the ``REPRO_FASTSIM`` escape hatch
-  (default on; ``REPRO_FASTSIM=0`` restores the scalar reference
-  path end to end).
+  their existing ``derive_rng`` streams.
 
 Bit-identity contract
 ---------------------
@@ -40,7 +38,6 @@ calls).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,57 +62,11 @@ from repro.hardware.power import (
 from repro.workloads.base import Characterization
 
 __all__ = [
-    "FASTSIM_ENV",
-    "fastsim_enabled",
     "PhaseStateMemo",
     "simulate_phases",
 ]
 
-#: Environment variable disabling the batched kernel (``0`` → scalar
-#: reference path everywhere, mirroring ``REPRO_FASTFIT`` / ``REPRO_ARENA``).
-FASTSIM_ENV = "REPRO_FASTSIM"
-
-_TRUE_VALUES = ("1", "true", "yes", "on")
-_FALSE_VALUES = ("0", "false", "no", "off")
-
-#: Parse results per raw env string — the switch is consulted on every
-#: cell of a campaign, and the handful of distinct values ever seen
-#: parse once.  The environment itself is still read on every call, so
-#: flipping ``REPRO_FASTSIM`` mid-process takes effect immediately.
-_PARSE_CACHE: dict = {}
-
 _NANO = 1e-9
-
-
-def fastsim_enabled(fast: Optional[bool] = None) -> bool:
-    """Resolve the fast/scalar switch: explicit argument, else env.
-
-    Unlike the lenient ``REPRO_FASTFIT`` parse, an unrecognized value
-    raises — a typo like ``REPRO_FASTSIM=fa1se`` silently *enabling*
-    the path under test would defeat the escape hatch (same contract
-    as ``REPRO_MAX_WORKERS``).
-    """
-    if fast is not None:
-        return bool(fast)
-    env = os.environ.get(FASTSIM_ENV)
-    if env is None:
-        return True
-    cached = _PARSE_CACHE.get(env)
-    if cached is not None:
-        return cached
-    norm = env.strip().lower()
-    if norm in _TRUE_VALUES:
-        result = True
-    elif norm in _FALSE_VALUES:
-        result = False
-    else:
-        raise ValueError(
-            f"{FASTSIM_ENV} must be one of "
-            f"{_TRUE_VALUES + _FALSE_VALUES}, got {env!r}"
-        )
-    if len(_PARSE_CACHE) < 64:
-        _PARSE_CACHE[env] = result
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,13 @@ import numpy as np
 from repro.hardware.config import HASWELL_EP_CONFIG, PlatformConfig
 from repro.hardware.counters import COUNTER_NAMES, counter_index
 from repro.hardware.dvfs import OperatingPoint
-from repro.hardware.fastsim import PhaseStateMemo, fastsim_enabled, simulate_phases
-from repro.hardware.microarch import MicroarchState, evaluate
+from repro.hardware.fastsim import PhaseStateMemo, simulate_phases
+from repro.hardware.microarch import MicroarchState
 from repro.hardware.pmu import PMU
 from repro.hardware.power import (
     HASWELL_EP_POWER_PARAMS,
     PowerBreakdown,
     PowerModelParams,
-    compute_power,
 )
 from repro.hardware.sensors import SensorArray
 from repro.hardware.voltage import VoltageTelemetry
@@ -49,19 +48,7 @@ __all__ = ["PhaseExecution", "RunExecution", "Platform"]
 #: pinned by the fixed frequency and wall time.
 _JITTER_EXEMPT = ("TOT_CYC", "REF_CYC")
 
-
-def _jitter_mask() -> np.ndarray:
-    """Boolean mask selecting the jitter-affected counters (cached)."""
-    mask = np.ones(len(COUNTER_NAMES), dtype=bool)
-    for name in _JITTER_EXEMPT:
-        mask[counter_index(name)] = False
-    mask.setflags(write=False)
-    return mask
-
-
-_JITTER_MASK = _jitter_mask()
-
-#: Integer column indices of the exempt counters (batch applicator).
+#: Integer column indices of the exempt counters.
 _EXEMPT_IDX = np.array(
     [counter_index(name) for name in _JITTER_EXEMPT], dtype=np.intp
 )
@@ -76,7 +63,7 @@ class _RunSkeleton:
     rates, hidden activities, base power breakdowns, true voltages and
     phase timings.  A campaign re-executes each experiment once per
     event set; only the three run-level jitter draws differ, so the
-    skeleton is computed once and replayed (fast path only).
+    skeleton is computed once and replayed.
     """
 
     specs: Tuple[PhaseSpec, ...]
@@ -158,8 +145,8 @@ class Platform:
         # run_index-independent part of execute().  Same lifecycle as
         # the phase memo.
         self._run_memo: dict = {}
-        # Pre-hashed head of the per-run jitter RNG key (fast path
-        # only; holds a hash object, so it is rebuilt after pickling).
+        # Pre-hashed head of the per-run jitter RNG key (holds a hash
+        # object, so it is rebuilt after pickling).
         self._run_hasher = SeedHasher(seed, "run")
         # Pre-expanded RNG state words, filled by campaigns via
         # prime_rng_words and keyed (workload, frequency, threads,
@@ -196,7 +183,6 @@ class Platform:
         threads: int,
         *,
         run_index: int = 0,
-        fast: Optional[bool] = None,
         phases: Optional[Sequence[PhaseSpec]] = None,
     ) -> RunExecution:
         """Execute a workload at a pinned frequency and thread count.
@@ -206,154 +192,89 @@ class Platform:
         Run-to-run variation is modelled as a coherent multiplicative
         jitter on activity rates with a correlated power jitter.
 
-        ``fast`` selects the batched+memoized kernel (default: the
-        ``REPRO_FASTSIM`` resolution of
-        :func:`~repro.hardware.fastsim.fastsim_enabled`); both paths
-        are bit-identical.  ``phases`` lets callers that re-execute the
-        same cell (retry loops) pass a pre-derived phase list instead
-        of re-deriving it from the workload every attempt.
+        Pre-jitter phase states come from the batched, memoized kernel
+        (:mod:`repro.hardware.fastsim`); only the three run-level
+        jitter draws differ between runs.  ``phases`` lets callers that
+        re-execute the same cell (retry loops) pass a pre-derived phase
+        list instead of re-deriving it from the workload every attempt.
         """
-        use_fast = fastsim_enabled(fast)
-        if use_fast:
-            skeleton = self._run_skeleton(workload, frequency_mhz, threads, phases)
-            specs = skeleton.specs
-            op = skeleton.op
+        skeleton = self._run_skeleton(workload, frequency_mhz, threads, phases)
+        specs = skeleton.specs
+        # The run's jitter stream is derive_rng(seed, "run", workload,
+        # frequency, threads, run_index), with the constant ("run",)
+        # head pre-hashed (SeedHasher contract) and, under a primed
+        # campaign, the seed's PCG64 state words already expanded
+        # (rng_from_state_words contract).
+        entry = self._rng_words.get(
+            (workload.name, frequency_mhz, threads, run_index)
+        )
+        words = entry.get("run") if entry is not None else None
+        if words is not None:
+            rng = rng_from_state_words(words)
         else:
-            workload.validate_threads(threads, self.cfg.total_cores)
-            op = self.cfg.curve.operating_point(frequency_mhz)
-            specs = (
-                tuple(phases)
-                if phases is not None
-                else tuple(workload.phases(threads))
+            rng = self._run_hasher.rng(
+                workload.name, frequency_mhz, threads, run_index
             )
-        if use_fast:
-            # Same key path as the scalar derive_rng below, with the
-            # constant ("run",) head pre-hashed (SeedHasher contract)
-            # and, under a primed campaign, the seed's PCG64 state
-            # words already expanded (rng_from_state_words contract).
-            entry = self._rng_words.get(
-                (workload.name, frequency_mhz, threads, run_index)
-            )
-            words = entry.get("run") if entry is not None else None
-            if words is not None:
-                rng = rng_from_state_words(words)
-            else:
-                rng = self._run_hasher.rng(
-                    workload.name, frequency_mhz, threads, run_index
-                )
-        else:
-            rng = derive_rng(
-                self.seed, "run", workload.name, frequency_mhz, threads, run_index
-            )
-        if use_fast:
-            # One block draw; scalar ``normal(0, s)`` is ``0.0 + s*z``
-            # on the same ziggurat stream, so the values are identical.
-            z = rng.standard_normal(3)
-            jitter = 1.0 + float(0.0 + self.run_jitter_sigma * z[0])
-            power_jitter = (
-                1.0
-                + 0.6 * (jitter - 1.0)
-                + float(0.0 + self.power_jitter_sigma * z[1])
-            )
-            power_offset = float(0.0 + self.power_offset_sigma_w * z[2])
-        else:
-            jitter = 1.0 + float(rng.normal(0.0, self.run_jitter_sigma))
-            power_jitter = (
-                1.0
-                + 0.6 * (jitter - 1.0)
-                + float(rng.normal(0.0, self.power_jitter_sigma))
-            )
-            power_offset = float(rng.normal(0.0, self.power_offset_sigma_w))
+        # One block draw; ``normal(0, s)`` is ``0.0 + s*z`` on the same
+        # ziggurat stream, so three scalar draws give identical values.
+        z = rng.standard_normal(3)
+        jitter = 1.0 + float(0.0 + self.run_jitter_sigma * z[0])
+        power_jitter = (
+            1.0
+            + 0.6 * (jitter - 1.0)
+            + float(0.0 + self.power_jitter_sigma * z[1])
+        )
+        power_offset = float(0.0 + self.power_offset_sigma_w * z[2])
         # Run-level absolute power offset: OS housekeeping, fan state,
         # VR operating-point differences.  Dominates *relative* error at
         # the low end of the power range.
         per_socket_offset = power_offset / self.cfg.sockets
 
+        # Replay the skeleton: one jitter multiply over the stacked
+        # pre-jitter rates (exempt columns restored from the stack),
+        # then only the per-run breakdown scaling runs per phase.
+        jittered = skeleton.rates * jitter
+        if jittered.size:
+            jittered[:, _EXEMPT_IDX] = skeleton.rates[:, _EXEMPT_IDX]
+        hidden = skeleton.hidden
+        voltages = skeleton.voltages
+        bounds = skeleton.bounds
         executions: List[PhaseExecution] = []
-        if use_fast:
-            # Replay the skeleton: one jitter multiply over the stacked
-            # pre-jitter rates (exempt columns restored from the stack,
-            # same values as the masked per-phase multiply), then only
-            # the per-run breakdown scaling runs per phase.
-            jittered = skeleton.rates * jitter
-            if jittered.size:
-                jittered[:, _EXEMPT_IDX] = skeleton.rates[:, _EXEMPT_IDX]
-            hidden = skeleton.hidden
-            voltages = skeleton.voltages
-            bounds = skeleton.bounds
-            append = executions.append
-            for i, spec in enumerate(specs):
-                base = skeleton.breakdowns[i]
-                breakdown = PowerBreakdown(
-                    per_socket_w=tuple(
-                        [
-                            max(p * power_jitter + per_socket_offset, 0.0)
-                            for p in base.per_socket_w
-                        ]
-                    ),
-                    dynamic_core_w=base.dynamic_core_w,
-                    uncore_w=base.uncore_w,
-                    static_w=base.static_w,
-                    board_w=base.board_w,
-                    temperature_c=base.temperature_c,
-                )
-                start_s, end_s = bounds[i]
-                append(
-                    PhaseExecution(
-                        phase=spec,
-                        start_s=start_s,
-                        end_s=end_s,
-                        state=MicroarchState(
-                            counter_rates=jittered[i],
-                            hidden=hidden[i],
-                        ),
-                        power_breakdown=breakdown,
-                        true_voltage_v=voltages[i],
-                    )
-                )
-        else:
-            states = [
-                self._apply_jitter(
-                    evaluate(
-                        spec.characterization, op, spec.active_threads, self.cfg
-                    ),
-                    jitter,
-                )
-                for spec in specs
-            ]
-            t = 0.0
-            for spec, state in zip(specs, states):
-                breakdown = compute_power(
-                    state.hidden, op, self.cfg, self.power_params
-                )
-                breakdown = PowerBreakdown(
-                    per_socket_w=tuple(
+        append = executions.append
+        for i, spec in enumerate(specs):
+            base = skeleton.breakdowns[i]
+            breakdown = PowerBreakdown(
+                per_socket_w=tuple(
+                    [
                         max(p * power_jitter + per_socket_offset, 0.0)
-                        for p in breakdown.per_socket_w
+                        for p in base.per_socket_w
+                    ]
+                ),
+                dynamic_core_w=base.dynamic_core_w,
+                uncore_w=base.uncore_w,
+                static_w=base.static_w,
+                board_w=base.board_w,
+                temperature_c=base.temperature_c,
+            )
+            start_s, end_s = bounds[i]
+            append(
+                PhaseExecution(
+                    phase=spec,
+                    start_s=start_s,
+                    end_s=end_s,
+                    state=MicroarchState(
+                        counter_rates=jittered[i],
+                        hidden=hidden[i],
                     ),
-                    dynamic_core_w=breakdown.dynamic_core_w,
-                    uncore_w=breakdown.uncore_w,
-                    static_w=breakdown.static_w,
-                    board_w=breakdown.board_w,
-                    temperature_c=breakdown.temperature_c,
+                    power_breakdown=breakdown,
+                    true_voltage_v=voltages[i],
                 )
-                true_v = self.voltage.true_voltage(op, spec.active_threads)
-                executions.append(
-                    PhaseExecution(
-                        phase=spec,
-                        start_s=t,
-                        end_s=t + spec.duration_s,
-                        state=state,
-                        power_breakdown=breakdown,
-                        true_voltage_v=true_v,
-                    )
-                )
-                t += spec.duration_s
+            )
 
         return RunExecution(
             workload_name=workload.name,
             suite=workload.suite,
-            op=op,
+            op=skeleton.op,
             threads=threads,
             run_index=run_index,
             phases=tuple(executions),
@@ -577,13 +498,6 @@ class Platform:
                 for i in missing[key]:
                     out[i] = result
         return out  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _apply_jitter(self, state: MicroarchState, jitter: float) -> MicroarchState:
-        """Coherent run-to-run activity jitter (cycle counters exempt)."""
-        rates = state.counter_rates.copy()
-        rates[_JITTER_MASK] *= jitter
-        return MicroarchState(counter_rates=rates, hidden=state.hidden)
 
     # ------------------------------------------------------------------
     def supported_frequencies(self) -> Tuple[int, int]:

@@ -86,16 +86,6 @@ DEFAULT_FASTFIT_HOT_MODULES: Tuple[str, ...] = (
     "*/stats/crossval.py",
 )
 
-#: Acquisition-hot modules (RL015): files whose loops drive bulk
-#: simulation and must go through the batched fastsim kernel, never a
-#: per-phase ``evaluate``/``compute_power`` call.
-DEFAULT_SIM_HOT_MODULES: Tuple[str, ...] = (
-    "*/acquisition/campaign.py",
-    "*/tracing/scorep.py",
-    "*/tracing/plugins.py",
-    "*/repro/sched/*",
-)
-
 #: Directories whose changes alter campaign physics (RL005).
 DEFAULT_PHYSICS_PATHS: Tuple[str, ...] = (
     "src/repro/hardware/",
@@ -147,7 +137,6 @@ class LintConfig:
     linalg_modules: Tuple[str, ...] = DEFAULT_LINALG_MODULES
     parallel_modules: Tuple[str, ...] = DEFAULT_PARALLEL_MODULES
     fastfit_hot_modules: Tuple[str, ...] = DEFAULT_FASTFIT_HOT_MODULES
-    sim_hot_modules: Tuple[str, ...] = DEFAULT_SIM_HOT_MODULES
     physics_paths: Tuple[str, ...] = DEFAULT_PHYSICS_PATHS
     version_file: str = DEFAULT_VERSION_FILE
     version_symbol: str = DEFAULT_VERSION_SYMBOL
@@ -213,7 +202,6 @@ class LintConfig:
             ("linalg-modules", "linalg_modules"),
             ("parallel-modules", "parallel_modules"),
             ("fastfit-hot-modules", "fastfit_hot_modules"),
-            ("sim-hot-modules", "sim_hot_modules"),
             ("physics-paths", "physics_paths"),
             ("audit-gated-modules", "audit_gated_modules"),
             ("sleep-retry-modules", "sleep_retry_modules"),

@@ -19,7 +19,6 @@ from repro.lint.rules.rl011_unaudited_report import NoUnauditedReport
 from repro.lint.rules.rl012_raw_sleep_retry import NoRawSleepRetry
 from repro.lint.rules.rl013_unbounded_queue import NoUnboundedQueue
 from repro.lint.rules.rl014_raw_shm import NoRawSharedMemory
-from repro.lint.rules.rl015_no_scalar_hot_sim import NoScalarHotSim
 
 __all__ = [
     "all_rules",
@@ -37,7 +36,6 @@ __all__ = [
     "NoRawSleepRetry",
     "NoUnboundedQueue",
     "NoRawSharedMemory",
-    "NoScalarHotSim",
 ]
 
 
@@ -58,5 +56,4 @@ def all_rules(*, diff_base: str = "HEAD") -> List[Rule]:
         NoRawSleepRetry(),
         NoUnboundedQueue(),
         NoRawSharedMemory(),
-        NoScalarHotSim(),
     ]

@@ -15,8 +15,7 @@ package centralises how that fan-out happens:
   shared-memory dispatch for the process backend: large arrays are
   published once and work items carry ~100-byte handles instead of
   pickled matrices, with :func:`split_batches` amortizing per-dispatch
-  overhead (one batch per worker, flattened in pool order).
-  ``REPRO_ARENA=0`` falls back to pickled payloads;
+  overhead (one batch per worker, flattened in pool order);
 * :class:`TimingReport` / :class:`StageTimer` — per-stage wall-time
   accounting on a single monotonic clock, surfaced on
   ``CampaignReport`` and ``WorkflowResult``.
@@ -30,10 +29,8 @@ Lint rule RL009 forbids direct ``concurrent.futures``/
 """
 
 from repro.parallel.arena import (
-    ARENA_ENV,
     ArrayHandle,
     SharedArena,
-    arena_enabled,
     release_arenas,
     split_batches,
 )
@@ -60,10 +57,8 @@ __all__ = [
     "PARALLEL_KINDS",
     "PARALLEL_ENV",
     "MAX_WORKERS_ENV",
-    "ARENA_ENV",
     "ArrayHandle",
     "SharedArena",
-    "arena_enabled",
     "release_arenas",
     "split_batches",
     "BaseExecutor",

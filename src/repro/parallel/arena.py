@@ -33,10 +33,6 @@ Lifecycle contract (leak-proof by construction, DESIGN.md §16):
   reclaims the segment — an orphaned ``/dev/shm`` entry cannot survive
   the process tree.
 
-``REPRO_ARENA=0`` is the escape hatch: call sites fall back to the
-historical pickled-payload dispatch, preserved so the before/after
-trajectory stays measurable (the parallel benchmark records both).
-
 Batching rides along: :func:`split_batches` groups work items into one
 contiguous slice per worker, so per-dispatch overhead is amortized and
 a flatten of the returned batches reproduces pool order exactly —
@@ -50,24 +46,18 @@ import itertools
 import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Dict, List, Sequence, Set, Tuple, TypeVar
 
 import numpy as np
 
 __all__ = [
-    "ARENA_ENV",
     "ArrayHandle",
     "SharedArena",
-    "arena_enabled",
     "attached_segments",
     "detach_all",
     "release_arenas",
     "split_batches",
 ]
-
-#: Environment escape hatch: ``REPRO_ARENA=0`` keeps process-backend
-#: dispatch on the historical pickled-payload route for A/B runs.
-ARENA_ENV = "REPRO_ARENA"
 
 #: Prefix of every segment this module creates — makes leaked segments
 #: attributable (and the leak test's ``/dev/shm`` scan precise).
@@ -93,21 +83,6 @@ class _SafeSharedMemory(shared_memory.SharedMemory):
             super().close()
         except BufferError:
             pass
-
-
-def arena_enabled(arena: Optional[bool] = None) -> bool:
-    """Resolve the arena switch for one call.
-
-    Resolution order: explicit ``arena=`` argument → ``REPRO_ARENA``
-    environment variable → default **on**.  ``0``/``false``/``no``/
-    ``off`` (any case) disable; anything else enables.
-    """
-    if arena is not None:
-        return bool(arena)
-    env = os.environ.get(ARENA_ENV)
-    if env is None:
-        return True
-    return env.strip().lower() not in ("0", "false", "no", "off")
 
 
 # ---------------------------------------------------------------------------

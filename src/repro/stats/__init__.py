@@ -46,12 +46,7 @@ from repro.stats.diagnostics import (
     residual_normality,
     white_test,
 )
-from repro.stats.fastfit import (
-    FASTFIT_ENV,
-    FoldGramSolver,
-    GramCache,
-    fastfit_enabled,
-)
+from repro.stats.fastfit import FoldGramSolver, GramCache
 from repro.stats.errors import (
     DegenerateDesignError,
     DegenerateResidualsError,
@@ -119,8 +114,6 @@ __all__ = [
     "collinear_columns",
     "GramCache",
     "FoldGramSolver",
-    "fastfit_enabled",
-    "FASTFIT_ENV",
     "pearson",
     "pearson_with_target",
     "spearman",

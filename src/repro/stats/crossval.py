@@ -17,12 +17,11 @@ import numpy as np
 from repro.parallel import (
     ProcessExecutor,
     SharedArena,
-    arena_enabled,
     resolve_executor,
     split_batches,
 )
 from repro.parallel.arena import ArrayHandle
-from repro.stats.fastfit import FoldGramSolver, fastfit_enabled
+from repro.stats.fastfit import FoldGramSolver
 from repro.stats.linalg import add_constant
 from repro.stats.metrics import mape, r2_score
 from repro.stats.ols import OLSResult, fit_ols
@@ -253,7 +252,7 @@ def cross_validate(
     on_zero: str = "raise",
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> CrossValidationResult:
     """k-fold cross validation of an OLS power model.
 
@@ -270,18 +269,17 @@ def cross_validate(
     and scores assembled in fold order, so every backend is
     bit-identical to serial.  The process backend publishes ``y``/``x``
     into a zero-copy shared-memory arena and dispatches fold batches as
-    handles (``REPRO_ARENA=0`` restores pickled slices).  A custom
+    handles.  A custom
     ``fit_fn`` must be picklable for ``parallel="process"``.
 
     ``fast`` routes the default OLS folds through the Gram downdate
     solver of :mod:`repro.stats.fastfit` (each fold's train Gram is the
-    full-design Gram minus the fold's — no per-fold refit).  Default
-    (``None``) resolves ``REPRO_FASTFIT`` and falls back to on; a
+    full-design Gram minus the fold's — no per-fold refit); a
     custom ``fit_fn`` or ``robust=True`` always takes the exact
     per-fold path.  Fold scores agree with the slow path within 1e-9
     relative tolerance.
     """
-    use_fast = fit_fn is None and not robust and fastfit_enabled(fast)
+    use_fast = fit_fn is None and not robust and fast
     if fit_fn is None:
         fit_fn = _robust_fit if robust else _default_fit
     y = np.asarray(endog, dtype=np.float64).ravel()
@@ -301,10 +299,10 @@ def cross_validate(
     executor = resolve_executor(
         parallel, max_workers, n_items=len(splits), min_items_per_worker=8
     )
-    if isinstance(executor, ProcessExecutor) and arena_enabled():
+    if isinstance(executor, ProcessExecutor):
         # Zero-copy dispatch: publish y/x once, ship handles plus each
         # worker's contiguous fold batch; flatten in batch order = fold
-        # order.  REPRO_ARENA=0 restores the pickled-slice dispatch.
+        # order.  Serial and thread backends take the per-fold path.
         with SharedArena() as arena:
             y_handle = arena.publish(y)
             x_handle = arena.publish(x)

@@ -21,8 +21,8 @@ the cached Gram matrix:
   downdate instead of an O(n·k²) refit), and only the final residual /
   prediction passes touch raw rows.
 
-Numerical contract (the escape hatch ``REPRO_FASTFIT=0`` exists to
-verify it): the selected counter sequence and every step warning are
+Numerical contract (``fast=False`` at any call site runs the exact
+path to verify it): the selected counter sequence and every step warning are
 identical to the slow path, and R²/VIF/MAPE agree within 1e-9 relative
 tolerance.  Solving through a Gram matrix squares the design's
 condition number, so that contract is *not* taken on faith — it is
@@ -76,7 +76,6 @@ this module stays executor-free.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,7 +92,6 @@ from repro.stats.vif import (
 )
 
 __all__ = [
-    "FASTFIT_ENV",
     "DESIGN_CONDITION_MAX",
     "SCALED_CONDITION_MAX",
     "CandidateScore",
@@ -101,12 +99,7 @@ __all__ = [
     "FoldGramSolver",
     "GramCache",
     "GramCacheHandle",
-    "fastfit_enabled",
 ]
-
-#: Environment escape hatch: ``REPRO_FASTFIT=0`` keeps every fit on the
-#: historical ``guarded_lstsq`` route for A/B verification.
-FASTFIT_ENV = "REPRO_FASTFIT"
 
 #: Certified upper bound on the *design* condition number above which
 #: the fast path declines a fit.  The slow path switches to its ridge
@@ -139,21 +132,6 @@ _PIVOT_MIN = 1e-10
 #: ``gᵀG⁻¹g`` is below this fraction of ``ss_res`` — an order of
 #: magnitude inside the 1e-9 contract.
 _EXCESS_RTOL = 1e-10
-
-
-def fastfit_enabled(fast: Optional[bool] = None) -> bool:
-    """Resolve the fast-path switch for one call.
-
-    Resolution order: explicit ``fast=`` argument → ``REPRO_FASTFIT``
-    environment variable → default **on**.  ``0``/``false``/``no``/
-    ``off`` (any case) disable; anything else enables.
-    """
-    if fast is not None:
-        return bool(fast)
-    env = os.environ.get(FASTFIT_ENV)
-    if env is None:
-        return True
-    return env.strip().lower() not in ("0", "false", "no", "off")
 
 
 #: ``(criterion score, R², adjusted R²)`` of one fast-scored candidate.

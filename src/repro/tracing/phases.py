@@ -21,8 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.hardware.fastsim import fastsim_enabled
-from repro.tracing.otf2 import MetricStream, Trace
+from repro.tracing.otf2 import Trace
 from repro.tracing.plugins import ApapiPlugin, PowerPlugin, VoltagePlugin
 
 __all__ = ["PhaseProfile", "profile_trace", "haecsim_profiles", "postprocess_profiles"]
@@ -55,13 +54,21 @@ class PhaseProfile:
         return self.counter_rates_per_s[counter] / (self.frequency_mhz * 1e6)
 
 
-
-
 def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhaseProfile]:
     """Phase profiles of every sufficiently long region of a trace.
 
     Phases shorter than ``min_duration_s`` carry too few async samples
     for stable averages and are dropped, as the original tooling did.
+
+    Each profile value is the window mean of a metric stream over the
+    phase interval.  The tracer gives every stream of a trace the
+    *same* times array, so window bounds are computed once on the
+    power stream and shared with every stream whose times array *is*
+    that object (identity, not equality — streams with their own grid,
+    e.g. fault-corrupted copies, recompute honestly).  ``np.add.reduce``
+    is ``ndarray.mean``'s own pairwise summation without the method
+    dispatch, so each mean is bit-identical to
+    :meth:`~repro.tracing.otf2.MetricStream.window_mean`.
     """
     meta = trace.meta
     for key in ("workload", "suite", "frequency_mhz", "threads", "run_index"):
@@ -72,71 +79,6 @@ def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhasePro
     if power_metric is None or voltage_metric is None:
         raise ValueError("trace lacks power/voltage metric streams")
 
-    # The windowed-extraction fast path rides the fastsim switch:
-    # under REPRO_FASTSIM=0 extraction replays the original per-stream
-    # window_mean calls, so the escape hatch covers the whole pipeline.
-    if fastsim_enabled(None):
-        return _profile_fast(
-            trace, power_metric, voltage_metric, min_duration_s
-        )
-
-    papi_names = [
-        name
-        for name in trace.metrics
-        if name.startswith(ApapiPlugin.PREFIX)
-    ]
-    out: List[PhaseProfile] = []
-    for region, start, end, active in trace.phase_intervals():
-        if end - start < min_duration_s:
-            continue
-        p = power_metric.window_mean(start, end)
-        v = voltage_metric.window_mean(start, end)
-        if math.isnan(p) or math.isnan(v):
-            continue
-        rates = {}
-        for name in papi_names:
-            mean = trace.metrics[name].window_mean(start, end)
-            if not math.isnan(mean):
-                rates[name[len(ApapiPlugin.PREFIX) :]] = mean
-        out.append(
-            PhaseProfile(
-                workload=str(meta["workload"]),
-                suite=str(meta["suite"]),
-                frequency_mhz=int(meta["frequency_mhz"]),
-                threads=int(meta["threads"]),
-                run_index=int(meta["run_index"]),
-                phase_name=region,
-                start_s=start,
-                end_s=end,
-                active_threads=active,
-                power_w=p,
-                voltage_v=v,
-                counter_rates_per_s=rates,
-            )
-        )
-    return out
-
-
-def _profile_fast(
-    trace: Trace,
-    power_metric: MetricStream,
-    voltage_metric: MetricStream,
-    min_duration_s: float,
-) -> List[PhaseProfile]:
-    """Batched windowed extraction, bit-identical to the scalar loop.
-
-    Stream arrays and metadata conversions are hoisted out of the
-    interval loop.  The tracer fast path gives every stream of a trace
-    the *same* times array, so window bounds are computed once on the
-    power stream and shared with every stream whose times array *is*
-    that object (identity, not equality — streams with their own grid,
-    e.g. fault-corrupted copies, recompute honestly).  The per-window
-    arithmetic is unchanged: ``np.add.reduce`` is ``ndarray.mean``'s
-    own pairwise summation without the method dispatch — sum/count,
-    bit-identical to the ``window_mean`` calls of the reference loop
-    above.
-    """
-    meta = trace.meta
     workload = str(meta["workload"])
     suite = str(meta["suite"])
     frequency_mhz = int(meta["frequency_mhz"])

@@ -3,8 +3,8 @@
 "A metric plugin is an external dynamic linked library, which
 implements the Score-P metric plugin interface" (Section III-A).  Here
 a plugin is a Python object implementing :class:`MetricPlugin`: it
-declares metric definitions and produces sampled values for a phase
-execution.  The three plugins of the paper are modelled:
+declares metric definitions and produces sampled values for an
+executed run.  The three plugins of the paper are modelled:
 
 * :class:`PowerPlugin` — ``scorep_ni``: node power from the calibrated
   12 V sensors (per-socket channels summed).
@@ -15,20 +15,14 @@ execution.  The three plugins of the paper are modelled:
   is the counter increment over the sampling interval, normalized to
   events/second (the post-processing converts to events per cycle).
 
-Each plugin offers three bit-identical sampling entry points:
-
-* ``sample_phase_reference`` — the original event-at-a-time loops,
-  kept verbatim as the auditable reference (the ``REPRO_FASTSIM=0``
-  recording path).
-* ``sample_phase`` — one phase, vectorized: a single standard-normal
-  block replaces the per-event/per-channel ``normal()`` calls.  The
-  C-order fill consumes the ziggurat stream in the same order, and
-  ``loc + (0.0 + sigma*z)`` is exactly how ``Generator.normal``
-  assembles each draw, so values match the loops bit for bit.
-* ``sample_run`` — a whole run, batched: per-phase RNG draws (the
-  seeding contract) followed by one arithmetic pass over the stacked
-  ``(events, total_samples)`` matrix.  Elementwise ufuncs are
-  batch-size invariant, so this equals ``sample_phase`` per segment.
+Plugins sample a whole run at once (``sample_run``): per-phase RNG
+draws — one standard-normal block per phase stream, the seeding
+contract — followed by one arithmetic pass over the stacked
+``(events, total_samples)`` matrix.  The C-order block fill consumes
+the ziggurat stream in the same order as per-event ``normal()`` calls,
+and ``loc + (0.0 + sigma*z)`` is exactly how ``Generator.normal``
+assembles each draw, so values match event-at-a-time sampling bit for
+bit (the oracle in ``tests/oracles/acquisition.py`` pins this).
 """
 
 from __future__ import annotations
@@ -51,32 +45,6 @@ class MetricPlugin:
         """Metric definitions this plugin contributes to the trace."""
         raise NotImplementedError
 
-    def sample_phase(
-        self,
-        run: RunExecution,
-        phase: PhaseExecution,
-        sample_times: np.ndarray,
-        interval_s: float,
-        rng: np.random.Generator,
-    ) -> Dict[str, np.ndarray]:
-        """Values for each metric at the given absolute sample times."""
-        raise NotImplementedError
-
-    def sample_phase_reference(
-        self,
-        run: RunExecution,
-        phase: PhaseExecution,
-        sample_times: np.ndarray,
-        interval_s: float,
-        rng: np.random.Generator,
-    ) -> Dict[str, np.ndarray]:
-        """Scalar reference sampling (``REPRO_FASTSIM=0`` path).
-
-        Defaults to :meth:`sample_phase`; the paper's plugins override
-        it with their original loops, kept verbatim.
-        """
-        return self.sample_phase(run, phase, sample_times, interval_s, rng)
-
     def sample_run(
         self,
         run: RunExecution,
@@ -85,20 +53,14 @@ class MetricPlugin:
         interval_s: float,
         rngs: Sequence[np.random.Generator],
     ) -> Dict[str, np.ndarray]:
-        """All phases of a run in one call (fast recording path).
+        """Values for each metric across all phases of a run.
 
-        ``rngs`` holds one per-phase generator, seeded exactly as the
-        scalar path seeds them.  The default implementation falls back
-        to per-phase :meth:`sample_phase` calls and concatenates.
+        ``grids`` holds each phase's absolute sample times and ``rngs``
+        one generator per phase, seeded by the tracer.  Each returned
+        array is the concatenation of the per-phase samples, in phase
+        order.
         """
-        acc: Dict[str, List[np.ndarray]] = {}
-        for phase, grid, rng in zip(phases, grids, rngs):
-            sampled = self.sample_phase(run, phase, grid, interval_s, rng)
-            for name, vals in sampled.items():
-                acc.setdefault(name, []).append(
-                    np.asarray(vals, dtype=np.float64)
-                )
-        return {name: np.concatenate(parts) for name, parts in acc.items()}
+        raise NotImplementedError
 
 
 def _fill_segments(
@@ -122,34 +84,6 @@ class PowerPlugin(MetricPlugin):
 
     def metric_defs(self) -> List[MetricDef]:
         return [MetricDef(self.METRIC, "W")]
-
-    def sample_phase_reference(self, run, phase, sample_times, interval_s, rng):
-        # Each plugin sample is the mean of the raw sensor stream over
-        # one sampling interval: one draw per socket channel per sample.
-        n = sample_times.size
-        total = np.zeros(n)
-        for sensor, true_w in zip(
-            self.platform.sensors.sensors, phase.power_breakdown.per_socket_w
-        ):
-            raw_per_sample = max(
-                int(round(interval_s * sensor.sample_rate_hz)), 1
-            )
-            mean = true_w * sensor.calibration.gain + sensor.calibration.offset_w
-            total += mean + rng.normal(
-                0.0, sensor.noise_sigma_w / np.sqrt(raw_per_sample), size=n
-            )
-        return {self.METRIC: total}
-
-    def sample_phase(self, run, phase, sample_times, interval_s, rng):
-        # The sensor array draws every channel's noise in one block
-        # (bit-identical to the per-channel reference loop).
-        total = self.platform.sensors.sample_node_total(
-            phase.power_breakdown.per_socket_w,
-            sample_times.size,
-            interval_s,
-            rng,
-        )
-        return {self.METRIC: total}
 
     def sample_run(self, run, phases, grids, interval_s, rngs):
         total = np.empty(sum(grid.size for grid in grids))
@@ -177,21 +111,6 @@ class VoltagePlugin(MetricPlugin):
 
     def metric_defs(self) -> List[MetricDef]:
         return [MetricDef(self.METRIC, "V")]
-
-    def sample_phase_reference(self, run, phase, sample_times, interval_s, rng):
-        telemetry = self.platform.voltage
-        n = sample_times.size
-        true = phase.true_voltage_v
-        readings = true + rng.normal(0.0, telemetry.read_noise_v, size=n)
-        step = telemetry.VID_STEP
-        return {self.METRIC: np.round(readings / step) * step}
-
-    def sample_phase(self, run, phase, sample_times, interval_s, rng):
-        telemetry = self.platform.voltage
-        z = rng.standard_normal(sample_times.size)
-        readings = phase.true_voltage_v + (0.0 + telemetry.read_noise_v * z)
-        step = telemetry.VID_STEP
-        return {self.METRIC: np.round(readings / step) * step}
 
     def sample_run(self, run, phases, grids, interval_s, rngs):
         telemetry = self.platform.voltage
@@ -232,65 +151,48 @@ class ApapiPlugin(MetricPlugin):
             for name in self.event_set.events
         ]
 
-    def sample_phase_reference(self, run, phase, sample_times, interval_s, rng):
-        pmu = self.platform.pmu
-        out: Dict[str, np.ndarray] = {}
-        n = sample_times.size
-        f_hz = run.op.frequency_hz
-        rates = phase.state.counter_rates
-        for name in self.event_set.events:
-            idx_rate = float(rates[_counter_index(name)])
-            true_per_s = idx_rate * f_hz
-            noise = 1.0 + rng.normal(0.0, pmu.read_noise_sigma, size=n)
-            counts = np.maximum(true_per_s * interval_s * noise, 0.0)
-            out[f"{self.PREFIX}{name}"] = np.floor(counts) / interval_s
-        return out
-
-    def _values(self, true_per_s, z, sigmas, interval_s):
-        """The shared rate arithmetic of both vectorized entry points."""
-        noise = 1.0 + (0.0 + sigmas * z)
-        counts = np.maximum(true_per_s * interval_s * noise, 0.0)
-        return np.floor(counts) / interval_s
-
-    def sample_phase(self, run, phase, sample_times, interval_s, rng):
-        n = sample_times.size
-        true_per_s = (
-            phase.state.counter_rates[self._indices] * run.op.frequency_hz
-        )
-        z = rng.standard_normal((len(self._names), n))
-        values = self._values(
-            true_per_s[:, None], z, self.platform.pmu.read_noise_sigma, interval_s
-        )
-        return {name: values[i] for i, name in enumerate(self._names)}
-
     def sample_run(self, run, phases, grids, interval_s, rngs):
-        n_events = len(self._names)
-        f_hz = run.op.frequency_hz
-        blocks = [
-            rng.standard_normal((n_events, grid.size))
-            for grid, rng in zip(grids, rngs)
-        ]
-        if len(blocks) == 1:
-            # Single-phase run: broadcasting the rate column is the
-            # same elementwise arithmetic as filling a matrix.
-            z = blocks[0]
-            true_per_s = (
-                phases[0].state.counter_rates[self._indices] * f_hz
-            )[:, None]
-        else:
-            z = np.concatenate(blocks, axis=1)
-            true_per_s = _fill_segments(
-                np.empty(z.shape),
-                grids,
-                [
-                    (p.state.counter_rates[self._indices] * f_hz)[:, None]
-                    for p in phases
-                ],
-            )
-        values = self._values(
-            true_per_s, z, self.platform.pmu.read_noise_sigma, interval_s
+        return _sample_counters(
+            self._names,
+            self._indices,
+            self.platform.pmu.read_noise_sigma,
+            run,
+            phases,
+            grids,
+            interval_s,
+            rngs,
         )
-        return {name: values[i] for i, name in enumerate(self._names)}
+
+
+def _sample_counters(names, indices, sigmas, run, phases, grids, interval_s, rngs):
+    """Counter-rate samples of a run, one row per event in ``names``.
+
+    ``sigmas`` is the relative read noise: a scalar, or an
+    ``(events, 1)`` column when events differ.  Each sample is the
+    floored counter increment over one interval, in events/second.
+    """
+    n_events = len(names)
+    f_hz = run.op.frequency_hz
+    blocks = [
+        rng.standard_normal((n_events, grid.size))
+        for grid, rng in zip(grids, rngs)
+    ]
+    if len(blocks) == 1:
+        # Single-phase run: broadcasting the rate column is the
+        # same elementwise arithmetic as filling a matrix.
+        z = blocks[0]
+        true_per_s = (phases[0].state.counter_rates[indices] * f_hz)[:, None]
+    else:
+        z = np.concatenate(blocks, axis=1)
+        true_per_s = _fill_segments(
+            np.empty(z.shape),
+            grids,
+            [(p.state.counter_rates[indices] * f_hz)[:, None] for p in phases],
+        )
+    noise = 1.0 + (0.0 + sigmas * z)
+    counts = np.maximum(true_per_s * interval_s * noise, 0.0)
+    values = np.floor(counts) / interval_s
+    return {name: values[i] for i, name in enumerate(names)}
 
 
 def _counter_index(name: str) -> int:
@@ -341,68 +243,14 @@ class MultiplexedApapiPlugin(MetricPlugin):
             for name in self.events
         ]
 
-    def sample_phase_reference(self, run, phase, sample_times, interval_s, rng):
-        pmu = self.platform.pmu
-        n = sample_times.size
-        out: Dict[str, np.ndarray] = {}
-        f_hz = run.op.frequency_hz
-        rates = phase.state.counter_rates
-        from repro.hardware.counters import FIXED_COUNTERS, counter_index
-
-        prog = [e for e in self.events if e not in FIXED_COUNTERS]
-        n_groups = max(
-            -(-len(prog) // self.platform.cfg.programmable_slots), 1
-        )
-        for name in self.events:
-            true_per_s = float(rates[counter_index(name)]) * f_hz
-            if name in FIXED_COUNTERS:
-                sigma = pmu.read_noise_sigma
-            else:
-                sigma = float(
-                    np.hypot(
-                        pmu.read_noise_sigma,
-                        pmu.multiplex_noise_sigma * np.sqrt(max(n_groups - 1, 0)),
-                    )
-                )
-            noise = 1.0 + rng.normal(0.0, sigma, size=n)
-            counts = np.maximum(true_per_s * interval_s * noise, 0.0)
-            out[f"{self.PREFIX}{name}"] = np.floor(counts) / interval_s
-        return out
-
-    def sample_phase(self, run, phase, sample_times, interval_s, rng):
-        n = sample_times.size
-        true_per_s = (
-            phase.state.counter_rates[self._indices] * run.op.frequency_hz
-        )
-        z = rng.standard_normal((len(self._names), n))
-        noise = 1.0 + (0.0 + self._sigmas[:, None] * z)
-        counts = np.maximum(true_per_s[:, None] * interval_s * noise, 0.0)
-        values = np.floor(counts) / interval_s
-        return {name: values[i] for i, name in enumerate(self._names)}
-
     def sample_run(self, run, phases, grids, interval_s, rngs):
-        n_events = len(self._names)
-        f_hz = run.op.frequency_hz
-        blocks = [
-            rng.standard_normal((n_events, grid.size))
-            for grid, rng in zip(grids, rngs)
-        ]
-        if len(blocks) == 1:
-            z = blocks[0]
-            true_per_s = (
-                phases[0].state.counter_rates[self._indices] * f_hz
-            )[:, None]
-        else:
-            z = np.concatenate(blocks, axis=1)
-            true_per_s = _fill_segments(
-                np.empty(z.shape),
-                grids,
-                [
-                    (p.state.counter_rates[self._indices] * f_hz)[:, None]
-                    for p in phases
-                ],
-            )
-        noise = 1.0 + (0.0 + self._sigmas[:, None] * z)
-        counts = np.maximum(true_per_s * interval_s * noise, 0.0)
-        values = np.floor(counts) / interval_s
-        return {name: values[i] for i, name in enumerate(self._names)}
+        return _sample_counters(
+            self._names,
+            self._indices,
+            self._sigmas[:, None],
+            run,
+            phases,
+            grids,
+            interval_s,
+            rngs,
+        )

@@ -12,10 +12,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware.fastsim import fastsim_enabled
 from repro.hardware.platform import Platform, RunExecution
 from repro.hardware.pmu import EventSet
-from repro.seeding import SeedHasher, derive_rng, rng_from_state_words
+from repro.seeding import SeedHasher, rng_from_state_words
 from repro.tracing.otf2 import MetricStream, Trace
 from repro.tracing.plugins import ApapiPlugin, MetricPlugin, PowerPlugin, VoltagePlugin
 
@@ -24,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults → tracing)
 
 __all__ = ["ScorePTracer", "trace_run", "trace_multiplexed_run"]
 
-#: Shared sample-grid cache of the fast recording path, keyed by the
+#: Shared sample-grid cache of the recording path, keyed by the
 #: run's phase timings and the sampling interval.  Grids are a pure
 #: function of the key, and the cached arrays are read-only, so every
 #: trace of every event-set run of an experiment reuses one times
@@ -73,7 +72,6 @@ class ScorePTracer:
         *,
         sampling_interval_s: float = 0.1,
         fault_injector: Optional["FaultInjector"] = None,
-        fast: Optional[bool] = None,
     ) -> None:
         if sampling_interval_s <= 0:
             raise ValueError("sampling interval must be positive")
@@ -83,18 +81,17 @@ class ScorePTracer:
         self.plugins = list(plugins)
         self.sampling_interval_s = sampling_interval_s
         self.fault_injector = fault_injector
-        self.fast = fast
-        self._defs = {}
+        seen = set()
         self._plugin_defs = []
         for plugin in self.plugins:
             defs = tuple(plugin.metric_defs())
             for mdef in defs:
-                if mdef.name in self._defs:
+                if mdef.name in seen:
                     raise ValueError(f"metric {mdef.name!r} provided twice")
-                self._defs[mdef.name] = mdef
+                seen.add(mdef.name)
             self._plugin_defs.append(defs)
         # Constant head of every plugin's RNG key, hashed once (the
-        # per-run tail goes through SeedHasher.child in _trace_fast).
+        # per-run tail goes through SeedHasher.child in _record).
         self._plugin_names = [type(plugin).__name__ for plugin in self.plugins]
         self._base_hashers = [
             SeedHasher(platform.seed, "plugin", name)
@@ -116,101 +113,22 @@ class ScorePTracer:
         keyed by ``attempt`` — the measurement infrastructure, not the
         system under test, is what glitches.
 
-        Two bit-identical recording paths exist: the scalar reference
-        below (``REPRO_FASTSIM=0``) and :meth:`_trace_fast`, which
-        shares one sample grid across streams and derives plugin RNG
-        streams incrementally (see :mod:`repro.hardware.fastsim`).
+        Every plugin samples the same per-phase grid, so all metric
+        streams of a trace share ONE concatenated times array (also
+        what lets :func:`repro.tracing.phases.profile_trace` reuse its
+        window bounds across streams).  Per-plugin RNG streams are
+        ``derive_rng(seed, "plugin", plugin, workload, frequency,
+        threads, run_index, phase)``, derived from a
+        :class:`~repro.seeding.SeedHasher` holding the hashed run
+        prefix, or replayed from a primed platform's state words.
         """
-        if fastsim_enabled(self.fast):
-            trace = self._trace_fast(run)
-        else:
-            trace = self._trace_scalar(run)
+        trace = self._record(run)
         if self.fault_injector is not None:
             trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
         return trace
 
-    def _trace_scalar(self, run: RunExecution) -> Trace:
-        """Scalar reference recording path.
-
-        Routes sampling through each plugin's
-        ``sample_phase_reference`` — the original event-at-a-time
-        loops, kept verbatim — so ``REPRO_FASTSIM=0`` replays the
-        pre-vectorization acquisition implementation end to end.
-        """
-        trace = Trace(
-            meta={
-                "workload": run.workload_name,
-                "suite": run.suite,
-                "frequency_mhz": run.op.frequency_mhz,
-                "threads": run.threads,
-                "run_index": run.run_index,
-            }
-        )
-        dt = self.sampling_interval_s
-        # Per-metric accumulators across phases.
-        defs = self._defs
-        times_acc: dict = {name: [] for name in defs}
-        values_acc: dict = {name: [] for name in defs}
-
-        for phase in run.phases:
-            trace.record_enter(
-                phase.phase.name, phase.start_s, phase.phase.active_threads
-            )
-            # Sample grid within the phase: first tick one interval in.
-            n = max(int(np.floor(phase.duration_s / dt)), 1)
-            sample_times = phase.start_s + dt * np.arange(1, n + 1)
-            sample_times = sample_times[sample_times <= phase.end_s + 1e-9]
-            if sample_times.size == 0:
-                sample_times = np.array([phase.end_s])
-            for plugin in self.plugins:
-                rng = derive_rng(
-                    self.platform.seed,
-                    "plugin",
-                    type(plugin).__name__,
-                    run.workload_name,
-                    run.op.frequency_mhz,
-                    run.threads,
-                    run.run_index,
-                    phase.phase.name,
-                )
-                sampled = plugin.sample_phase_reference(
-                    run, phase, sample_times, dt, rng
-                )
-                for name, vals in sampled.items():
-                    if name not in defs:
-                        raise ValueError(
-                            f"plugin produced undeclared metric {name!r}"
-                        )
-                    times_acc[name].append(sample_times)
-                    values_acc[name].append(np.asarray(vals, dtype=np.float64))
-            trace.record_leave(
-                phase.phase.name, phase.end_s, phase.phase.active_threads
-            )
-
-        for name, mdef in defs.items():
-            times = (
-                np.concatenate(times_acc[name]) if times_acc[name] else np.array([])
-            )
-            values = (
-                np.concatenate(values_acc[name]) if values_acc[name] else np.array([])
-            )
-            trace.add_metric_stream(
-                MetricStream(definition=mdef, times_s=times, values=values)
-            )
-        return trace
-
-    def _trace_fast(self, run: RunExecution) -> Trace:
-        """Batched recording path, bit-identical to :meth:`_trace_scalar`.
-
-        Every plugin samples the same per-phase grid, so all metric
-        streams of a trace share ONE concatenated times array (also
-        what lets :func:`repro.tracing.phases.profile_trace` reuse its
-        window bounds across streams).  Per-plugin RNG streams come
-        from a :class:`~repro.seeding.SeedHasher` holding the hashed
-        run prefix — the derived seeds equal ``derive_seed`` on the
-        full key by construction, so every draw matches the scalar
-        path.
-        """
+    def _record(self, run: RunExecution) -> Trace:
+        """The trace of one run, before any fault injection."""
         trace = Trace(
             meta={
                 "workload": run.workload_name,
@@ -310,7 +228,6 @@ def trace_run(
     sampling_interval_s: float = 0.1,
     fault_injector: Optional["FaultInjector"] = None,
     attempt: int = 0,
-    fast: Optional[bool] = None,
 ) -> Trace:
     """Convenience: trace a run with the paper's three plugins."""
     tracer = ScorePTracer(
@@ -322,7 +239,6 @@ def trace_run(
         ],
         sampling_interval_s=sampling_interval_s,
         fault_injector=fault_injector,
-        fast=fast,
     )
     return tracer.trace(run, attempt=attempt)
 
@@ -335,7 +251,6 @@ def trace_multiplexed_run(
     sampling_interval_s: float = 0.1,
     fault_injector: Optional["FaultInjector"] = None,
     attempt: int = 0,
-    fast: Optional[bool] = None,
 ) -> Trace:
     """Trace a run with time-division-multiplexed counter sampling:
     all requested events from a single run (see
@@ -351,6 +266,5 @@ def trace_multiplexed_run(
         ],
         sampling_interval_s=sampling_interval_s,
         fault_injector=fault_injector,
-        fast=fast,
     )
     return tracer.trace(run, attempt=attempt)

@@ -125,16 +125,6 @@ class TestSelectionEquivalence:
         slow, fast = run_both(ds, **kwargs)
         assert_selection_equivalent(slow, fast)
 
-    def test_env_escape_hatch_matches_explicit_flag(self, monkeypatch):
-        ds = make_chaos_dataset(7)
-        expected = select_events(ds, 3, fast=False)
-        monkeypatch.setenv("REPRO_FASTFIT", "0")
-        via_env = select_events(ds, 3)
-        assert via_env.selected == expected.selected
-        for a, b in zip(expected.steps, via_env.steps):
-            assert a.criterion_value == b.criterion_value
-
-
 class TestCrossValidationEquivalence:
     @pytest.mark.parametrize("seed", SEEDS[::5])
     def test_fold_scores_match(self, seed):

@@ -88,8 +88,8 @@ class TestArenaSelection:
 
     The full candidate pool clears the small-task guard, so these runs
     exercise the real process fan-out: shared Gram buffers on the fast
-    path, a shared dataset with batched candidates on the slow path,
-    and the pickled fallback when ``REPRO_ARENA=0``.
+    path and a shared dataset with batched candidates on the slow path,
+    each compared with the per-candidate serial and thread paths.
     """
 
     def shm_segments(self):
@@ -119,13 +119,11 @@ class TestArenaSelection:
         assert results_equal(result, reference)
         assert self.shm_segments() == []
 
-    def test_pickled_fallback_bit_identical(
-        self, selection_dataset, monkeypatch
-    ):
+    def test_arena_matches_thread_per_candidate_path(self, selection_dataset):
         reference = select_events(
-            selection_dataset, 2, fast=False, parallel="serial"
+            selection_dataset, 2, fast=False,
+            parallel="thread", max_workers=2,
         )
-        monkeypatch.setenv("REPRO_ARENA", "0")
         result = select_events(
             selection_dataset, 2, fast=False,
             parallel="process", max_workers=2,

@@ -1,10 +1,10 @@
 """Bit-identity and memoization tests for the batched acquisition
 kernel (DESIGN.md §17).
 
-The contract under test: every fast-path layer — the vectorized
+The contract under test: every production layer — the vectorized
 microarchitecture/power kernel, the phase-state memo, the batched
 jitter, the shared-grid tracer — produces byte-identical results to
-the scalar reference path (``REPRO_FASTSIM=0``)."""
+the scalar oracle in :mod:`tests.oracles.acquisition`."""
 
 from __future__ import annotations
 
@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.counters import COUNTER_NAMES
-from repro.hardware.fastsim import (
-    FASTSIM_ENV,
-    PhaseStateMemo,
-    fastsim_enabled,
-    simulate_phases,
-)
+from repro.hardware.fastsim import PhaseStateMemo, simulate_phases
 from repro.hardware.microarch import evaluate
 from repro.hardware.platform import Platform
 from repro.hardware.pmu import EventSet
@@ -28,6 +23,11 @@ from repro.tracing.phases import profile_trace
 from repro.tracing.scorep import trace_multiplexed_run, trace_run
 from repro.workloads import get_workload
 from repro.workloads.registry import all_workloads
+from tests.oracles.acquisition import (
+    scalar_acquisition,
+    scalar_execute,
+    scalar_profile_trace,
+)
 
 FREQUENCIES = (1200, 1800, 2400)
 THREAD_COUNTS = (1, 2, 8, 12, 13, 24)
@@ -38,36 +38,6 @@ def assert_states_equal(a, b):
     ambiguous on the ndarray member)."""
     assert np.array_equal(a.counter_rates, b.counter_rates)
     assert a.hidden == b.hidden
-
-
-class TestFastsimEnabled:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(FASTSIM_ENV, raising=False)
-        assert fastsim_enabled() is True
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        assert fastsim_enabled(True) is True
-        monkeypatch.setenv(FASTSIM_ENV, "1")
-        assert fastsim_enabled(False) is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-    def test_truthy_env_values(self, monkeypatch, value):
-        monkeypatch.setenv(FASTSIM_ENV, value)
-        assert fastsim_enabled() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", " off "])
-    def test_falsy_env_values(self, monkeypatch, value):
-        monkeypatch.setenv(FASTSIM_ENV, value)
-        assert fastsim_enabled() is False
-
-    @pytest.mark.parametrize("value", ["fa1se", "2", "", "enabled"])
-    def test_invalid_env_value_raises_naming_the_variable(
-        self, monkeypatch, value
-    ):
-        monkeypatch.setenv(FASTSIM_ENV, value)
-        with pytest.raises(ValueError, match="REPRO_FASTSIM"):
-            fastsim_enabled()
 
 
 class TestKernelBitIdentity:
@@ -115,7 +85,7 @@ class TestKernelBitIdentity:
 
 
 class TestExecuteBitIdentity:
-    """Platform.execute fast path vs scalar path, jitter included."""
+    """Platform.execute vs the scalar oracle, jitter included."""
 
     @pytest.mark.parametrize("run_index", [0, 3])
     def test_execute_fast_equals_scalar(self, run_index):
@@ -125,10 +95,10 @@ class TestExecuteBitIdentity:
             for freq_mhz in (1200, 2400):
                 for threads in (1, 13, 24):
                     fast = platform.execute(
-                        wl, freq_mhz, threads, run_index=run_index, fast=True
+                        wl, freq_mhz, threads, run_index=run_index
                     )
-                    scalar = platform.execute(
-                        wl, freq_mhz, threads, run_index=run_index, fast=False
+                    scalar = scalar_execute(
+                        platform, wl, freq_mhz, threads, run_index=run_index
                     )
                     assert fast.workload_name == scalar.workload_name
                     assert fast.op == scalar.op
@@ -141,12 +111,16 @@ class TestExecuteBitIdentity:
                         assert pf.power_breakdown == ps.power_breakdown
                         assert pf.true_voltage_v == ps.true_voltage_v
 
-    def test_env_escape_hatch_matches_fast(self, monkeypatch):
+    def test_oracle_swap_replays_scalar_execute(self):
         platform = Platform()
         wl = get_workload("memory_write")
         fast = platform.execute(wl, 2400, 8)
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        scalar = platform.execute(wl, 2400, 8)
+        with scalar_acquisition():
+            oracle_platform = Platform()
+            scalar = oracle_platform.execute(wl, 2400, 8)
+        # The swapped-in oracle bypasses the production memos.
+        assert not oracle_platform._run_memo
+        assert len(fast.phases) == len(scalar.phases)
         for pf, ps in zip(fast.phases, scalar.phases):
             assert_states_equal(pf.state, ps.state)
             assert pf.power_breakdown == ps.power_breakdown
@@ -170,19 +144,17 @@ class TestPhaseStateMemo:
         set; after the first run the memos must serve every repeat."""
         platform = Platform()
         wl = get_workload("md")
-        # fast=True pins the path under test: this test asserts memo
-        # internals, so it must not follow a REPRO_FASTSIM=0 override.
-        platform.execute(wl, 2400, 24, run_index=0, fast=True)
+        platform.execute(wl, 2400, 24, run_index=0)
         misses_after_first = platform._phase_memo.misses
         assert (wl.name, 2400, 24) in platform._run_memo
         for run_index in (1, 2, 3):
-            platform.execute(wl, 2400, 24, run_index=run_index, fast=True)
+            platform.execute(wl, 2400, 24, run_index=run_index)
         # Repeats replay the run skeleton: no new phase evaluations.
         assert platform._phase_memo.misses == misses_after_first
         # A rebuilt skeleton (fresh worker, evicted entry) is served
         # entirely from the phase-state memo.
         platform._run_memo.clear()
-        platform.execute(wl, 2400, 24, run_index=4, fast=True)
+        platform.execute(wl, 2400, 24, run_index=4)
         assert platform._phase_memo.misses == misses_after_first
         assert platform._phase_memo.hits > 0
 
@@ -247,7 +219,7 @@ class TestPhaseStateMemo:
     def test_pickle_drops_memo(self):
         platform = Platform()
         wl = get_workload("compute")
-        platform.execute(wl, 2400, 8, fast=True)
+        platform.execute(wl, 2400, 8)
         assert len(platform._phase_memo) > 0
         restored = pickle.loads(pickle.dumps(platform))
         assert len(restored._phase_memo) == 0
@@ -259,7 +231,7 @@ class TestPhaseStateMemo:
 
 
 class TestTracerBitIdentity:
-    """The shared-grid tracer fast path vs the scalar recording path."""
+    """The shared-grid tracer vs the scalar recording oracle."""
 
     EVENTS = tuple(COUNTER_NAMES[:8])
 
@@ -276,33 +248,31 @@ class TestTracerBitIdentity:
     def test_trace_run_identical(self, platform):
         run = platform.execute(get_workload("md"), 2400, 24)
         evset = EventSet(self.EVENTS)
-        fast = trace_run(platform, run, evset, fast=True)
-        scalar = trace_run(platform, run, evset, fast=False)
+        fast = trace_run(platform, run, evset)
+        with scalar_acquisition():
+            scalar = trace_run(platform, run, evset)
         self.assert_traces_equal(fast, scalar)
-        assert profile_trace(fast) == profile_trace(scalar)
+        assert profile_trace(fast) == scalar_profile_trace(scalar)
 
     def test_trace_multiplexed_identical(self, platform):
         run = platform.execute(get_workload("memory_read"), 1200, 8)
-        fast = trace_multiplexed_run(
-            platform, run, COUNTER_NAMES[:12], fast=True
-        )
-        scalar = trace_multiplexed_run(
-            platform, run, COUNTER_NAMES[:12], fast=False
-        )
+        fast = trace_multiplexed_run(platform, run, COUNTER_NAMES[:12])
+        with scalar_acquisition():
+            scalar = trace_multiplexed_run(platform, run, COUNTER_NAMES[:12])
         self.assert_traces_equal(fast, scalar)
 
     def test_fast_streams_share_one_times_array(self, platform):
         run = platform.execute(get_workload("md"), 2400, 24)
-        trace = trace_run(platform, run, EventSet(self.EVENTS), fast=True)
+        trace = trace_run(platform, run, EventSet(self.EVENTS))
         assert len({id(m.times_s) for m in trace.metrics.values()}) == 1
 
-    def test_env_escape_hatch_selects_scalar_path(self, platform, monkeypatch):
+    def test_oracle_swap_selects_scalar_path(self, platform):
         run = platform.execute(get_workload("compute"), 2400, 8)
         fast = trace_run(platform, run, EventSet(self.EVENTS))
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        scalar = trace_run(platform, run, EventSet(self.EVENTS))
+        with scalar_acquisition():
+            scalar = trace_run(platform, run, EventSet(self.EVENTS))
         self.assert_traces_equal(fast, scalar)
-        # The scalar path builds per-stream arrays, not a shared one.
+        # The oracle builds per-stream arrays, not a shared one.
         assert len({id(m.times_s) for m in scalar.metrics.values()}) > 1
 
 
@@ -346,8 +316,8 @@ class TestRngWordsPriming:
                 assert pf.duration_s == ps.duration_s
                 assert_states_equal(pf.state, ps.state)
             evset = EventSet(self.EVENTS)
-            warm = trace_run(primed, warm_run, evset, fast=True)
-            ref = trace_run(cold, ref_run, evset, fast=True)
+            warm = trace_run(primed, warm_run, evset)
+            ref = trace_run(cold, ref_run, evset)
             self.assert_metrics_equal(warm, ref)
 
     def test_unprimed_plugin_falls_back_to_hashing(self):
@@ -364,13 +334,11 @@ class TestRngWordsPriming:
             primed,
             primed.execute(wl, 1200, 8, run_index=0),
             COUNTER_NAMES[:12],
-            fast=True,
         )
         ref = trace_multiplexed_run(
             cold,
             cold.execute(wl, 1200, 8, run_index=0),
             COUNTER_NAMES[:12],
-            fast=True,
         )
         self.assert_metrics_equal(warm, ref)
 
@@ -389,10 +357,10 @@ class TestRngWordsPriming:
 
 
 class TestCampaignBitIdentity:
-    """End-to-end: a small campaign dataset is byte-equal fast vs
-    scalar (the ISSUE-10 acceptance shape in miniature)."""
+    """End-to-end: a small campaign dataset is byte-equal between
+    production and the scalar oracle."""
 
-    def test_small_campaign_dataset_identical(self, monkeypatch):
+    def test_small_campaign_dataset_identical(self):
         from repro.acquisition import run_campaign
 
         workloads = [get_workload(w) for w in ("idle", "compute", "md")]
@@ -402,8 +370,11 @@ class TestCampaignBitIdentity:
             events=COUNTER_NAMES[:8],
         )
         fast_ds = run_campaign(Platform(), workloads, **kwargs)
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        scalar_ds = run_campaign(Platform(), workloads, **kwargs)
+        with scalar_acquisition():
+            scalar_ds = run_campaign(Platform(), workloads, **kwargs)
         assert fast_ds.counter_names == scalar_ds.counter_names
         assert np.array_equal(fast_ds.counters, scalar_ds.counters)
         assert np.array_equal(fast_ds.power_w, scalar_ds.power_w)
+        assert np.array_equal(fast_ds.voltage_v, scalar_ds.voltage_v)
+        assert fast_ds.workloads == scalar_ds.workloads
+        assert fast_ds.phase_names == scalar_ds.phase_names

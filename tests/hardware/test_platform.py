@@ -78,16 +78,17 @@ class TestDeterminismAndJitter:
 
     def test_jitter_exempt_regression_batch_and_scalar(self, platform):
         """Pin _JITTER_EXEMPT across both jitter applicators: the
-        batched fast path and the per-phase scalar path must rescale
-        exactly the same counters — everything except the cycle
+        batched production path and the per-phase scalar oracle must
+        rescale exactly the same counters — everything except the cycle
         counters, which are fixed by frequency and wall time."""
         from repro.hardware.counters import COUNTER_NAMES
         from repro.hardware.microarch import evaluate
+        from tests.oracles.acquisition import scalar_execute
 
         wl = get_workload("md")
         exempt = {"TOT_CYC", "REF_CYC"}
-        for fast in (True, False):
-            run = platform.execute(wl, 2400, 24, run_index=1, fast=fast)
+        for execute in (Platform.execute, scalar_execute):
+            run = execute(platform, wl, 2400, 24, run_index=1)
             op = platform.cfg.curve.operating_point(2400)
             for phase in run.phases:
                 base = evaluate(

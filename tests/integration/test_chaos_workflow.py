@@ -23,6 +23,7 @@ from repro.faults import CounterLossPlan, FaultPlan
 from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS
 from repro.hardware.platform import Platform
 from repro.workloads import get_workload
+from tests.oracles.acquisition import scalar_acquisition
 
 #: Small event list keeps the campaign to 2 PMU event sets.
 PROG = tuple(c for c in COUNTER_NAMES if c not in FIXED_COUNTERS)[:8]
@@ -250,22 +251,23 @@ class TestFastFitChaos:
 
 
 class TestFastsimChaos:
-    """ISSUE-10 gate on the chaos path: the batched acquisition kernel
-    (phase-state memo, shared-grid tracer, vectorized plugins) must be
-    invisible on degraded data for every CI fault seed — serial scalar
-    (``REPRO_FASTSIM=0``), fastsim and the process/arena backend all
-    produce identical datasets and reports (timing excluded)."""
+    """The batched acquisition kernel (phase-state memo, shared-grid
+    tracer, vectorized plugins) must be invisible on degraded data for
+    every CI fault seed: the serial scalar oracle
+    (:func:`tests.oracles.acquisition.scalar_acquisition`), production
+    and the process/arena backend all produce identical datasets and
+    reports (timing excluded)."""
 
     @pytest.mark.parametrize("chaos_seed", [0, 1, 2])
-    def test_fastsim_bit_identical_under_chaos(self, chaos_seed, monkeypatch):
+    def test_fastsim_bit_identical_under_chaos(self, chaos_seed):
         import dataclasses
 
         fast = degraded_campaign(chaos_seed)
         arena = degraded_campaign(
             chaos_seed, parallel="process", max_workers=2
         )
-        monkeypatch.setenv("REPRO_FASTSIM", "0")
-        scalar = degraded_campaign(chaos_seed)
+        with scalar_acquisition():
+            scalar = degraded_campaign(chaos_seed)
         assert scalar.dataset is not None
         for other in (fast, arena):
             assert other.dataset is not None
@@ -275,6 +277,9 @@ class TestFastsimChaos:
             )
             assert np.array_equal(
                 scalar.dataset.power_w, other.dataset.power_w
+            )
+            assert np.array_equal(
+                scalar.dataset.voltage_v, other.dataset.voltage_v
             )
             assert (
                 scalar.dataset.counter_names == other.dataset.counter_names
@@ -325,7 +330,7 @@ class TestArenaChaos:
         assert self.shm_segments() == []
 
     @pytest.mark.parametrize("chaos_seed", [0, 1, 2])
-    def test_cv_bit_identical_under_chaos(self, chaos_seed, monkeypatch):
+    def test_cv_bit_identical_under_chaos(self, chaos_seed):
         ds = self.dense_campaign(chaos_seed).dataset
         assert ds is not None
         counters = ds.counter_names[:2]
@@ -336,12 +341,7 @@ class TestArenaChaos:
         arena = cv_out_of_fold_predictions(
             ds, counters, parallel="process", max_workers=2, **kwargs
         )
-        monkeypatch.setenv("REPRO_ARENA", "0")
-        pickled = cv_out_of_fold_predictions(
-            ds, counters, parallel="process", max_workers=2, **kwargs
-        )
-        for other in (arena, pickled):
-            assert np.array_equal(serial[0], other[0], equal_nan=True)
-            assert serial[1] == other[1]
-            assert serial[2] == other[2]
+        assert np.array_equal(serial[0], arena[0], equal_nan=True)
+        assert serial[1] == arena[1]
+        assert serial[2] == arena[2]
         assert self.shm_segments() == []

@@ -22,7 +22,6 @@ from repro.lint.rules import (
     NoRawParallelPrimitives,
     NoRawSharedMemory,
     NoRawSleepRetry,
-    NoScalarHotSim,
     NoUnboundedQueue,
     SilentBroadExcept,
     UnitSuffixConsistency,
@@ -915,76 +914,3 @@ class TestRL014RawSharedMemory:
             from multiprocessing import shared_memory  # replint: ignore[RL014] -- attach-only probe in a diagnostic script
         """
         assert run_rule(NoRawSharedMemory(), code) == []
-
-
-# ---------------------------------------------------------------------------
-class TestRL015NoScalarHotSim:
-    HOT = Path("src/repro/acquisition/campaign.py")
-
-    def test_flags_evaluate_in_for_loop(self):
-        bad = """
-            from repro.hardware.microarch import evaluate
-            def states(specs, op, cfg):
-                out = []
-                for spec in specs:
-                    out.append(evaluate(spec.characterization, op, spec.active_threads, cfg))
-                return out
-        """
-        assert ids(run_rule(NoScalarHotSim(), bad, path=self.HOT)) == [
-            "RL015"
-        ]
-
-    def test_flags_compute_power_in_while_loop(self):
-        bad = """
-            from repro.hardware import power
-            def drain(queue, op, cfg, params):
-                while queue:
-                    state = queue.pop()
-                    yield power.compute_power(state.hidden, op, cfg, params)
-        """
-        assert ids(run_rule(NoScalarHotSim(), bad, path=self.HOT)) == [
-            "RL015"
-        ]
-
-    def test_passes_platform_execute_in_loop(self):
-        good = """
-            def acquire(platform, cells):
-                out = []
-                for cell in cells:
-                    out.append(platform.execute(cell.workload, cell.frequency_mhz, cell.threads))
-                return out
-        """
-        assert run_rule(NoScalarHotSim(), good, path=self.HOT) == []
-
-    def test_passes_call_outside_loops(self):
-        good = """
-            from repro.hardware.microarch import evaluate
-            def one_state(spec, op, cfg):
-                return evaluate(spec.characterization, op, spec.active_threads, cfg)
-        """
-        assert run_rule(NoScalarHotSim(), good, path=self.HOT) == []
-
-    def test_scalar_reference_modules_are_exempt(self):
-        code = """
-            from repro.hardware.microarch import evaluate
-            def reference(specs, op, cfg):
-                return [evaluate(s.characterization, op, s.active_threads, cfg) for s in specs]
-        """
-        oracle = Path("src/repro/hardware/platform.py")
-        assert run_rule(NoScalarHotSim(), code, path=oracle) == []
-
-    def test_configured_modules_override(self):
-        code = """
-            from repro.hardware.power import compute_power
-            def sweep(states, op, cfg, params):
-                out = []
-                for s in states:
-                    out.append(compute_power(s.hidden, op, cfg, params))
-                return out
-        """
-        cfg = LintConfig(sim_hot_modules=("*/experiments/tables.py",))
-        hot = Path("src/repro/experiments/tables.py")
-        assert ids(run_rule(NoScalarHotSim(), code, path=hot, config=cfg)) == [
-            "RL015"
-        ]
-        assert run_rule(NoScalarHotSim(), code, path=self.HOT, config=cfg) == []

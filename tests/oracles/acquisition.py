@@ -1,0 +1,402 @@
+"""Scalar acquisition oracle: the pre-vectorization pipeline, verbatim.
+
+Production acquisition (DESIGN.md §17) simulates a run's phases as one
+stacked batch, records every metric stream on one shared sample grid,
+draws each plugin's noise as a single block and extracts phase
+profiles with hoisted window bounds.  This module keeps the original
+one-phase-at-a-time implementation of each of those stages:
+
+* :func:`scalar_execute` — ``Platform.execute`` through the scalar
+  :func:`~repro.hardware.microarch.evaluate` /
+  :func:`~repro.hardware.power.compute_power` pair and a per-phase
+  masked jitter multiply;
+* :func:`scalar_trace` — the per-phase, per-plugin recording loop with
+  a freshly derived RNG per stream;
+* :data:`REFERENCE_SAMPLERS` — the four plugins' event-at-a-time
+  sampling loops;
+* :func:`scalar_profile_trace` — per-stream ``window_mean`` extraction.
+
+:func:`scalar_acquisition` swaps all of them in for the duration of a
+``with`` block, so a whole campaign — strict or resilient, faulty or
+not — can be replayed on the oracle and compared byte for byte with
+production at the same seeds.  The swap is process-local, so inside
+the block the default executor is pinned to serial: a campaign left
+to the environment's backend must not hand its cells to worker
+processes that still run the production path.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+from typing import Dict, List
+
+import numpy as np
+import pytest
+
+from repro.hardware.counters import COUNTER_NAMES, FIXED_COUNTERS, counter_index
+from repro.hardware.microarch import MicroarchState, evaluate
+from repro.hardware.platform import (
+    _JITTER_EXEMPT,
+    PhaseExecution,
+    Platform,
+    RunExecution,
+)
+from repro.hardware.power import PowerBreakdown, compute_power
+from repro.parallel import PARALLEL_ENV
+from repro.seeding import derive_rng
+from repro.tracing import phases as phases_module
+from repro.tracing.otf2 import MetricStream, Trace
+from repro.tracing.phases import PhaseProfile
+from repro.tracing.plugins import (
+    ApapiPlugin,
+    MultiplexedApapiPlugin,
+    PowerPlugin,
+    VoltagePlugin,
+)
+from repro.tracing.scorep import ScorePTracer
+
+__all__ = [
+    "REFERENCE_SAMPLERS",
+    "scalar_acquisition",
+    "scalar_execute",
+    "scalar_profile_trace",
+    "scalar_trace",
+]
+
+
+# ---------------------------------------------------------------------------
+# simulation
+# ---------------------------------------------------------------------------
+
+
+def _jitter_mask() -> np.ndarray:
+    mask = np.ones(len(COUNTER_NAMES), dtype=bool)
+    for name in _JITTER_EXEMPT:
+        mask[counter_index(name)] = False
+    mask.setflags(write=False)
+    return mask
+
+
+_JITTER_MASK = _jitter_mask()
+
+
+def _apply_jitter(state: MicroarchState, jitter: float) -> MicroarchState:
+    """Coherent run-to-run activity jitter (cycle counters exempt)."""
+    rates = state.counter_rates.copy()
+    rates[_JITTER_MASK] *= jitter
+    return MicroarchState(counter_rates=rates, hidden=state.hidden)
+
+
+def scalar_execute(
+    self, workload, frequency_mhz, threads, *, run_index=0, phases=None
+) -> RunExecution:
+    """Scalar ``Platform.execute``: one phase at a time, no memo."""
+    workload.validate_threads(threads, self.cfg.total_cores)
+    op = self.cfg.curve.operating_point(frequency_mhz)
+    specs = (
+        tuple(phases)
+        if phases is not None
+        else tuple(workload.phases(threads))
+    )
+    rng = derive_rng(
+        self.seed, "run", workload.name, frequency_mhz, threads, run_index
+    )
+    jitter = 1.0 + float(rng.normal(0.0, self.run_jitter_sigma))
+    power_jitter = (
+        1.0
+        + 0.6 * (jitter - 1.0)
+        + float(rng.normal(0.0, self.power_jitter_sigma))
+    )
+    power_offset = float(rng.normal(0.0, self.power_offset_sigma_w))
+    per_socket_offset = power_offset / self.cfg.sockets
+
+    executions: List[PhaseExecution] = []
+    states = [
+        _apply_jitter(
+            evaluate(
+                spec.characterization, op, spec.active_threads, self.cfg
+            ),
+            jitter,
+        )
+        for spec in specs
+    ]
+    t = 0.0
+    for spec, state in zip(specs, states):
+        breakdown = compute_power(
+            state.hidden, op, self.cfg, self.power_params
+        )
+        breakdown = PowerBreakdown(
+            per_socket_w=tuple(
+                max(p * power_jitter + per_socket_offset, 0.0)
+                for p in breakdown.per_socket_w
+            ),
+            dynamic_core_w=breakdown.dynamic_core_w,
+            uncore_w=breakdown.uncore_w,
+            static_w=breakdown.static_w,
+            board_w=breakdown.board_w,
+            temperature_c=breakdown.temperature_c,
+        )
+        true_v = self.voltage.true_voltage(op, spec.active_threads)
+        executions.append(
+            PhaseExecution(
+                phase=spec,
+                start_s=t,
+                end_s=t + spec.duration_s,
+                state=state,
+                power_breakdown=breakdown,
+                true_voltage_v=true_v,
+            )
+        )
+        t += spec.duration_s
+
+    return RunExecution(
+        workload_name=workload.name,
+        suite=workload.suite,
+        op=op,
+        threads=threads,
+        run_index=run_index,
+        phases=tuple(executions),
+        seed=self.seed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# plugin sampling
+# ---------------------------------------------------------------------------
+
+
+def _power_reference(self, run, phase, sample_times, interval_s, rng):
+    # Each plugin sample is the mean of the raw sensor stream over
+    # one sampling interval: one draw per socket channel per sample.
+    n = sample_times.size
+    total = np.zeros(n)
+    for sensor, true_w in zip(
+        self.platform.sensors.sensors, phase.power_breakdown.per_socket_w
+    ):
+        raw_per_sample = max(
+            int(round(interval_s * sensor.sample_rate_hz)), 1
+        )
+        mean = true_w * sensor.calibration.gain + sensor.calibration.offset_w
+        total += mean + rng.normal(
+            0.0, sensor.noise_sigma_w / np.sqrt(raw_per_sample), size=n
+        )
+    return {self.METRIC: total}
+
+
+def _voltage_reference(self, run, phase, sample_times, interval_s, rng):
+    telemetry = self.platform.voltage
+    n = sample_times.size
+    true = phase.true_voltage_v
+    readings = true + rng.normal(0.0, telemetry.read_noise_v, size=n)
+    step = telemetry.VID_STEP
+    return {self.METRIC: np.round(readings / step) * step}
+
+
+def _apapi_reference(self, run, phase, sample_times, interval_s, rng):
+    pmu = self.platform.pmu
+    out: Dict[str, np.ndarray] = {}
+    n = sample_times.size
+    f_hz = run.op.frequency_hz
+    rates = phase.state.counter_rates
+    for name in self.event_set.events:
+        idx_rate = float(rates[counter_index(name)])
+        true_per_s = idx_rate * f_hz
+        noise = 1.0 + rng.normal(0.0, pmu.read_noise_sigma, size=n)
+        counts = np.maximum(true_per_s * interval_s * noise, 0.0)
+        out[f"{self.PREFIX}{name}"] = np.floor(counts) / interval_s
+    return out
+
+
+def _multiplexed_reference(self, run, phase, sample_times, interval_s, rng):
+    pmu = self.platform.pmu
+    n = sample_times.size
+    out: Dict[str, np.ndarray] = {}
+    f_hz = run.op.frequency_hz
+    rates = phase.state.counter_rates
+    prog = [e for e in self.events if e not in FIXED_COUNTERS]
+    n_groups = max(
+        -(-len(prog) // self.platform.cfg.programmable_slots), 1
+    )
+    for name in self.events:
+        true_per_s = float(rates[counter_index(name)]) * f_hz
+        if name in FIXED_COUNTERS:
+            sigma = pmu.read_noise_sigma
+        else:
+            sigma = float(
+                np.hypot(
+                    pmu.read_noise_sigma,
+                    pmu.multiplex_noise_sigma * np.sqrt(max(n_groups - 1, 0)),
+                )
+            )
+        noise = 1.0 + rng.normal(0.0, sigma, size=n)
+        counts = np.maximum(true_per_s * interval_s * noise, 0.0)
+        out[f"{self.PREFIX}{name}"] = np.floor(counts) / interval_s
+    return out
+
+
+#: Event-at-a-time sampling loop of each of the paper's plugins, keyed
+#: by plugin type; each takes the plugin as its first argument.
+REFERENCE_SAMPLERS = {
+    PowerPlugin: _power_reference,
+    VoltagePlugin: _voltage_reference,
+    ApapiPlugin: _apapi_reference,
+    MultiplexedApapiPlugin: _multiplexed_reference,
+}
+
+
+# ---------------------------------------------------------------------------
+# tracing
+# ---------------------------------------------------------------------------
+
+
+def _trace_scalar(self, run: RunExecution) -> Trace:
+    """Per-phase, per-plugin recording loop with per-stream arrays."""
+    trace = Trace(
+        meta={
+            "workload": run.workload_name,
+            "suite": run.suite,
+            "frequency_mhz": run.op.frequency_mhz,
+            "threads": run.threads,
+            "run_index": run.run_index,
+        }
+    )
+    dt = self.sampling_interval_s
+    # Per-metric accumulators across phases.
+    defs = {mdef.name: mdef for group in self._plugin_defs for mdef in group}
+    times_acc: dict = {name: [] for name in defs}
+    values_acc: dict = {name: [] for name in defs}
+
+    for phase in run.phases:
+        trace.record_enter(
+            phase.phase.name, phase.start_s, phase.phase.active_threads
+        )
+        # Sample grid within the phase: first tick one interval in.
+        n = max(int(np.floor(phase.duration_s / dt)), 1)
+        sample_times = phase.start_s + dt * np.arange(1, n + 1)
+        sample_times = sample_times[sample_times <= phase.end_s + 1e-9]
+        if sample_times.size == 0:
+            sample_times = np.array([phase.end_s])
+        for plugin in self.plugins:
+            rng = derive_rng(
+                self.platform.seed,
+                "plugin",
+                type(plugin).__name__,
+                run.workload_name,
+                run.op.frequency_mhz,
+                run.threads,
+                run.run_index,
+                phase.phase.name,
+            )
+            sampled = REFERENCE_SAMPLERS[type(plugin)](
+                plugin, run, phase, sample_times, dt, rng
+            )
+            for name, vals in sampled.items():
+                if name not in defs:
+                    raise ValueError(
+                        f"plugin produced undeclared metric {name!r}"
+                    )
+                times_acc[name].append(sample_times)
+                values_acc[name].append(np.asarray(vals, dtype=np.float64))
+        trace.record_leave(
+            phase.phase.name, phase.end_s, phase.phase.active_threads
+        )
+
+    for name, mdef in defs.items():
+        times = (
+            np.concatenate(times_acc[name]) if times_acc[name] else np.array([])
+        )
+        values = (
+            np.concatenate(values_acc[name]) if values_acc[name] else np.array([])
+        )
+        trace.add_metric_stream(
+            MetricStream(definition=mdef, times_s=times, values=values)
+        )
+    return trace
+
+
+def scalar_trace(self, run: RunExecution, *, attempt: int = 0) -> Trace:
+    """Scalar ``ScorePTracer.trace``, fault injection included."""
+    trace = _trace_scalar(self, run)
+    if self.fault_injector is not None:
+        trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# phase extraction
+# ---------------------------------------------------------------------------
+
+
+def scalar_profile_trace(
+    trace: Trace, *, min_duration_s: float = 0.5
+) -> List[PhaseProfile]:
+    """Scalar ``profile_trace``: one ``window_mean`` per stream and window."""
+    meta = trace.meta
+    for key in ("workload", "suite", "frequency_mhz", "threads", "run_index"):
+        if key not in meta:
+            raise ValueError(f"trace metadata missing {key!r}")
+    power_metric = trace.metrics.get(PowerPlugin.METRIC)
+    voltage_metric = trace.metrics.get(VoltagePlugin.METRIC)
+    if power_metric is None or voltage_metric is None:
+        raise ValueError("trace lacks power/voltage metric streams")
+
+    papi_names = [
+        name
+        for name in trace.metrics
+        if name.startswith(ApapiPlugin.PREFIX)
+    ]
+    out: List[PhaseProfile] = []
+    for region, start, end, active in trace.phase_intervals():
+        if end - start < min_duration_s:
+            continue
+        p = power_metric.window_mean(start, end)
+        v = voltage_metric.window_mean(start, end)
+        if math.isnan(p) or math.isnan(v):
+            continue
+        rates = {}
+        for name in papi_names:
+            mean = trace.metrics[name].window_mean(start, end)
+            if not math.isnan(mean):
+                rates[name[len(ApapiPlugin.PREFIX) :]] = mean
+        out.append(
+            PhaseProfile(
+                workload=str(meta["workload"]),
+                suite=str(meta["suite"]),
+                frequency_mhz=int(meta["frequency_mhz"]),
+                threads=int(meta["threads"]),
+                run_index=int(meta["run_index"]),
+                phase_name=region,
+                start_s=start,
+                end_s=end,
+                active_threads=active,
+                power_w=p,
+                voltage_v=v,
+                counter_rates_per_s=rates,
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# swap-in
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def scalar_acquisition():
+    """Run acquisition on the scalar oracle inside the ``with`` block.
+
+    Patches ``Platform.execute`` (and so every subclass that delegates
+    to it, such as the fault-injecting platform), ``ScorePTracer.trace``
+    and the module-level ``profile_trace`` that both phase-profile
+    generators call, and sets ``REPRO_PARALLEL=serial`` so campaigns
+    without an explicit backend stay in this process.  Everything is
+    restored on exit.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(PARALLEL_ENV, "serial")
+        mp.setattr(Platform, "execute", scalar_execute)
+        mp.setattr(ScorePTracer, "trace", scalar_trace)
+        mp.setattr(phases_module, "profile_trace", scalar_profile_trace)
+        yield

@@ -18,13 +18,11 @@ import pytest
 from repro.parallel import (
     ProcessExecutor,
     SharedArena,
-    arena_enabled,
     release_arenas,
     shutdown_pools,
     split_batches,
 )
 from repro.parallel.arena import (
-    ARENA_ENV,
     SEGMENT_PREFIX,
     ArrayHandle,
     attached_segments,
@@ -227,23 +225,6 @@ class TestProcessFanOut:
         assert arena.closed
         assert shm_segments() == []
         shutdown_pools()
-
-
-class TestArenaToggle:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(ARENA_ENV, raising=False)
-        assert arena_enabled() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "NO", " Off "])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv(ARENA_ENV, value)
-        assert arena_enabled() is False
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ARENA_ENV, "0")
-        assert arena_enabled(True) is True
-        monkeypatch.setenv(ARENA_ENV, "1")
-        assert arena_enabled(False) is False
 
 
 class TestSplitBatches:

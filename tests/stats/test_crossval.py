@@ -129,7 +129,7 @@ class TestParallelCrossValidate:
 
 class TestArenaCrossValidate:
     """Process-backend CV through the shared-memory arena: bit-identical
-    to serial, bit-identical to the pickled fallback, zero leaks."""
+    to the serial and thread per-fold paths, zero leaks."""
 
     def shm_segments(self):
         import glob
@@ -155,12 +155,12 @@ class TestArenaCrossValidate:
         assert result.folds == reference.folds
         assert self.shm_segments() == []
 
-    def test_pickled_fallback_bit_identical(self, rng, monkeypatch):
+    def test_arena_matches_thread_per_fold_path(self, rng):
         y, x = self.make_problem(rng)
         reference = cross_validate(
-            y, x, n_splits=40, fast=False, parallel="serial"
+            y, x, n_splits=40, fast=False,
+            parallel="thread", max_workers=4,
         )
-        monkeypatch.setenv("REPRO_ARENA", "0")
         result = cross_validate(
             y, x, n_splits=40, fast=False,
             parallel="process", max_workers=4,

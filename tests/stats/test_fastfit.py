@@ -8,11 +8,9 @@ import pytest
 from repro.stats import mean_vif as slow_mean_vif
 from repro.stats.fastfit import (
     DESIGN_CONDITION_MAX,
-    FASTFIT_ENV,
     FoldGramSolver,
     GramCache,
     _criterion_from_ssr,
-    fastfit_enabled,
 )
 from repro.stats.crossval import KFold
 from repro.stats.linalg import CONDITION_FALLBACK_THRESHOLD, add_constant
@@ -41,27 +39,6 @@ def slow_score(y, design, rates, base, cand, criterion):
         res.rsquared,
         res.rsquared_adj,
     )
-
-
-class TestFastfitEnabled:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(FASTFIT_ENV, raising=False)
-        assert fastfit_enabled() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "NO", " off "])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv(FASTFIT_ENV, value)
-        assert fastfit_enabled() is False
-
-    def test_env_other_values_enable(self, monkeypatch):
-        monkeypatch.setenv(FASTFIT_ENV, "1")
-        assert fastfit_enabled() is True
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FASTFIT_ENV, "0")
-        assert fastfit_enabled(True) is True
-        monkeypatch.setenv(FASTFIT_ENV, "1")
-        assert fastfit_enabled(False) is False
 
 
 class TestCriterionFromSsr:
