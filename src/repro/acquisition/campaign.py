@@ -40,11 +40,7 @@ from typing import (
     Union,
 )
 
-from repro.acquisition.checkpoint import (
-    CampaignCheckpoint,
-    ShardedManifest,
-    cell_id,
-)
+from repro.acquisition.checkpoint import CampaignCheckpoint, cell_id
 from repro.acquisition.dataset import PowerDataset
 from repro.audit.framework import AuditReport
 from repro.acquisition.postprocess import (
@@ -441,12 +437,6 @@ class CampaignReport:
     """Exceptions raised by progress/observer hooks and survived.  A
     bad observer never aborts acquisition (it is telemetry, not control
     flow) but the campaign accounts for the breakage."""
-    scheduling: Optional[object] = None
-    """:class:`repro.sched.ProgressReport` when the campaign ran under
-    the cluster scheduler: per-node throughput, reassignment counts,
-    quarantined placements.  ``None`` for local campaigns.  Scheduling
-    is capacity accounting only — it never influences the dataset,
-    which stays a pure function of ``(root_seed, cell)``."""
     timing: Optional[TimingReport] = None
     """Per-stage wall time (monotonic clock).  Excluded from bit-identity
     comparisons — wall time legitimately differs between backends."""
@@ -500,8 +490,6 @@ class CampaignReport:
             lines.extend(f"  {err}" for err in self.hook_errors)
         if self.clean:
             lines.append("no faults observed — clean campaign")
-        if self.scheduling is not None:
-            lines.extend(self.scheduling.summary())
         if self.audit is not None and not self.audit.clean:
             lines.append(f"audit verdict: {self.audit.verdict}")
         if self.timing is not None and self.timing.stages:
@@ -590,9 +578,7 @@ class ResilientCampaign(Campaign):
         self.min_counter_coverage = min_counter_coverage
         self.validate = validate
         self.sleep_fn = sleep_fn
-        self.checkpoint: Optional[
-            Union[CampaignCheckpoint, ShardedManifest]
-        ] = None
+        self.checkpoint: Optional[CampaignCheckpoint] = None
         if checkpoint_dir is not None:
             self.checkpoint = CampaignCheckpoint(
                 checkpoint_dir, self.fingerprint()
@@ -738,22 +724,6 @@ class ResilientCampaign(Campaign):
             outcomes[i] = outcome
         return outcomes, resumed
 
-    def _acquire(
-        self, cells: List[CampaignCell], progress: Optional[ProgressFn]
-    ) -> Tuple[List[Optional[_CellOutcome]], Dict[int, List[PhaseProfile]]]:
-        """Acquisition stage: one outcome per cell (``None`` = resumed)
-        plus the resumed profiles by cell index.  The scheduler
-        subclass overrides this with cluster placement; accounting and
-        merging stay in :meth:`run`."""
-        if self.executor.kind == "serial":
-            return self._run_cells_serial(cells, progress)
-        return self._run_cells_parallel(cells, progress)
-
-    def _report_extras(self) -> Dict[str, object]:
-        """Extra :class:`CampaignReport` fields from subclasses (the
-        scheduler attaches its ``scheduling`` progress report here)."""
-        return {}
-
     def run(self, progress: Optional[ProgressFn] = None) -> CampaignResult:
         """Fault-tolerant campaign: retry, quarantine, checkpoint,
         merge with graceful degradation, and report.
@@ -777,7 +747,14 @@ class ResilientCampaign(Campaign):
         with timer.stage(
             "acquisition", n_items=len(cells), executor=self.executor
         ):
-            outcomes, resumed_profiles = self._acquire(cells, progress)
+            # One outcome per cell (``None`` = resumed) plus the
+            # resumed profiles by cell index.
+            run_cells = (
+                self._run_cells_serial
+                if self.executor.kind == "serial"
+                else self._run_cells_parallel
+            )
+            outcomes, resumed_profiles = run_cells(cells, progress)
         resumed = len(resumed_profiles)
         completed += resumed
         for i, (cell, outcome) in enumerate(zip(cells, outcomes)):
@@ -837,7 +814,6 @@ class ResilientCampaign(Campaign):
             degraded_phases=degraded_phases,
             hook_errors=tuple(self._hook_errors),
             timing=timer.report(),
-            **self._report_extras(),
         )
         from repro.audit.engine import audit_campaign
 

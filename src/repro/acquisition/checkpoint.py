@@ -48,10 +48,8 @@ from repro.tracing.phases import PhaseProfile
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "SHARD_FORMAT",
     "CampaignCheckpoint",
     "ShardedArchiveStore",
-    "ShardedManifest",
     "cell_id",
     "shard_key",
 ]
@@ -59,10 +57,6 @@ __all__ = [
 #: Bump when the cell archive layout changes; old checkpoints are
 #: discarded, never misread.
 CHECKPOINT_FORMAT = 1
-
-#: Bump when the shard archive layout changes; old shard stores are
-#: discarded, never misread.
-SHARD_FORMAT = 1
 
 #: Errors that mean "this on-disk artifact is corrupt, not a bug".
 _CORRUPT_ERRORS = (
@@ -226,14 +220,9 @@ class CampaignCheckpoint:
             return None
 
 
-# ---------------------------------------------------------------------------
-# sharded manifests
-# ---------------------------------------------------------------------------
-
-
 def _pack_profiles(profiles: Sequence[PhaseProfile]) -> Dict[str, np.ndarray]:
     """Profile scalars as parallel arrays plus the NaN-marked rate
-    matrix — the archive layout shared by cell and shard stores."""
+    matrix — the cell archive layout."""
     names = sorted({c for p in profiles for c in p.counter_rates_per_s})
     rates = np.full((len(profiles), len(names)), np.nan)
     for i, p in enumerate(profiles):
@@ -262,7 +251,7 @@ def _pack_profiles(profiles: Sequence[PhaseProfile]) -> Dict[str, np.ndarray]:
 
 
 def _unpack_profile(data, names: List[str], rates: np.ndarray, i: int) -> PhaseProfile:
-    """One profile row out of a packed archive."""
+    """One profile row out of a packed cell archive."""
     row = {
         name: float(rates[i, j])
         for j, name in enumerate(names)
@@ -287,9 +276,8 @@ def _unpack_profile(data, names: List[str], rates: np.ndarray, i: int) -> PhaseP
 def shard_key(key: str) -> int:
     """Stable integer hash of an arbitrary string key.
 
-    Used for shard placement of keys that are not already hex digests
-    (e.g. fleet node ids); the same key lands in the same shard on
-    every run and every host.
+    Used for shard placement (e.g. of fleet node ids); the same key
+    lands in the same shard on every run and every host.
     """
     return int(
         hashlib.blake2b(key.encode(), digest_size=8).hexdigest(), 16
@@ -299,12 +287,14 @@ def shard_key(key: str) -> int:
 class ShardedArchiveStore:
     """Generic sharded, atomic, corruption-tolerant key → value store.
 
-    The machinery that made :class:`ShardedManifest` safe for cluster
-    campaigns — lazy per-shard reads, atomic shard rewrites, corrupt
-    shards discarded with an audit trail, fingerprint-guarded adoption
-    — is value-agnostic; subclasses provide only the archive layout via
-    :meth:`_pack_shard` / :meth:`_unpack_shard`.  The serving layer's
-    per-node estimator state store reuses the exact same discipline:
+    The recovery discipline of :class:`CampaignCheckpoint` — atomic
+    writes, corrupt archives discarded with an audit trail,
+    fingerprint-guarded adoption — applied to many small entries packed
+    into a fixed number of archives.  The machinery is value-agnostic;
+    subclasses provide only the archive layout via :meth:`_pack_shard` /
+    :meth:`_unpack_shard`.  The serving layer's per-node estimator
+    state store (:class:`~repro.serve.state.FleetStateStore`) is the
+    one subclass:
 
     * keys are hashed into ``n_shards`` archive files, so a store of
       millions of entries is N files, not millions of inodes;
@@ -444,9 +434,8 @@ class ShardedArchiveStore:
                 self.shard_reads += 1
                 cells.update(self._unpack_shard(data))
         except _CORRUPT_ERRORS as exc:
-            # One corrupt shard loses only its own entries; they are
-            # re-run (campaign cells) or rebuilt from the baseline
-            # model (fleet nodes).
+            # One corrupt shard loses only its own entries; fleet nodes
+            # restart from the baseline model.
             cells.clear()
             try:
                 path.unlink()
@@ -471,9 +460,6 @@ class ShardedArchiveStore:
         self.shard_writes += 1
 
     # ------------------------------------------------------------------
-    def has(self, key: str) -> bool:
-        return key in self._load_shard(self.shard_of(key))
-
     def stored_keys(self) -> List[str]:
         """All keys currently stored (reads every shard)."""
         out: List[str] = []
@@ -481,12 +467,6 @@ class ShardedArchiveStore:
             shard = int(path.stem[len("shard_"):])
             out.extend(str(k) for k in self._load_shard(shard))
         return sorted(out)
-
-    def store(self, key: str, value: object) -> None:
-        """Persist one entry: atomically rewrite its shard."""
-        cells = self._load_shard(self.shard_of(key))
-        cells[key] = value
-        self._write_shard(self.shard_of(key))
 
     def store_many(self, items) -> int:
         """Persist a batch of entries, rewriting each dirty shard once.
@@ -509,60 +489,3 @@ class ShardedArchiveStore:
         """One stored entry, or ``None`` if absent — only this key's
         shard is read (and only on first touch)."""
         return self._load_shard(self.shard_of(key)).get(key)
-
-
-class ShardedManifest(ShardedArchiveStore):
-    """Campaign checkpoint store sharded into N archives.
-
-    Same ``load``/``store``/``has`` surface as
-    :class:`CampaignCheckpoint` (the resilient loop does not care which
-    one it holds); the sharding, atomicity and corruption-recovery
-    discipline comes from :class:`ShardedArchiveStore`, this subclass
-    only defines the cell-profile archive layout.
-    """
-
-    FORMAT = SHARD_FORMAT
-
-    # ------------------------------------------------------------------
-    def shard_of(self, cid: str) -> int:
-        """Shard index a cell id hashes into.
-
-        Cell ids are already blake2b hex digests (:func:`cell_id`), so
-        they are their own hash — and existing on-disk stores keep
-        their placement across the generic-store refactor.
-        """
-        return int(cid, 16) % self.n_shards
-
-    def _pack_shard(self, cells: Dict[str, object]) -> Dict[str, np.ndarray]:
-        profiles: List[PhaseProfile] = []
-        cell_ids: List[str] = []
-        for cid, cell_profiles in cells.items():
-            profiles.extend(cell_profiles)  # type: ignore[arg-type]
-            cell_ids.extend([cid] * len(cell_profiles))  # type: ignore[arg-type]
-        return {"cell_ids": np.array(cell_ids), **_pack_profiles(profiles)}
-
-    def _unpack_shard(self, data) -> Dict[str, object]:
-        cells: Dict[str, List[PhaseProfile]] = {}
-        names = [str(c) for c in data["counter_names"]]
-        rates = data["counter_rates_per_s"]
-        cell_ids = [str(c) for c in data["cell_ids"]]
-        for i, cid in enumerate(cell_ids):
-            cells.setdefault(cid, []).append(
-                _unpack_profile(data, names, rates, i)
-            )
-        return cells
-
-    # ------------------------------------------------------------------
-    def completed_cells(self) -> List[str]:
-        """Ids of all cells currently stored (reads every shard)."""
-        return self.stored_keys()
-
-    def store(self, cid: str, profiles: Sequence[PhaseProfile]) -> None:
-        """Persist one completed cell: atomically rewrite its shard."""
-        super().store(cid, list(profiles))
-
-    def load(self, cid: str) -> Optional[List[PhaseProfile]]:
-        """Profiles of one stored cell, or ``None`` if absent — only
-        this cell's shard is read (and only on first touch)."""
-        profiles = super().load(cid)
-        return list(profiles) if profiles is not None else None  # type: ignore[arg-type]

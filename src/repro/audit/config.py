@@ -81,12 +81,6 @@ class AuditConfig:
     drift_degraded_fraction: float = 0.25
     """Online sessions serving more than this fraction of estimates
     from the baseline fallback are degraded."""
-    reassign_minor_fraction: float = 0.1
-    """Scheduled campaigns with more than this fraction of cells
-    disrupted (reassigned or quarantined) grade minor (AU012)."""
-    reassign_major_fraction: float = 0.25
-    """Disruption above this fraction grades major: the cluster spent
-    a large share of the campaign redoing lost placements."""
     fleet_degraded_minor_fraction: float = 0.05
     """Fleet services with more than this fraction of nodes quarantined
     or degraded grade minor (AU013)."""
@@ -138,8 +132,6 @@ class AuditConfig:
             ("r2-mape-low-mape-pct", "r2_mape_low_mape_pct", float),
             ("fastfit-fallback-fraction", "fastfit_fallback_fraction", float),
             ("drift-degraded-fraction", "drift_degraded_fraction", float),
-            ("reassign-minor-fraction", "reassign_minor_fraction", float),
-            ("reassign-major-fraction", "reassign_major_fraction", float),
             (
                 "fleet-degraded-minor-fraction",
                 "fleet_degraded_minor_fraction",

@@ -1,4 +1,4 @@
-"""The repraudit rule catalogue (AU001–AU011).
+"""The repraudit rule catalogue (AU001–AU011, AU013).
 
 Each rule encodes one methodological validity condition the paper's
 reporting implicitly relies on.  Thresholds come from
@@ -610,65 +610,6 @@ class FastfitFallbackRule(AuditRule):
         return findings
 
 
-class ExcessiveReassignmentRule(AuditRule):
-    """AU012 — a scheduled campaign that spent a large share of its
-    cells on reassignment (node death, blown deadlines) or gave cells
-    up entirely produced correct-but-expensively-acquired data; the
-    cluster's health belongs next to the numbers it measured."""
-
-    id = "AU012"
-    name = "excessive-reassignment"
-    description = "cluster placement was heavily disrupted"
-
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
-        rep = ctx.campaign
-        sched = getattr(rep, "scheduling", None) if rep is not None else None
-        if sched is None:
-            return []
-        findings: List[AuditFinding] = []
-        total = int(getattr(sched, "total_cells", 0))
-        completed = int(getattr(sched, "completed_cells", 0))
-        quarantined = getattr(sched, "quarantined", {})
-        if total > 0 and completed == 0:
-            findings.append(
-                self.finding(
-                    ctx,
-                    SEVERITY_FAIL,
-                    f"the cluster completed 0/{total} cell placements — "
-                    "no usable acquisition happened",
-                )
-            )
-            return findings
-        disrupted = int(
-            getattr(
-                sched,
-                "disrupted_cells",
-                int(getattr(sched, "reassigned_cells", 0))
-                + len(quarantined),
-            )
-        )
-        fraction = disrupted / total if total > 0 else 0.0
-        if fraction > config.reassign_major_fraction:
-            severity = SEVERITY_MAJOR
-        elif fraction > config.reassign_minor_fraction:
-            severity = SEVERITY_MINOR
-        else:
-            return findings
-        reassignments = int(getattr(sched, "reassignments", 0))
-        detail = (
-            f"{disrupted}/{total} cell(s) ({fraction:.0%}) lost at least "
-            f"one placement ({reassignments} reassignment(s)"
-        )
-        if quarantined:
-            detail += f", {len(quarantined)} quarantined"
-        detail += (
-            ") — the cluster redid a large share of the campaign; "
-            "check node health before trusting throughput numbers"
-        )
-        findings.append(self.finding(ctx, severity, detail))
-        return findings
-
-
 class FleetDegradationRule(AuditRule):
     """AU013 — a fleet service quietly answering a growing share of its
     nodes from quarantine or the baseline fallback is drifting away
@@ -737,7 +678,6 @@ def all_rules() -> List[AuditRule]:
         SuspiciousPerfectionRule(),
         DegradedProvenanceRule(),
         FastfitFallbackRule(),
-        ExcessiveReassignmentRule(),
         FleetDegradationRule(),
     ]
 

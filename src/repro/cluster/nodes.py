@@ -39,10 +39,6 @@ class NodeVariation:
     """Dynamic energy per event varies mildly with process corner."""
     board_sigma: float = 0.05
     """Fans / VRs / DIMM population differences."""
-    speed_sigma: float = 0.08
-    """Lognormal spread of node service speed (turbo bins, memory
-    population, firmware): the scheduler's work-stealing queue lets
-    fast nodes pull proportionally more cells."""
 
 
 @dataclass(frozen=True)
@@ -54,15 +50,8 @@ class ClusterNode:
     platform: Platform
     alive: bool = True
     """False when the node failed to respond during cluster discovery
-    (hardware fault, drained by the scheduler — see the cluster fault
-    model in :mod:`repro.faults`)."""
-    slots: int = 1
-    """Concurrent campaign cells this node can host (scheduler lanes)."""
-    speed_factor: float = 1.0
-    """Relative service speed (1.0 = SKU nominal); a cell's wall time
-    on this node scales with ``1 / speed_factor``.  Capacity only —
-    never touches the measured physics, which stay a pure function of
-    ``(root_seed, cell)``."""
+    (hardware fault — see the cluster fault model in
+    :mod:`repro.faults`)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "" if self.alive else " DEAD"
@@ -98,22 +87,16 @@ def build_cluster(
     seed: int = DEFAULT_SEED,
     hostname_prefix: str = "node",
     faults: Optional[FaultPlan] = None,
-    slots_per_node: int = 1,
 ) -> List[ClusterNode]:
     """Materialize ``n_nodes`` simulated nodes of one SKU.
 
-    Deterministic in ``seed``; node ``i`` always gets the same die and
-    the same service speed (a lognormal draw with
-    ``variation.speed_sigma``, from the same node-keyed stream as its
-    power parameters).  With a fault plan, each node is independently
-    dead with ``dead_node_rate`` probability (drawn from the
-    node-keyed fault stream, so which nodes die is also deterministic
-    in the seed).
+    Deterministic in ``seed``; node ``i`` always gets the same die.
+    With a fault plan, each node is independently dead with
+    ``dead_node_rate`` probability (drawn from the node-keyed fault
+    stream, so which nodes die is also deterministic in the seed).
     """
     if n_nodes < 1:
         raise ValueError("a cluster needs at least one node")
-    if slots_per_node < 1:
-        raise ValueError("slots_per_node must be at least 1")
     variation = variation or NodeVariation()
     injector = (
         FaultInjector(faults, seed) if faults is not None else None
@@ -122,7 +105,6 @@ def build_cluster(
     for i in range(n_nodes):
         rng = derive_rng(seed, "cluster-node", i)
         params = _vary_params(base_params, rng, variation)
-        speed = float(np.exp(rng.normal(0.0, variation.speed_sigma)))
         platform = Platform(
             cfg, params, seed=int(derive_rng(seed, "node-seed", i).integers(2**31))
         )
@@ -133,8 +115,6 @@ def build_cluster(
                 hostname=f"{hostname_prefix}{i:03d}",
                 platform=platform,
                 alive=alive,
-                slots=slots_per_node,
-                speed_factor=speed,
             )
         )
     return nodes

@@ -49,10 +49,6 @@ EXPERIMENTS: Dict[str, Callable[[int], str]] = {
     "table3": _runner("table3"),
     "fig6": _runner("fig6"),
     "table4": _runner("table4"),
-    # Not a paper artifact: cluster-scheduler chaos demo asserting the
-    # merged dataset survives node death bit-identical (see
-    # repro.sched).
-    "sched": _runner("sched_demo"),
     # Not a paper artifact: fleet-serving chaos soak asserting healthy
     # nodes stay bit-identical to the serial estimator while faults
     # are quarantined and audited (see repro.serve).

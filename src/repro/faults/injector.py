@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from fnmatch import fnmatch
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -125,36 +125,6 @@ class FaultInjector:
         if dead:
             self._count("dead-node")
         return dead
-
-    def node_death_fraction(self, node_id: int) -> Optional[float]:
-        """When node ``node_id`` dies mid-campaign, as a fraction of the
-        campaign makespan — ``None`` if it survives.
-
-        Drawn per node from the fault stream: whether the node dies is
-        a ``node_death_rate`` event, and the death instant is uniform
-        in [0.05, 0.85] of the makespan (never so late that the death
-        is unobservable, never before the campaign starts).  The
-        scheduler turns the fraction into a virtual-clock instant.
-        """
-        if not self._event(self.plan.node_death_rate, "node-death", int(node_id)):
-            return None
-        self._count("node-death")
-        rng = self._rng("node-death-time", int(node_id))
-        return float(rng.uniform(0.05, 0.85))
-
-    def node_straggler_factor(self, node_id: int) -> float:
-        """Slowdown factor of node ``node_id`` (1.0 = healthy).
-
-        A ``straggler_rate`` event marks the node as pathologically
-        slow for the whole campaign; its factor is uniform in [4, 12] —
-        slow enough that deadline detection (not mere patience) is what
-        bounds the damage.
-        """
-        if not self._event(self.plan.straggler_rate, "straggler", int(node_id)):
-            return 1.0
-        self._count("straggler")
-        rng = self._rng("straggler-slowdown", int(node_id))
-        return float(rng.uniform(4.0, 12.0))
 
     def sensor_faults(
         self, *key: Union[str, int]

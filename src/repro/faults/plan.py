@@ -27,8 +27,6 @@ _RATE_FIELDS: Tuple[str, ...] = (
     "counter_overflow_rate",
     "trace_truncation_rate",
     "dead_node_rate",
-    "node_death_rate",
-    "straggler_rate",
 )
 
 
@@ -40,8 +38,7 @@ class FaultPlan:
     ``trace_truncation_rate``, ``sensor_dropout_rate`` and
     ``sensor_stuck_rate`` are per run attempt; ``nan_sample_rate`` is
     per power sample; ``counter_overflow_rate`` is per (run, counter);
-    ``dead_node_rate``, ``node_death_rate`` and ``straggler_rate`` are
-    per cluster node.
+    ``dead_node_rate`` is per cluster node.
     """
 
     run_failure_rate: float = 0.0
@@ -58,17 +55,6 @@ class FaultPlan:
     """Probability a trace is cut short (Score-P buffer exhaustion)."""
     dead_node_rate: float = 0.0
     """Per-node probability a cluster node never comes up."""
-    node_death_rate: float = 0.0
-    """Per-node probability a node that *did* come up dies mid-campaign
-    (the scheduler loses its in-flight cells and reassigns them).  The
-    death instant is drawn as a fraction of the campaign makespan from
-    the node-keyed stream — see
-    :meth:`FaultInjector.node_death_fraction`."""
-    straggler_rate: float = 0.0
-    """Per-node probability a node runs pathologically slow for the
-    whole campaign (a straggler); the slowdown factor is drawn from the
-    node-keyed stream — see
-    :meth:`FaultInjector.node_straggler_factor`."""
     kill_cells: Tuple[str, ...] = ()
     """``fnmatch`` patterns of ``workload:freq:threads:run_index`` cells
     that crash on *every* attempt — models a persistently broken
@@ -144,8 +130,6 @@ class FaultPlan:
             counter_overflow_rate=0.5,
             trace_truncation_rate=1.0,
             dead_node_rate=0.5,
-            node_death_rate=0.5,
-            straggler_rate=0.5,
             fault_seed=fault_seed,
         ).scaled(intensity)
 

@@ -78,14 +78,6 @@ DEFAULT_PARALLEL_MODULES: Tuple[str, ...] = (
     "repro/parallel/*",
 )
 
-#: Fast-fit hot modules (RL010): files whose inner loops must answer
-#: fits from the Gram cache, never via a per-iteration full refit.
-DEFAULT_FASTFIT_HOT_MODULES: Tuple[str, ...] = (
-    "*/core/selection.py",
-    "*/stats/vif.py",
-    "*/stats/crossval.py",
-)
-
 #: Directories whose changes alter campaign physics (RL005).
 DEFAULT_PHYSICS_PATHS: Tuple[str, ...] = (
     "src/repro/hardware/",
@@ -100,15 +92,6 @@ DEFAULT_VERSION_SYMBOL = "DATA_VERSION"
 DEFAULT_AUDIT_GATED_MODULES: Tuple[str, ...] = (
     "*/core/report.py",
     "*/core/persistence.py",
-)
-
-#: Modules allowed to sleep inside a retry loop (RL012): the retry
-#: policy that owns backoff, and the scheduler that serves backoff on
-#: a virtual clock.
-DEFAULT_SLEEP_RETRY_MODULES: Tuple[str, ...] = (
-    "*/repro/sched/*",
-    "repro/sched/*",
-    "*/acquisition/campaign.py",
 )
 
 #: Modules allowed to build raw queues/deques without a capacity
@@ -136,12 +119,10 @@ class LintConfig:
     atomic_modules: Tuple[str, ...] = DEFAULT_ATOMIC_MODULES
     linalg_modules: Tuple[str, ...] = DEFAULT_LINALG_MODULES
     parallel_modules: Tuple[str, ...] = DEFAULT_PARALLEL_MODULES
-    fastfit_hot_modules: Tuple[str, ...] = DEFAULT_FASTFIT_HOT_MODULES
     physics_paths: Tuple[str, ...] = DEFAULT_PHYSICS_PATHS
     version_file: str = DEFAULT_VERSION_FILE
     version_symbol: str = DEFAULT_VERSION_SYMBOL
     audit_gated_modules: Tuple[str, ...] = DEFAULT_AUDIT_GATED_MODULES
-    sleep_retry_modules: Tuple[str, ...] = DEFAULT_SLEEP_RETRY_MODULES
     queue_modules: Tuple[str, ...] = DEFAULT_QUEUE_MODULES
 
     # ------------------------------------------------------------------
@@ -201,10 +182,8 @@ class LintConfig:
             ("atomic-modules", "atomic_modules"),
             ("linalg-modules", "linalg_modules"),
             ("parallel-modules", "parallel_modules"),
-            ("fastfit-hot-modules", "fastfit_hot_modules"),
             ("physics-paths", "physics_paths"),
             ("audit-gated-modules", "audit_gated_modules"),
-            ("sleep-retry-modules", "sleep_retry_modules"),
             ("queue-modules", "queue_modules"),
         ):
             if toml_key in section:

@@ -14,9 +14,7 @@ from repro.lint.rules.rl006_atomic_write import NonAtomicCacheWrite
 from repro.lint.rules.rl007_silent_except import SilentBroadExcept
 from repro.lint.rules.rl008_raw_linalg import NoRawLinalgSolvers
 from repro.lint.rules.rl009_parallel_primitives import NoRawParallelPrimitives
-from repro.lint.rules.rl010_hot_loop_fit import NoHotLoopRefit
 from repro.lint.rules.rl011_unaudited_report import NoUnauditedReport
-from repro.lint.rules.rl012_raw_sleep_retry import NoRawSleepRetry
 from repro.lint.rules.rl013_unbounded_queue import NoUnboundedQueue
 from repro.lint.rules.rl014_raw_shm import NoRawSharedMemory
 
@@ -31,9 +29,7 @@ __all__ = [
     "SilentBroadExcept",
     "NoRawLinalgSolvers",
     "NoRawParallelPrimitives",
-    "NoHotLoopRefit",
     "NoUnauditedReport",
-    "NoRawSleepRetry",
     "NoUnboundedQueue",
     "NoRawSharedMemory",
 ]
@@ -51,9 +47,7 @@ def all_rules(*, diff_base: str = "HEAD") -> List[Rule]:
         SilentBroadExcept(),
         NoRawLinalgSolvers(),
         NoRawParallelPrimitives(),
-        NoHotLoopRefit(),
         NoUnauditedReport(),
-        NoRawSleepRetry(),
         NoUnboundedQueue(),
         NoRawSharedMemory(),
     ]

@@ -3,10 +3,10 @@
 :class:`FleetStateStore` stores :meth:`OnlineEstimator.state_dict`
 snapshots keyed by node id, on top of the generic
 :class:`~repro.acquisition.checkpoint.ShardedArchiveStore` — the same
-atomic-write / lazy-read / corrupt-shard-discard machinery the
-campaign checkpoints use.  A corrupt shard loses only its own nodes
-(they restart from the baseline model); restoring *k* nodes reads at
-most ``min(k, n_shards)`` shard files.
+atomic-write / corrupt-archive-discard discipline as the campaign
+checkpoints, plus lazy per-shard reads.  A corrupt shard loses only its
+own nodes (they restart from the baseline model); restoring *k* nodes
+reads at most ``min(k, n_shards)`` shard files.
 
 The store is fingerprinted by the model and estimator configuration
 (:func:`fleet_fingerprint`): state written for a different model or a
@@ -28,7 +28,7 @@ from repro.core.online import ONLINE_STATE_FORMAT
 __all__ = ["SERVE_STATE_FORMAT", "FleetStateStore", "fleet_fingerprint"]
 
 #: On-disk shard format of fleet state archives.  Independent of the
-#: campaign checkpoint's ``SHARD_FORMAT`` and of the per-node
+#: campaign checkpoint's ``CHECKPOINT_FORMAT`` and of the per-node
 #: ``ONLINE_STATE_FORMAT`` carried inside each entry.
 SERVE_STATE_FORMAT = 1
 

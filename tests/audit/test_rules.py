@@ -443,102 +443,6 @@ class TestConfig:
         assert cfg.rule_enabled("AU009")
 
 
-class TestAU012ExcessiveReassignment:
-    """Scheduled-campaign disruption grading.  Fixtures keep the base
-    campaign fields clean so AU010 stays silent and the assertions can
-    demand exactly {"AU012"}."""
-
-    @staticmethod
-    def _campaign(**scheduling):
-        defaults = dict(
-            total_cells=20,
-            completed_cells=20,
-            reassignments=0,
-            reassigned_cells=0,
-            disrupted_cells=0,
-            quarantined={},
-        )
-        defaults.update(scheduling)
-        return SimpleNamespace(
-            quarantined=(),
-            dropped_counters=(),
-            degraded_phases=0,
-            retries=0,
-            merge_issues=(),
-            scheduling=SimpleNamespace(**defaults),
-        )
-
-    def test_heavy_disruption_rates_major(self):
-        campaign = self._campaign(
-            reassignments=11, reassigned_cells=6, disrupted_cells=6
-        )
-        report = audit_one(
-            AuditContext(artifact="campaign", campaign=campaign)
-        )
-        assert rule_ids(report) == {"AU012"}
-        assert report.verdict == "major"
-
-    def test_moderate_disruption_rates_minor(self):
-        campaign = self._campaign(
-            reassignments=3, reassigned_cells=3, disrupted_cells=3
-        )
-        report = audit_one(
-            AuditContext(artifact="campaign", campaign=campaign)
-        )
-        assert rule_ids(report) == {"AU012"}
-        assert report.verdict == "minor"
-
-    def test_light_disruption_is_silent(self):
-        campaign = self._campaign(
-            reassignments=2, reassigned_cells=1, disrupted_cells=1
-        )
-        ctx = AuditContext(artifact="campaign", campaign=campaign)
-        assert audit_one(ctx).findings == ()
-
-    def test_zero_completions_fails(self):
-        campaign = self._campaign(
-            completed_cells=0,
-            disrupted_cells=20,
-            quarantined={i: "no live nodes remaining" for i in range(20)},
-        )
-        report = audit_one(
-            AuditContext(artifact="campaign", campaign=campaign)
-        )
-        assert rule_ids(report) == {"AU012"}
-        assert report.verdict == "fail"
-
-    def test_unscheduled_campaign_is_silent(self):
-        campaign = SimpleNamespace(
-            quarantined=(),
-            dropped_counters=(),
-            degraded_phases=0,
-            retries=0,
-            merge_issues=(),
-        )
-        ctx = AuditContext(artifact="campaign", campaign=campaign)
-        assert audit_one(ctx).findings == ()
-
-    def test_thresholds_configurable(self):
-        campaign = self._campaign(
-            reassignments=2, reassigned_cells=1, disrupted_cells=1
-        )
-        ctx = AuditContext(artifact="campaign", campaign=campaign)
-        tightened = audit_one(ctx, reassign_minor_fraction=0.01)
-        assert rule_ids(tightened) == {"AU012"}
-        assert tightened.verdict == "minor"
-
-    def test_pyproject_thresholds(self, tmp_path):
-        toml = tmp_path / "pyproject.toml"
-        toml.write_text(
-            "[tool.repro.audit]\n"
-            "reassign-minor-fraction = 0.02\n"
-            "reassign-major-fraction = 0.04\n"
-        )
-        cfg = AuditConfig.from_pyproject(toml)
-        assert cfg.reassign_minor_fraction == 0.02
-        assert cfg.reassign_major_fraction == 0.04
-
-
 # ---------------------------------------------------------------------------
 class TestAU013FleetDegradation:
     """Fleet-service health grading over a ``FleetReport``-shaped

@@ -65,6 +65,5 @@ class TestRunnerCLI:
             "fig4",
             "fig5",
             "fig6",
-            "sched",
             "serve",
         }

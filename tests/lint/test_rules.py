@@ -16,12 +16,10 @@ from repro.lint.rules import (
     NonAtomicCacheWrite,
     NoUnseededRng,
     RequireAllowPickleFalse,
-    NoHotLoopRefit,
     NoRawLinalgSolvers,
     NoUnauditedReport,
     NoRawParallelPrimitives,
     NoRawSharedMemory,
-    NoRawSleepRetry,
     NoUnboundedQueue,
     SilentBroadExcept,
     UnitSuffixConsistency,
@@ -541,80 +539,6 @@ class TestRL009ParallelPrimitives:
 
 
 # ---------------------------------------------------------------------------
-class TestRL010HotLoopRefit:
-    HOT = Path("src/repro/core/selection.py")
-
-    def test_flags_fit_ols_in_for_loop(self):
-        bad = """
-            from repro.stats.ols import fit_ols
-            def score_all(y, designs):
-                scores = []
-                for x in designs:
-                    scores.append(fit_ols(y, x).rsquared)
-                return scores
-        """
-        assert ids(run_rule(NoHotLoopRefit(), bad, path=self.HOT)) == [
-            "RL010"
-        ]
-
-    def test_flags_fit_robust_in_while_loop(self):
-        bad = """
-            from repro.stats import robust
-            def anneal(y, x):
-                k = 0
-                while k < 3:
-                    res = robust.fit_robust(y, x)
-                    k += 1
-                return res
-        """
-        assert ids(run_rule(NoHotLoopRefit(), bad, path=self.HOT)) == [
-            "RL010"
-        ]
-
-    def test_nested_loops_flag_once_per_call(self):
-        bad = """
-            from repro.stats.ols import fit_ols
-            def grid(y, designs):
-                out = []
-                for block in designs:
-                    for x in block:
-                        out.append(fit_ols(y, x))
-                return out
-        """
-        assert ids(run_rule(NoHotLoopRefit(), bad, path=self.HOT)) == [
-            "RL010"
-        ]
-
-    def test_passes_fit_outside_loops(self):
-        good = """
-            from repro.stats.ols import fit_ols
-            def final_fit(y, x):
-                return fit_ols(y, x, cov_type="HC3")
-        """
-        assert run_rule(NoHotLoopRefit(), good, path=self.HOT) == []
-
-    def test_only_configured_hot_modules_are_checked(self):
-        code = """
-            from repro.stats.ols import fit_ols
-            def sweep(y, designs):
-                return [fit_ols(y, x) for x in designs]
-        """
-        cold = Path("src/repro/experiments/tables.py")
-        assert run_rule(NoHotLoopRefit(), code, path=cold) == []
-
-    def test_inline_suppression_honoured(self):
-        code = """
-            from repro.stats.ols import fit_ols
-            def sweep(y, designs):
-                out = []
-                for x in designs:
-                    out.append(fit_ols(y, x))  # replint: ignore[RL010] -- cold diagnostic path, runs once per report
-                return out
-        """
-        assert run_rule(NoHotLoopRefit(), code, path=self.HOT) == []
-
-
-# ---------------------------------------------------------------------------
 class TestRL011UnauditedReport:
     GATED = Path("src/repro/core/report.py")
 
@@ -675,91 +599,6 @@ class TestRL011UnauditedReport:
         assert ids(run_rule(NoUnauditedReport(), bad, path=self.GATED)) == [
             "RL011"
         ]
-
-
-class TestRL012RawSleepRetry:
-    def test_flags_sleep_in_while_loop(self):
-        bad = """
-            import time
-
-            def wait_for_file(path):
-                while not path.exists():
-                    time.sleep(0.5)
-        """
-        assert ids(run_rule(NoRawSleepRetry(), bad)) == ["RL012"]
-
-    def test_flags_aliased_sleep_in_for_loop(self):
-        bad = """
-            import time as t
-
-            def retry(fn, attempts):
-                for _ in range(attempts):
-                    try:
-                        return fn()
-                    except OSError:
-                        t.sleep(1.0)
-                raise RuntimeError
-        """
-        assert ids(run_rule(NoRawSleepRetry(), bad)) == ["RL012"]
-
-    def test_passes_sleep_outside_loops(self):
-        good = """
-            import time
-
-            def settle():
-                time.sleep(0.1)
-        """
-        assert run_rule(NoRawSleepRetry(), good) == []
-
-    def test_passes_injected_sleep_fn_in_loop(self):
-        good = """
-            def retry(fn, attempts, sleep_fn):
-                for attempt in range(attempts):
-                    try:
-                        return fn()
-                    except OSError:
-                        sleep_fn(2.0 ** attempt)
-                raise RuntimeError
-        """
-        assert run_rule(NoRawSleepRetry(), good) == []
-
-    def test_scheduler_and_retry_policy_modules_are_exempt(self):
-        code = """
-            import time
-
-            def poll_loop():
-                while True:
-                    time.sleep(5.0)
-        """
-        exempt = Path("src/repro/sched/scheduler.py")
-        assert run_rule(NoRawSleepRetry(), code, path=exempt) == []
-        owner = Path("src/repro/acquisition/campaign.py")
-        assert run_rule(NoRawSleepRetry(), code, path=owner) == []
-
-    def test_loop_else_clause_is_not_a_retry_path(self):
-        good = """
-            import time
-
-            def scan(items):
-                for item in items:
-                    process(item)
-                else:
-                    time.sleep(0.1)
-        """
-        assert run_rule(NoRawSleepRetry(), good) == []
-
-    def test_configured_modules_override(self):
-        code = """
-            import time
-
-            def poll():
-                while True:
-                    time.sleep(1.0)
-        """
-        config = LintConfig(sleep_retry_modules=("*/custom/poller.py",))
-        custom = Path("src/custom/poller.py")
-        assert run_rule(NoRawSleepRetry(), code, path=custom, config=config) == []
-        assert ids(run_rule(NoRawSleepRetry(), code, config=config)) == ["RL012"]
 
 
 # ---------------------------------------------------------------------------
