@@ -52,14 +52,8 @@ from repro.hardware import (
     PlatformConfig,
 )
 from repro.faults import FaultPlan
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    TimingReport,
-    resolve_executor,
-)
 from repro.seeding import DEFAULT_SEED
+from repro.timing import TimingReport
 from repro.workloads import (
     Characterization,
     Workload,
@@ -110,12 +104,8 @@ __all__ = [
     "counter_power_pcc",
     "run_workflow",
     "WorkflowResult",
-    # parallel execution
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
+    # timing
     "TimingReport",
-    "resolve_executor",
     # misc
     "DEFAULT_SEED",
 ]

@@ -56,7 +56,7 @@ from repro.faults.watchdog import validate_profiles, validate_trace
 from repro.hardware.counters import COUNTER_NAMES
 from repro.hardware.platform import Platform
 from repro.hardware.pmu import EventSet, schedule_events
-from repro.parallel import StageTimer, TimingReport, resolve_executor
+from repro.timing import StageTimer, TimingReport
 from repro.tracing.phases import PhaseProfile, haecsim_profiles, postprocess_profiles
 from repro.tracing.plugins import (
     ApapiPlugin,
@@ -147,24 +147,11 @@ class CampaignPlan:
 
 
 class Campaign:
-    """Executes a :class:`CampaignPlan` on a platform (all-or-nothing).
+    """Executes a :class:`CampaignPlan` on a platform (all-or-nothing)."""
 
-    ``parallel`` / ``max_workers`` select the cell-execution backend
-    (see :mod:`repro.parallel`); results are assembled in cell order,
-    so every backend produces bit-identical datasets.
-    """
-
-    def __init__(
-        self,
-        platform: Platform,
-        plan: CampaignPlan,
-        *,
-        parallel: Optional[str] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, platform: Platform, plan: CampaignPlan) -> None:
         self.platform = platform
         self.plan = plan
-        self.executor = resolve_executor(parallel, max_workers)
         self.event_sets: List[EventSet] = schedule_events(
             plan.events, platform.cfg
         )
@@ -172,13 +159,8 @@ class Campaign:
         self._hook_errors: List[str] = []
         #: Tracers cached per event set: stateless across traces, so a
         #: campaign builds one per counter group instead of one per
-        #: cell.  Never pickled — workers rebuild their own.
+        #: cell.
         self._tracer_cache: Dict[Optional[int], ScorePTracer] = {}
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_tracer_cache"] = {}
-        return state
 
     def _cell_tracer(self, cell: "CampaignCell") -> ScorePTracer:
         """The tracer for a cell's counter group, cached per event set."""
@@ -280,51 +262,24 @@ class Campaign:
     def collect_profiles(
         self, progress: Optional[ProgressFn] = None
     ) -> List[PhaseProfile]:
-        """Execute all runs and extract phase profiles.
-
-        Profiles are concatenated in cell order regardless of backend,
-        so serial and parallel campaigns build identical datasets.
-        """
+        """Execute all runs and extract phase profiles, in cell order."""
         cells = self.cells()
         # One batched warm-up covers every cell's skeleton and RNG
         # streams up front (pure cache warm-ups — outputs unchanged).
         self._prime_caches(cells)
-        if self.executor.kind == "serial":
-            profiles: List[PhaseProfile] = []
-            last_announced = None
-            for cell in cells:
-                experiment = (
-                    cell.workload.name, cell.frequency_mhz, cell.threads
+        profiles: List[PhaseProfile] = []
+        last_announced = None
+        for cell in cells:
+            experiment = (cell.workload.name, cell.frequency_mhz, cell.threads)
+            if progress is not None and experiment != last_announced:
+                _call_progress(
+                    progress,
+                    f"{cell.workload.name} @ {cell.frequency_mhz} MHz, "
+                    f"{cell.threads} threads",
+                    self._hook_errors,
                 )
-                if progress is not None and experiment != last_announced:
-                    _call_progress(
-                        progress,
-                        f"{cell.workload.name} @ {cell.frequency_mhz} MHz, "
-                        f"{cell.threads} threads",
-                        self._hook_errors,
-                    )
-                    last_announced = experiment
-                profiles.extend(self.execute_cell(cell))
-            return profiles
-        if progress is not None:
-            # Announce in cell order up front; execution interleaves.
-            last_announced = None
-            for cell in cells:
-                experiment = (
-                    cell.workload.name, cell.frequency_mhz, cell.threads
-                )
-                if experiment != last_announced:
-                    _call_progress(
-                        progress,
-                        f"{cell.workload.name} @ {cell.frequency_mhz} MHz, "
-                        f"{cell.threads} threads",
-                        self._hook_errors,
-                    )
-                    last_announced = experiment
-        per_cell = self.executor.map(self.execute_cell, cells)
-        profiles = []
-        for cell_profiles in per_cell:
-            profiles.extend(cell_profiles)
+                last_announced = experiment
+            profiles.extend(self.execute_cell(cell))
         return profiles
 
     def run(
@@ -439,7 +394,7 @@ class CampaignReport:
     flow) but the campaign accounts for the breakage."""
     timing: Optional[TimingReport] = None
     """Per-stage wall time (monotonic clock).  Excluded from bit-identity
-    comparisons — wall time legitimately differs between backends."""
+    comparisons — wall time legitimately differs between runs."""
     audit: Optional[AuditReport] = None
     """Statistical-rigor verdict over the acquisition provenance
     (:mod:`repro.audit` rule AU010): faults, quarantines and coverage
@@ -543,14 +498,7 @@ class ResilientCampaign(Campaign):
         Run the acquisition watchdog on every trace/profile set.
     sleep_fn:
         Injectable sleep (tests pass a recorder; default
-        :func:`time.sleep`).  Must be picklable for
-        ``parallel="process"`` (closures are not — pin those tests to
-        serial).
-    parallel, max_workers:
-        Cell-execution backend (see :mod:`repro.parallel`).  Outcomes
-        are accounted in cell order, so every backend is bit-identical
-        to serial — including under injected faults, whose decisions
-        are keyed per (cell, attempt).
+        :func:`time.sleep`).
     """
 
     def __init__(
@@ -564,12 +512,8 @@ class ResilientCampaign(Campaign):
         min_counter_coverage: float = 0.75,
         validate: bool = True,
         sleep_fn: Callable[[float], None] = time.sleep,
-        parallel: Optional[str] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            platform, plan, parallel=parallel, max_workers=max_workers
-        )
+        super().__init__(platform, plan)
         if not 0.0 <= min_counter_coverage <= 1.0:
             raise ValueError("min_counter_coverage must be in [0, 1]")
         self.faults = faults or FaultPlan()
@@ -661,12 +605,12 @@ class ResilientCampaign(Campaign):
         return outcome
 
     # ------------------------------------------------------------------
-    def _run_cells_serial(
+    def _run_cells(
         self, cells: List[CampaignCell], progress: Optional[ProgressFn]
     ) -> Tuple[List[Optional[_CellOutcome]], Dict[int, List[PhaseProfile]]]:
-        """The reference cell loop: strictly interleaved progress,
-        execution and checkpointing (an interrupt mid-loop leaves every
-        finished cell stored — the resume tests rely on this)."""
+        """The cell loop: strictly interleaved progress, execution and
+        checkpointing (an interrupt mid-loop leaves every finished cell
+        stored — the resume tests rely on this)."""
         outcomes: List[Optional[_CellOutcome]] = []
         resumed: Dict[int, List[PhaseProfile]] = {}
         for i, cell in enumerate(cells):
@@ -686,52 +630,9 @@ class ResilientCampaign(Campaign):
             outcomes.append(outcome)
         return outcomes, resumed
 
-    def _run_cells_parallel(
-        self, cells: List[CampaignCell], progress: Optional[ProgressFn]
-    ) -> Tuple[List[Optional[_CellOutcome]], Dict[int, List[PhaseProfile]]]:
-        """Fan the non-resumed cells out over the executor.
-
-        Checkpoint loads and progress stay in the parent (in cell
-        order); checkpoint stores run in the parent via the
-        ``on_result`` hook as cells complete, so an interrupt still
-        loses at most the in-flight cells.
-        """
-        outcomes: List[Optional[_CellOutcome]] = [None] * len(cells)
-        pending: List[int] = []
-        cids = [cell_id(*cell.key, self.plan.events) for cell in cells]
-        resumed: Dict[int, List[PhaseProfile]] = {}
-        for i, cell in enumerate(cells):
-            _call_progress(
-                progress, f"cell {cell.describe()}", self._hook_errors
-            )
-            if self.checkpoint is not None:
-                stored = self.checkpoint.load(cids[i])
-                if stored is not None:
-                    resumed[i] = stored
-                    continue
-            pending.append(i)
-
-        def _store(pending_index: int, outcome: _CellOutcome) -> None:
-            if self.checkpoint is not None and outcome.profiles is not None:
-                self.checkpoint.store(
-                    cids[pending[pending_index]], outcome.profiles
-                )
-
-        results = self.executor.map(
-            self.run_cell, [cells[i] for i in pending], on_result=_store
-        )
-        for i, outcome in zip(pending, results):
-            outcomes[i] = outcome
-        return outcomes, resumed
-
     def run(self, progress: Optional[ProgressFn] = None) -> CampaignResult:
         """Fault-tolerant campaign: retry, quarantine, checkpoint,
-        merge with graceful degradation, and report.
-
-        The accounting below walks outcomes in cell order whichever
-        backend executed them, so the dataset and every report field
-        except ``timing`` are bit-identical across backends.
-        """
+        merge with graceful degradation, and report."""
         profiles: List[PhaseProfile] = []
         faults_observed: Dict[str, int] = {}
         quarantined: List[Tuple[str, str]] = []
@@ -744,17 +645,10 @@ class ResilientCampaign(Campaign):
         # batched kernel's caches itself (same warm-ups).
         self._prime_caches(cells)
         timer = StageTimer()
-        with timer.stage(
-            "acquisition", n_items=len(cells), executor=self.executor
-        ):
+        with timer.stage("acquisition", n_items=len(cells)):
             # One outcome per cell (``None`` = resumed) plus the
             # resumed profiles by cell index.
-            run_cells = (
-                self._run_cells_serial
-                if self.executor.kind == "serial"
-                else self._run_cells_parallel
-            )
-            outcomes, resumed_profiles = run_cells(cells, progress)
+            outcomes, resumed_profiles = self._run_cells(cells, progress)
         resumed = len(resumed_profiles)
         completed += resumed
         for i, (cell, outcome) in enumerate(zip(cells, outcomes)):
@@ -856,8 +750,6 @@ def run_campaign(
     multiplexing: str = "multi-run",
     require_complete: bool = True,
     progress: Optional[ProgressFn] = None,
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> PowerDataset:
     """One-call convenience around :class:`Campaign`.
 
@@ -873,9 +765,7 @@ def run_campaign(
         thread_counts=thread_counts,
         multiplexing=multiplexing,
     )
-    campaign = Campaign(
-        platform, plan, parallel=parallel, max_workers=max_workers
-    )
+    campaign = Campaign(platform, plan)
     return campaign.run(progress, require_complete=require_complete)
 
 
@@ -893,8 +783,6 @@ def run_resilient_campaign(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     min_counter_coverage: float = 0.75,
     progress: Optional[ProgressFn] = None,
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> CampaignResult:
     """One-call convenience around :class:`ResilientCampaign`."""
     plan = _make_plan(
@@ -912,7 +800,5 @@ def run_resilient_campaign(
         retry=retry,
         checkpoint_dir=checkpoint_dir,
         min_counter_coverage=min_counter_coverage,
-        parallel=parallel,
-        max_workers=max_workers,
     )
     return campaign.run(progress)

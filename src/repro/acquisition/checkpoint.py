@@ -151,7 +151,7 @@ class CampaignCheckpoint:
             try:
                 cell_path.unlink()
             except FileNotFoundError:
-                # Already gone: a concurrent cleanup (parallel campaign
+                # Already gone: a concurrent cleanup (another campaign
                 # sharing the directory) unlinked it between the glob
                 # and here.  Benign, but worth an audit line; any other
                 # OSError (permissions, I/O) propagates.

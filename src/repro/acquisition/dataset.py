@@ -17,63 +17,11 @@ import numpy as np
 
 from repro.hardware.counters import COUNTER_NAMES
 from repro.io.atomic import atomic_savez
-from repro.parallel.arena import ArrayHandle, SharedArena
 
-__all__ = ["PowerDataset", "DatasetHandle", "ExperimentKey"]
+__all__ = ["PowerDataset", "ExperimentKey"]
 
 #: Identification of one experiment (a Fig. 5 data point).
 ExperimentKey = Tuple[str, int, int]  # (workload, frequency_mhz, threads)
-
-
-@dataclass(frozen=True)
-class DatasetHandle:
-    """Picklable shared-memory reference to a published dataset.
-
-    Every column — numeric and string alike — lives in a
-    :class:`~repro.parallel.arena.SharedArena` segment (strings as
-    fixed-width ``numpy.str_`` arrays), so a work item carrying this
-    handle costs ~500 bytes on the wire where pickling the dataset
-    ships the full counter matrix.  :meth:`resolve` rebuilds a real
-    :class:`PowerDataset` (memoized per process), so worker code runs
-    unchanged on shared pages.
-    """
-
-    counters: ArrayHandle
-    power_w: ArrayHandle
-    voltage_v: ArrayHandle
-    frequency_mhz: ArrayHandle
-    threads: ArrayHandle
-    workloads: ArrayHandle
-    suites: ArrayHandle
-    phase_names: ArrayHandle
-    counter_names: Tuple[str, ...]
-
-    def resolve(self) -> "PowerDataset":
-        """The published dataset, backed by shared pages (memoized)."""
-        cached = _DATASET_MEMO.get(self)
-        if cached is not None:
-            return cached
-        dataset = PowerDataset(
-            counters=self.counters.resolve(),
-            power_w=self.power_w.resolve(),
-            voltage_v=self.voltage_v.resolve(),
-            frequency_mhz=self.frequency_mhz.resolve(),
-            threads=self.threads.resolve(),
-            workloads=tuple(self.workloads.resolve().tolist()),
-            suites=tuple(self.suites.resolve().tolist()),
-            phase_names=tuple(self.phase_names.resolve().tolist()),
-            counter_names=self.counter_names,
-        )
-        while len(_DATASET_MEMO) >= _DATASET_MEMO_CAP:
-            _DATASET_MEMO.pop(next(iter(_DATASET_MEMO)))
-        _DATASET_MEMO[self] = dataset
-        return dataset
-
-
-#: Worker-side resolution memo (string-tuple reconstruction is the
-#: only real cost); bounded for long-lived workers.
-_DATASET_MEMO: Dict[DatasetHandle, "PowerDataset"] = {}
-_DATASET_MEMO_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -242,26 +190,6 @@ class PowerDataset:
             workloads=tuple(r[3][0] for r in rows),
             suites=tuple(r[4] for r in rows),
             phase_names=tuple(f"{r[3][0]}@avg" for r in rows),
-            counter_names=self.counter_names,
-        )
-
-    # ------------------------------------------------------------------
-    def share(self, arena: "SharedArena") -> DatasetHandle:
-        """Publish every column into ``arena``; return the handle.
-
-        The handle's :meth:`DatasetHandle.resolve` reconstructs a
-        bit-identical dataset from the shared pages in any process —
-        the zero-copy work-item format of the process backend.
-        """
-        return DatasetHandle(
-            counters=arena.publish(self.counters),
-            power_w=arena.publish(self.power_w),
-            voltage_v=arena.publish(self.voltage_v),
-            frequency_mhz=arena.publish(self.frequency_mhz),
-            threads=arena.publish(self.threads),
-            workloads=arena.publish(np.array(self.workloads)),
-            suites=arena.publish(np.array(self.suites)),
-            phase_names=arena.publish(np.array(self.phase_names)),
             counter_names=self.counter_names,
         )
 

@@ -20,15 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.acquisition.dataset import DatasetHandle, PowerDataset
+from repro.acquisition.dataset import PowerDataset
 from repro.core.features import design_matrix
 from repro.core.model import PowerModel
-from repro.parallel import (
-    ProcessExecutor,
-    SharedArena,
-    resolve_executor,
-    split_batches,
-)
 from repro.seeding import DEFAULT_SEED, derive_rng
 from repro.stats.crossval import KFold
 from repro.stats.fastfit import FoldGramSolver
@@ -132,23 +126,20 @@ class ScenarioResult:
 
 
 # ----------------------------------------------------------------------
-def _cv_fold_worker(
-    args: Tuple[
-        PowerDataset,
-        Tuple[str, ...],
-        str,
-        str,
-        np.ndarray,
-        np.ndarray,
-        str,
-    ],
+def _cv_fold(
+    dataset: PowerDataset,
+    counters: Sequence[str],
+    cov_type: str,
+    estimator: str,
+    train: np.ndarray,
+    test: np.ndarray,
+    on_zero: str,
 ) -> Tuple[np.ndarray, float, Dict[str, float], int]:
-    """Fit and score one CV fold (module-level, picklable worker).
+    """Fit and score one CV fold.
 
     Returns (held-out predictions, fold MAPE, fit metrics, count of
     zero-power rows skipped by ``on_zero="skip"``).
     """
-    dataset, counters, cov_type, estimator, train, test, on_zero = args
     model = PowerModel(counters, cov_type=cov_type, estimator=estimator)
     fitted = model.fit(dataset.subset(train))
     test_ds = dataset.subset(test)
@@ -162,34 +153,6 @@ def _cv_fold_worker(
     )
 
 
-def _cv_fold_batch_worker(
-    args: Tuple[
-        DatasetHandle,
-        Tuple[str, ...],
-        str,
-        str,
-        Tuple[Tuple[np.ndarray, np.ndarray], ...],
-        str,
-    ],
-) -> List[Tuple[np.ndarray, float, Dict[str, float], int]]:
-    """Fit and score one batch of CV folds against a shared dataset.
-
-    The zero-copy variant of :func:`_cv_fold_worker`: the work item
-    carries a :class:`~repro.acquisition.dataset.DatasetHandle` and
-    this worker's fold slices instead of the pickled dataset; each fold
-    runs the exact per-fold worker, so the flattened batch outcomes are
-    bitwise-identical to per-fold dispatch.
-    """
-    handle, counters, cov_type, estimator, folds, on_zero = args
-    dataset = handle.resolve()
-    return [
-        _cv_fold_worker(
-            (dataset, counters, cov_type, estimator, train, test, on_zero)
-        )
-        for train, test in folds
-    ]
-
-
 def cv_out_of_fold_predictions(
     dataset: PowerDataset,
     counters: Sequence[str],
@@ -200,8 +163,6 @@ def cv_out_of_fold_predictions(
     estimator: str = "ols",
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
     fast: bool = True,
 ) -> Tuple[np.ndarray, Tuple[float, ...], List[Dict[str, float]]]:
     """k-fold CV with random indexing: out-of-fold predictions.
@@ -210,11 +171,7 @@ def cv_out_of_fold_predictions(
     per-fold fit metrics [R², Adj.R²]).  ``estimator="huber"`` runs the
     robust per-fold fits.  ``on_zero="skip"`` lets degraded pipelines
     survive zero-power rows in a fold's MAPE; each occurrence is
-    recorded in the ``issues`` sink when one is given.  Folds run on
-    the ``parallel``/``max_workers`` backend (see
-    :mod:`repro.parallel`), assembled in fold order — bit-identical to
-    serial; the process backend shares the dataset through a zero-copy
-    arena and dispatches fold batches as handles.  ``fast`` solves the
+    recorded in the ``issues`` sink when one is given.  ``fast`` solves the
     OLS folds from Gram downdates (:mod:`repro.stats.fastfit`) within 1e-9
     relative tolerance of the per-fold refits; Huber folds and any fold
     the solver declines take the exact path.
@@ -224,7 +181,7 @@ def cv_out_of_fold_predictions(
     )
     if estimator == "ols" and fast:
         # Constructing the model validates the counter list (duplicate
-        # names) exactly as the per-fold workers would.
+        # names) exactly as the per-fold fits would.
         PowerModel(tuple(counters), cov_type=cov_type, estimator=estimator)
         solver = FoldGramSolver(
             dataset.power_w, design_matrix(dataset, list(counters))
@@ -238,9 +195,9 @@ def cv_out_of_fold_predictions(
                 # slow-path fit with its historical errors.
                 n_declined += 1
                 outcomes.append(
-                    _cv_fold_worker(
-                        (dataset, tuple(counters), cov_type, estimator,
-                         train, test, on_zero)
+                    _cv_fold(
+                        dataset, tuple(counters), cov_type, estimator,
+                        train, test, on_zero,
                     )
                 )
                 continue
@@ -264,50 +221,13 @@ def cv_out_of_fold_predictions(
                 "to the exact fit path"
             )
     else:
-        # Fold fits are sub-millisecond: the small-task guard keeps
-        # pool backends away unless the fold count can amortize them.
-        executor = resolve_executor(
-            parallel, max_workers, n_items=len(splits),
-            min_items_per_worker=8,
-        )
-        if isinstance(executor, ProcessExecutor):
-            # Zero-copy dispatch: publish the dataset once, ship
-            # handles plus contiguous fold batches; flatten in batch
-            # order = fold order.
-            with SharedArena() as arena:
-                handle = dataset.share(arena)
-                batches = split_batches(splits, executor.max_workers)
-                nested = executor.map(
-                    _cv_fold_batch_worker,
-                    [
-                        (
-                            handle,
-                            tuple(counters),
-                            cov_type,
-                            estimator,
-                            tuple(batch),
-                            on_zero,
-                        )
-                        for batch in batches
-                    ],
-                )
-            outcomes = [outcome for sub in nested for outcome in sub]
-        else:
-            outcomes = executor.map(
-                _cv_fold_worker,
-                [
-                    (
-                        dataset,
-                        tuple(counters),
-                        cov_type,
-                        estimator,
-                        train,
-                        test,
-                        on_zero,
-                    )
-                    for train, test in splits
-                ],
+        outcomes = [
+            _cv_fold(
+                dataset, tuple(counters), cov_type, estimator, train, test,
+                on_zero,
             )
+            for train, test in splits
+        ]
     preds = np.full(dataset.n_samples, np.nan)
     fold_mapes: List[float] = []
     fold_fits: List[Dict[str, float]] = []
@@ -422,8 +342,6 @@ def scenario_cv_all(
     estimator: str = "ols",
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
     fast: bool = True,
 ) -> ScenarioResult:
     """Scenario 3: 10-fold CV over all experiments (the Table II run)."""
@@ -435,8 +353,6 @@ def scenario_cv_all(
         estimator=estimator,
         on_zero=on_zero,
         issues=issues,
-        parallel=parallel,
-        max_workers=max_workers,
         fast=fast,
     )
     return ScenarioResult(
@@ -456,8 +372,6 @@ def scenario_cv_synthetic(
     estimator: str = "ols",
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
     fast: bool = True,
 ) -> ScenarioResult:
     """Scenario 4: 10-fold CV over the roco2 experiments only."""
@@ -472,8 +386,6 @@ def scenario_cv_synthetic(
         estimator=estimator,
         on_zero=on_zero,
         issues=issues,
-        parallel=parallel,
-        max_workers=max_workers,
         fast=fast,
     )
     return ScenarioResult(
@@ -492,8 +404,6 @@ def run_all_scenarios(
     n_train_random: int = 4,
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
     fast: bool = True,
 ) -> Dict[str, ScenarioResult]:
     """All four scenarios (Fig. 4), keyed by scenario name."""
@@ -508,8 +418,6 @@ def run_all_scenarios(
             seed=seed,
             on_zero=on_zero,
             issues=issues,
-            parallel=parallel,
-            max_workers=max_workers,
             fast=fast,
         ),
         SCENARIO_NAMES[3]: scenario_cv_synthetic(
@@ -518,8 +426,6 @@ def run_all_scenarios(
             seed=seed,
             on_zero=on_zero,
             issues=issues,
-            parallel=parallel,
-            max_workers=max_workers,
             fast=fast,
         ),
     }

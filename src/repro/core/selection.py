@@ -25,18 +25,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.acquisition.dataset import DatasetHandle, PowerDataset
+from repro.acquisition.dataset import PowerDataset
 from repro.core.features import design_matrix
 from repro.core.model import ESTIMATORS, PowerModel
-from repro.parallel import (
-    BaseExecutor,
-    ProcessExecutor,
-    SharedArena,
-    resolve_executor,
-    split_batches,
-)
 from repro.stats.errors import EstimationError
-from repro.stats.fastfit import GramCache, GramCacheHandle
+from repro.stats.fastfit import GramCache
 from repro.stats.selection_criteria import CRITERIA
 from repro.stats.vif import VIF_PROBLEM_THRESHOLD, mean_vif
 
@@ -110,23 +103,21 @@ class SelectionResult:
 
 
 def _evaluate_candidate(
-    args: Tuple[
-        PowerDataset,
-        Tuple[str, ...],
-        str,
-        Optional[float],
-        str,
-        str,
-        str,
-    ],
+    dataset: PowerDataset,
+    selected: Sequence[str],
+    event: str,
+    max_vif: Optional[float],
+    cov_type: str,
+    estimator: str,
+    criterion: str,
 ) -> Tuple[object, ...]:
     """Score one candidate event for one greedy step.
 
-    Module-level (picklable) worker for the per-step fan-out; returns a
-    tagged tuple so the pool-order reduction in :func:`select_events`
-    reproduces the serial loop's warnings and tie handling exactly.
+    Returns a tagged tuple — ``("vif", event)``, ``("error", event,
+    message)`` or ``("ok", event, score, r2, adj_r2)`` — that the
+    pool-order reduction in :func:`select_events` turns into warnings,
+    ties and the step winner.
     """
-    dataset, selected, event, max_vif, cov_type, estimator, criterion = args
     trial = list(selected) + [event]
     if max_vif is not None and len(trial) > 1:
         trial_vif = mean_vif(dataset.counter_matrix(trial))
@@ -142,52 +133,6 @@ def _evaluate_candidate(
     return ("ok", event, score, fitted.rsquared, fitted.rsquared_adj)
 
 
-def _evaluate_candidate_batch(
-    args: Tuple[
-        DatasetHandle,
-        Tuple[str, ...],
-        Tuple[str, ...],
-        Optional[float],
-        str,
-        str,
-        str,
-    ],
-) -> List[Tuple[object, ...]]:
-    """Score one batch of candidates against a shared dataset.
-
-    The zero-copy variant of :func:`_evaluate_candidate`: the work item
-    carries a :class:`~repro.acquisition.dataset.DatasetHandle` and a
-    slice of the candidate pool instead of the pickled dataset, and one
-    dispatch covers a whole worker's share.  Each candidate runs the
-    exact per-candidate evaluation, so the flattened batch results are
-    bitwise-identical to per-item dispatch.
-    """
-    handle, selected, events, max_vif, cov_type, estimator, criterion = args
-    dataset = handle.resolve()
-    return [
-        _evaluate_candidate(
-            (dataset, selected, event, max_vif, cov_type, estimator,
-             criterion)
-        )
-        for event in events
-    ]
-
-
-def _score_candidates_shared(
-    args: Tuple[GramCacheHandle, Tuple[int, ...], Tuple[int, ...], str],
-) -> List[Optional[Tuple[float, float, float]]]:
-    """Score one chunk of fast-path candidates from the shared cache.
-
-    Workers reconstruct the :class:`~repro.stats.fastfit.GramCache`
-    from shared buffers (memoized per process) and run the same
-    column-separable scoring kernel the parent would; chunk results
-    concatenate to the parent's single batched call bitwise.
-    """
-    handle, sel_pos, cand_pos, criterion = args
-    cache = GramCache.from_handle(handle)
-    return cache.score_candidates(list(sel_pos), list(cand_pos), criterion)
-
-
 def _fast_step_evaluations(
     dataset: PowerDataset,
     cache: GramCache,
@@ -197,26 +142,17 @@ def _fast_step_evaluations(
     max_vif: Optional[float],
     cov_type: str,
     criterion: str,
-    executor: Optional[BaseExecutor] = None,
-    cache_handle: Optional[GramCacheHandle] = None,
 ) -> List[Tuple[object, ...]]:
     """One greedy step through the Gram cache.
 
-    Produces the same pool-ordered tagged tuples as the
-    :func:`_evaluate_candidate` fan-out: the VIF guard runs through the
-    cache's memoized correlations (bitwise-identical to the slow
-    guard), the surviving candidates are scored in one batched
+    Produces the same pool-ordered tagged tuples as
+    :func:`_evaluate_candidate` does per candidate: the VIF guard runs
+    through the cache's memoized correlations (bitwise-identical to the
+    slow guard), the surviving candidates are scored in one batched
     bordered-Cholesky update, and any candidate the kernel declines
     (degraded or ill-conditioned trial design) is re-evaluated through
     the exact slow path so its score, skip warning or error message is
     reproduced verbatim.
-
-    With a process ``executor`` and a published ``cache_handle`` the
-    batched scoring is chunked across workers — one contiguous slice
-    per worker slot against the shared buffers.  Column-separability
-    of the kernel makes the concatenated chunks bitwise-identical to
-    the single batched call, so the reduce downstream cannot tell the
-    difference.
     """
     sel_pos = [pool_pos[e] for e in selected]
     evaluations: List[Optional[Tuple[object, ...]]] = [None] * len(remaining)
@@ -229,36 +165,14 @@ def _fast_step_evaluations(
                 continue
         admissible.append(i)
     admissible_pos = [pool_pos[remaining[i]] for i in admissible]
-    # Chunks must carry >= 2 candidates each: BLAS routes a one-column
-    # matmul through gemv, whose accumulation order differs from gemm's
-    # by ~1 ulp — a size-1 chunk would break bitwise equality with the
-    # parent's batched call (guarded by the fastfit chunking tests).
-    if (
-        cache_handle is not None
-        and executor is not None
-        and len(admissible) >= 4
-    ):
-        chunks = split_batches(
-            admissible_pos, min(executor.max_workers, len(admissible) // 2)
-        )
-        nested = executor.map(
-            _score_candidates_shared,
-            [
-                (cache_handle, tuple(sel_pos), tuple(chunk), criterion)
-                for chunk in chunks
-            ],
-        )
-        scores = [score for chunk_scores in nested for score in chunk_scores]
-    else:
-        scores = cache.score_candidates(sel_pos, admissible_pos, criterion)
+    scores = cache.score_candidates(sel_pos, admissible_pos, criterion)
     for i, entry in zip(admissible, scores):
         event = remaining[i]
         if entry is None:
             # Not fast-eligible: exact slow-path evaluation (max_vif
             # already enforced above, hence None here).
             evaluations[i] = _evaluate_candidate(
-                (dataset, tuple(selected), event, None, cov_type, "ols",
-                 criterion)
+                dataset, selected, event, None, cov_type, "ols", criterion
             )
         else:
             score, r2, adj = entry
@@ -276,8 +190,6 @@ def select_events(
     cov_type: str = "HC3",
     estimator: str = "ols",
     on_missing: str = "raise",
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
     fast: bool = True,
 ) -> SelectionResult:
     """Run Algorithm 1 on a dataset.
@@ -307,14 +219,6 @@ def select_events(
         campaign may have dropped entire counters): ``"raise"`` keeps
         the strict historical ``KeyError``; ``"skip"`` drops them from
         the pool and records a selection-level warning.
-    parallel, max_workers:
-        Backend for each step's candidate fan-out (see
-        :mod:`repro.parallel`).  Candidate fits are independent, and
-        the reduction below walks results in pool order, so every
-        backend selects bit-identically.  The process backend
-        dispatches through a zero-copy shared-memory arena (dataset
-        columns or Gram-cache buffers published once, work items
-        carrying handles and contiguous candidate batches).
     fast:
         Score candidates through the Gram-cache fast-fit kernel
         (:mod:`repro.stats.fastfit`) instead of one full OLS refit per
@@ -329,9 +233,7 @@ def select_events(
     Candidates are scanned in pool order and a challenger must *strictly*
     beat the incumbent, so exact criterion ties resolve to the earliest
     pool entry and reruns on identical data reproduce bit-identical
-    selections — parallel evaluation preserves this because results are
-    reduced in pool order, never completion order.  Observed ties are
-    recorded in the step's ``warnings``.
+    selections.  Observed ties are recorded in the step's ``warnings``.
     """
     if criterion not in CRITERIA:
         raise ValueError(
@@ -372,13 +274,6 @@ def select_events(
                 f"cannot select {n_events} events from {len(pool)} candidates"
             )
 
-    # Candidate fits are ~100 µs each: demand a healthy batch per
-    # worker before letting a pool backend near them (the small-task
-    # guard keeps a global REPRO_PARALLEL=process from regressing this
-    # stage — see resolve_executor).
-    executor = resolve_executor(
-        parallel, max_workers, n_items=len(pool), min_items_per_worker=16
-    )
     cache: Optional[GramCache] = None
     pool_pos: dict = {}
     if fast and estimator == "ols":
@@ -388,135 +283,84 @@ def select_events(
             dataset.counter_matrix(pool),
         )
         pool_pos = {event: i for i, event in enumerate(pool)}
-    # Zero-copy dispatch for the process backend: publish the shared
-    # state (Gram-cache buffers on the fast path, the dataset columns
-    # on the slow one) once, then fan out ~100-byte handles per step.
-    # Serial and thread backends take the per-candidate path.
-    arena: Optional[SharedArena] = None
-    dataset_handle: Optional[DatasetHandle] = None
-    cache_handle: Optional[GramCacheHandle] = None
-    if isinstance(executor, ProcessExecutor):
-        arena = SharedArena()
-        if cache is not None:
-            cache_handle = cache.share(arena)
-        else:
-            dataset_handle = dataset.share(arena)
     selected: List[str] = []
     steps: List[SelectionStep] = []
     remaining = list(pool)
 
-    try:
-        while len(selected) < n_events:
-            best: Optional[Tuple[str, float, float, float]] = None
-            step_warnings: List[str] = []
-            scores: List[Tuple[str, float]] = []
-            if cache is not None:
-                evaluations = _fast_step_evaluations(
-                    dataset, cache, pool_pos, selected, remaining,
-                    max_vif, cov_type, criterion,
-                    executor=executor if cache_handle is not None else None,
-                    cache_handle=cache_handle,
-                )
-            elif dataset_handle is not None:
-                # Batched zero-copy dispatch: one contiguous candidate
-                # slice per worker; flattening in batch order restores
-                # pool order for the reduce below.
-                batches = split_batches(remaining, executor.max_workers)
-                nested = executor.map(
-                    _evaluate_candidate_batch,
-                    [
-                        (
-                            dataset_handle,
-                            tuple(selected),
-                            tuple(batch),
-                            max_vif,
-                            cov_type,
-                            estimator,
-                            criterion,
-                        )
-                        for batch in batches
-                    ],
-                )
-                evaluations = [ev for sub in nested for ev in sub]
-            else:
-                evaluations = executor.map(
-                    _evaluate_candidate,
-                    [
-                        (
-                            dataset,
-                            tuple(selected),
-                            event,
-                            max_vif,
-                            cov_type,
-                            estimator,
-                            criterion,
-                        )
-                        for event in remaining
-                    ],
-                )
-            # Reduce in pool order — identical to the historical serial
-            # loop, whichever backend produced the evaluations.
-            for evaluation in evaluations:
-                tag = evaluation[0]
-                if tag == "vif":
-                    continue
-                if tag == "error":
-                    _, event, message = evaluation
-                    step_warnings.append(
-                        f"candidate {event!r} skipped: {message}"
-                    )
-                    continue
-                _, event, score, r2, adj = evaluation
-                scores.append((event, score))
-                if best is None or score > best[1]:
-                    best = (event, score, r2, adj)
-            if best is None:
-                # Every remaining candidate violates the VIF constraint
-                # or failed to fit on the degraded data.
-                if step_warnings:
-                    run_warnings.extend(step_warnings)
-                run_warnings.append(
-                    f"selection stopped early at {len(selected)} of "
-                    f"{n_events} events: no admissible candidate remains"
-                )
-                break
-            event, score, r2, adj = best
-            ties = [
-                e
-                for e, s in scores
-                if e != event and s == score  # replint: ignore[RL004] -- exact tie detection is intentional
-            ]
-            if ties:
-                step_warnings.append(
-                    f"criterion tie with {', '.join(sorted(ties))}; kept "
-                    f"{event!r} (earliest in pool order)"
-                )
-            selected.append(event)
-            remaining.remove(event)
-            if cache is not None:
-                vif = cache.mean_vif([pool_pos[e] for e in selected])
-            else:
-                vif = mean_vif(dataset.counter_matrix(selected))
-            if np.isinf(vif):
-                step_warnings.append(
-                    "mean VIF is infinite: selected set contains perfectly "
-                    "collinear columns"
-                )
-            steps.append(
-                SelectionStep(
-                    counter=event,
-                    rsquared=r2,
-                    rsquared_adj=adj,
-                    mean_vif=vif,
-                    criterion_value=score,
-                    warnings=tuple(step_warnings),
-                )
+    while len(selected) < n_events:
+        best: Optional[Tuple[str, float, float, float]] = None
+        step_warnings: List[str] = []
+        scores: List[Tuple[str, float]] = []
+        if cache is not None:
+            evaluations = _fast_step_evaluations(
+                dataset, cache, pool_pos, selected, remaining,
+                max_vif, cov_type, criterion,
             )
-    finally:
-        # Leak-proof lifecycle: segments are unlinked on normal exit,
-        # worker crash and injected faults alike.
-        if arena is not None:
-            arena.close()
+        else:
+            evaluations = [
+                _evaluate_candidate(
+                    dataset, selected, event, max_vif, cov_type, estimator,
+                    criterion,
+                )
+                for event in remaining
+            ]
+        # Reduce in pool order.
+        for evaluation in evaluations:
+            tag = evaluation[0]
+            if tag == "vif":
+                continue
+            if tag == "error":
+                _, event, message = evaluation
+                step_warnings.append(
+                    f"candidate {event!r} skipped: {message}"
+                )
+                continue
+            _, event, score, r2, adj = evaluation
+            scores.append((event, score))
+            if best is None or score > best[1]:
+                best = (event, score, r2, adj)
+        if best is None:
+            # Every remaining candidate violates the VIF constraint
+            # or failed to fit on the degraded data.
+            if step_warnings:
+                run_warnings.extend(step_warnings)
+            run_warnings.append(
+                f"selection stopped early at {len(selected)} of "
+                f"{n_events} events: no admissible candidate remains"
+            )
+            break
+        event, score, r2, adj = best
+        ties = [
+            e
+            for e, s in scores
+            if e != event and s == score  # replint: ignore[RL004] -- exact tie detection is intentional
+        ]
+        if ties:
+            step_warnings.append(
+                f"criterion tie with {', '.join(sorted(ties))}; kept "
+                f"{event!r} (earliest in pool order)"
+            )
+        selected.append(event)
+        remaining.remove(event)
+        if cache is not None:
+            vif = cache.mean_vif([pool_pos[e] for e in selected])
+        else:
+            vif = mean_vif(dataset.counter_matrix(selected))
+        if np.isinf(vif):
+            step_warnings.append(
+                "mean VIF is infinite: selected set contains perfectly "
+                "collinear columns"
+            )
+        steps.append(
+            SelectionStep(
+                counter=event,
+                rsquared=r2,
+                rsquared_adj=adj,
+                mean_vif=vif,
+                criterion_value=score,
+                warnings=tuple(step_warnings),
+            )
+        )
     return SelectionResult(
         steps=tuple(steps),
         criterion=criterion,

@@ -26,9 +26,9 @@ from repro.core.scenarios import ScenarioResult, scenario_cv_all
 from repro.core.selection import SelectionResult, select_events
 from repro.hardware.dvfs import PAPER_FREQUENCIES_MHZ, SELECTION_FREQUENCY_MHZ
 from repro.hardware.platform import Platform
-from repro.parallel import StageTimer, TimingReport, resolve_executor
 from repro.seeding import DEFAULT_SEED
 from repro.stats.linalg import FitDiagnostics
+from repro.timing import StageTimer, TimingReport
 from repro.workloads.base import Workload
 from repro.workloads.registry import all_workloads
 
@@ -111,8 +111,6 @@ def run_workflow(
     sampling_interval_s: float = 0.1,
     dataset: Optional[PowerDataset] = None,
     robust: bool = False,
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
     fast: bool = True,
     audit: bool = True,
 ) -> WorkflowResult:
@@ -138,16 +136,6 @@ def run_workflow(
         ``warnings``.  Robust validation additionally scores fold MAPEs
         with ``on_zero="skip"``, recording skipped rows as warnings, so
         one corrupt sample cannot abort the whole evaluation.
-    parallel, max_workers:
-        Execution backend for the acquisition, selection and validation
-        stages (see :mod:`repro.parallel`); the result is bit-identical
-        whichever backend runs, and per-stage wall time lands in
-        ``result.timing``.  Under the process backend the selection and
-        validation stages dispatch through the zero-copy shared-memory
-        arena (each stage publishes its arrays once, closes — and
-        thereby unlinks — its segments on the way out, success or
-        failure, so a completed workflow leaves nothing in
-        ``/dev/shm``).
     fast:
         Run selection and cross validation through the Gram-cache
         fast-fit kernels (:mod:`repro.stats.fastfit`; default on,
@@ -168,7 +156,6 @@ def run_workflow(
         )
 
     run_warnings: list = []
-    executor = resolve_executor(parallel, max_workers)
     timer = StageTimer()
     if dataset is not None:
         full = dataset
@@ -177,17 +164,13 @@ def run_workflow(
             list(workloads) if workloads is not None else all_workloads()
         )
         with timer.stage(
-            "acquisition",
-            n_items=len(workloads) * len(frequencies_mhz),
-            executor=executor,
+            "acquisition", n_items=len(workloads) * len(frequencies_mhz)
         ):
             full = run_campaign(
                 platform,
                 workloads,
                 frequencies_mhz,
                 sampling_interval_s=sampling_interval_s,
-                parallel=executor.kind,
-                max_workers=executor.max_workers,
             )
     if full.n_samples == 0:
         raise ValueError("workflow dataset is empty")
@@ -225,17 +208,13 @@ def run_workflow(
                 f"carries only {n_candidates} counters; clamping"
             )
             effective_n_events = n_candidates
-    with timer.stage(
-        "selection", n_items=len(selection_ds.counter_names), executor=executor
-    ):
+    with timer.stage("selection", n_items=len(selection_ds.counter_names)):
         selection = select_events(
             selection_ds,
             effective_n_events,
             criterion=criterion,
             estimator=estimator,
             on_missing="skip" if robust else "raise",
-            parallel=executor.kind,
-            max_workers=executor.max_workers,
             fast=fast,
         )
     run_warnings.extend(selection.warnings)
@@ -259,7 +238,7 @@ def run_workflow(
         )
         n_splits = full.n_samples
     cv_issues: list = []
-    with timer.stage("validation", n_items=n_splits, executor=executor):
+    with timer.stage("validation", n_items=n_splits):
         validation = scenario_cv_all(
             full,
             selection.selected,
@@ -268,8 +247,6 @@ def run_workflow(
             estimator=estimator,
             on_zero="skip" if robust else "raise",
             issues=cv_issues,
-            parallel=executor.kind,
-            max_workers=executor.max_workers,
             fast=fast,
         )
     run_warnings.extend(cv_issues)

@@ -6,8 +6,6 @@ Usage::
     repro-experiments table1 fig4    # run a subset
     repro-experiments --list         # show available experiments
     repro-experiments --seed 7       # different measurement campaign
-    repro-experiments --parallel process --max-workers 4   # DVFS sweep
-                                      # fanned out over worker processes
 """
 
 from __future__ import annotations
@@ -17,13 +15,8 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import data
-from repro.parallel import (
-    MONOTONIC_CLOCK,
-    PARALLEL_KINDS,
-    StageTimer,
-    resolve_executor,
-)
 from repro.seeding import DEFAULT_SEED
+from repro.timing import MONOTONIC_CLOCK, StageTimer
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -56,14 +49,12 @@ EXPERIMENTS: Dict[str, Callable[[int], str]] = {
 }
 
 
-def _run_experiment(item: Tuple[str, int]) -> Tuple[str, str, float]:
-    """Run one experiment (module-level, picklable: the worker pickles
-    only (name, seed) and resolves the callable in its own process).
+def _run_experiment(name: str, seed: int) -> Tuple[str, str, float]:
+    """Run one experiment; returns (name, rendered report, elapsed s).
 
     Elapsed time uses the repository's monotonic clock — wall-clock
     sources jump under NTP corrections and suspend/resume.
     """
-    name, seed = item
     t0 = MONOTONIC_CLOCK()
     report = EXPERIMENTS[name](seed)
     return name, report, MONOTONIC_CLOCK() - t0
@@ -106,22 +97,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DIR",
         help="also write every artifact as CSV/JSON into DIR",
     )
-    parser.add_argument(
-        "--parallel",
-        choices=PARALLEL_KINDS,
-        default=None,
-        help=(
-            "execution backend for the experiment sweep (default: the "
-            "REPRO_PARALLEL environment variable, else serial)"
-        ),
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for --parallel thread/process",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -148,23 +123,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         written = export_all(args.export_dir, seed=args.seed)
         print(f"exported {len(written)} files to {args.export_dir}")
 
-    executor = resolve_executor(args.parallel, args.max_workers)
     timer = StageTimer()
-    work = [(name, args.seed) for name in chosen]
-    with timer.stage("experiments", n_items=len(work), executor=executor):
-        if executor.kind == "serial":
-            # Stream each report as it finishes.
-            for item in work:
-                _print_report(*_run_experiment(item))
-        else:
-            # Reports print after the sweep, in request order — never in
-            # completion order.
-            for result in executor.map(_run_experiment, work):
-                _print_report(*result)
+    with timer.stage("experiments", n_items=len(chosen)):
+        for name in chosen:
+            _print_report(*_run_experiment(name, args.seed))
     report = timer.report()
+    # The end-to-end benchmark drops this line from its output digest
+    # by its exact shape, parenthesised suffix included.
     print(
-        f"ran {len(work)} experiment(s) in {report.total_s:.1f} s "
-        f"({executor.describe()})"
+        f"ran {len(chosen)} experiment(s) in {report.total_s:.1f} s "
+        f"(seed {args.seed})"
     )
     return 0
 

@@ -53,8 +53,6 @@ class FaultInjector:
         self.plan = plan
         self.root_seed = int(root_seed)
         #: Count of faults actually injected, by kind (report material).
-        #: Advisory under parallel execution: thread workers share (and
-        #: lock) this counter, process workers count in their own copy.
         self.injected: Counter = Counter()
         self._lock = threading.Lock()
 

@@ -71,13 +71,6 @@ DEFAULT_LINALG_MODULES: Tuple[str, ...] = (
     "stats/linalg.py",
 )
 
-#: Modules allowed to import ``concurrent.futures``/``multiprocessing``
-#: (RL009): the deterministic executor layer itself.
-DEFAULT_PARALLEL_MODULES: Tuple[str, ...] = (
-    "*/repro/parallel/*",
-    "repro/parallel/*",
-)
-
 #: Directories whose changes alter campaign physics (RL005).
 DEFAULT_PHYSICS_PATHS: Tuple[str, ...] = (
     "src/repro/hardware/",
@@ -118,7 +111,6 @@ class LintConfig:
     seeding_modules: Tuple[str, ...] = DEFAULT_SEEDING_MODULES
     atomic_modules: Tuple[str, ...] = DEFAULT_ATOMIC_MODULES
     linalg_modules: Tuple[str, ...] = DEFAULT_LINALG_MODULES
-    parallel_modules: Tuple[str, ...] = DEFAULT_PARALLEL_MODULES
     physics_paths: Tuple[str, ...] = DEFAULT_PHYSICS_PATHS
     version_file: str = DEFAULT_VERSION_FILE
     version_symbol: str = DEFAULT_VERSION_SYMBOL
@@ -181,7 +173,6 @@ class LintConfig:
             ("seeding-modules", "seeding_modules"),
             ("atomic-modules", "atomic_modules"),
             ("linalg-modules", "linalg_modules"),
-            ("parallel-modules", "parallel_modules"),
             ("physics-paths", "physics_paths"),
             ("audit-gated-modules", "audit_gated_modules"),
             ("queue-modules", "queue_modules"),

@@ -13,10 +13,8 @@ from repro.lint.rules.rl005_cache_version import CacheVersionDiscipline
 from repro.lint.rules.rl006_atomic_write import NonAtomicCacheWrite
 from repro.lint.rules.rl007_silent_except import SilentBroadExcept
 from repro.lint.rules.rl008_raw_linalg import NoRawLinalgSolvers
-from repro.lint.rules.rl009_parallel_primitives import NoRawParallelPrimitives
 from repro.lint.rules.rl011_unaudited_report import NoUnauditedReport
 from repro.lint.rules.rl013_unbounded_queue import NoUnboundedQueue
-from repro.lint.rules.rl014_raw_shm import NoRawSharedMemory
 
 __all__ = [
     "all_rules",
@@ -28,10 +26,8 @@ __all__ = [
     "NonAtomicCacheWrite",
     "SilentBroadExcept",
     "NoRawLinalgSolvers",
-    "NoRawParallelPrimitives",
     "NoUnauditedReport",
     "NoUnboundedQueue",
-    "NoRawSharedMemory",
 ]
 
 
@@ -46,8 +42,6 @@ def all_rules(*, diff_base: str = "HEAD") -> List[Rule]:
         NonAtomicCacheWrite(),
         SilentBroadExcept(),
         NoRawLinalgSolvers(),
-        NoRawParallelPrimitives(),
         NoUnauditedReport(),
         NoUnboundedQueue(),
-        NoRawSharedMemory(),
     ]

@@ -14,13 +14,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel import (
-    ProcessExecutor,
-    SharedArena,
-    resolve_executor,
-    split_batches,
-)
-from repro.parallel.arena import ArrayHandle
 from repro.stats.fastfit import FoldGramSolver
 from repro.stats.linalg import add_constant
 from repro.stats.metrics import mape, r2_score
@@ -161,10 +154,14 @@ def _robust_fit(y: np.ndarray, x: np.ndarray) -> OLSResult:
 
 
 def _score_fold(
-    args: Tuple[FitFn, np.ndarray, np.ndarray, np.ndarray, np.ndarray, str],
+    fit_fn: FitFn,
+    y_train: np.ndarray,
+    x_train: np.ndarray,
+    y_test: np.ndarray,
+    x_test: np.ndarray,
+    on_zero: str,
 ) -> FoldScore:
-    """Fit and score one fold (module-level, picklable worker)."""
-    fit_fn, y_train, x_train, y_test, x_test, on_zero = args
+    """Fit and score one fold."""
     res = fit_fn(y_train, x_train)
     pred = res.predict(x_test)
     return FoldScore(
@@ -175,32 +172,6 @@ def _score_fold(
         n_train=y_train.size,
         n_test=y_test.size,
     )
-
-
-def _score_fold_batch(
-    args: Tuple[
-        FitFn,
-        ArrayHandle,
-        ArrayHandle,
-        Tuple[Tuple[np.ndarray, np.ndarray], ...],
-        str,
-    ],
-) -> List[FoldScore]:
-    """Fit and score one batch of folds against shared ``y``/``x``.
-
-    The zero-copy variant of :func:`_score_fold`: the work item carries
-    arena handles for the full ``y``/``x`` plus this worker's fold
-    index slices; each fold slices the shared arrays exactly as the
-    parent would (fancy indexing copies the same values), so the
-    flattened batch scores are bitwise-identical to per-fold dispatch.
-    """
-    fit_fn, y_handle, x_handle, folds, on_zero = args
-    y = y_handle.resolve()
-    x = x_handle.resolve()
-    return [
-        _score_fold((fit_fn, y[train], x[train], y[test], x[test], on_zero))
-        for train, test in folds
-    ]
 
 
 def _fast_fold_scores(
@@ -222,8 +193,7 @@ def _fast_fold_scores(
         if fit is None:
             scores.append(
                 _score_fold(
-                    (_default_fit, y[train], x[train], y[test], x[test],
-                     on_zero)
+                    _default_fit, y[train], x[train], y[test], x[test], on_zero
                 )
             )
             continue
@@ -250,8 +220,6 @@ def cross_validate(
     fit_fn: Optional[FitFn] = None,
     robust: bool = False,
     on_zero: str = "raise",
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
     fast: bool = True,
 ) -> CrossValidationResult:
     """k-fold cross validation of an OLS power model.
@@ -264,13 +232,7 @@ def cross_validate(
     ``robust=True`` swaps the default per-fold fit for the Huber IRLS
     estimator; an explicit ``fit_fn`` takes precedence over the flag.
     ``on_zero`` is forwarded to the fold MAPE (``"skip"`` for degraded
-    pipelines).  ``parallel`` / ``max_workers`` select the fold-fitting
-    backend (see :mod:`repro.parallel`); splits are materialised first
-    and scores assembled in fold order, so every backend is
-    bit-identical to serial.  The process backend publishes ``y``/``x``
-    into a zero-copy shared-memory arena and dispatches fold batches as
-    handles.  A custom
-    ``fit_fn`` must be picklable for ``parallel="process"``.
+    pipelines).
 
     ``fast`` routes the default OLS folds through the Gram downdate
     solver of :mod:`repro.stats.fastfit` (each fold's train Gram is the
@@ -294,33 +256,8 @@ def cross_validate(
         return CrossValidationResult(
             folds=tuple(_fast_fold_scores(y, x, splits, on_zero))
         )
-    # Fold fits are sub-millisecond: the small-task guard keeps pool
-    # backends away unless there are enough folds to amortize dispatch.
-    executor = resolve_executor(
-        parallel, max_workers, n_items=len(splits), min_items_per_worker=8
-    )
-    if isinstance(executor, ProcessExecutor):
-        # Zero-copy dispatch: publish y/x once, ship handles plus each
-        # worker's contiguous fold batch; flatten in batch order = fold
-        # order.  Serial and thread backends take the per-fold path.
-        with SharedArena() as arena:
-            y_handle = arena.publish(y)
-            x_handle = arena.publish(x)
-            batches = split_batches(splits, executor.max_workers)
-            nested = executor.map(
-                _score_fold_batch,
-                [
-                    (fit_fn, y_handle, x_handle, tuple(batch), on_zero)
-                    for batch in batches
-                ],
-            )
-        scores: List[FoldScore] = [s for sub in nested for s in sub]
-    else:
-        scores = executor.map(
-            _score_fold,
-            [
-                (fit_fn, y[train], x[train], y[test], x[test], on_zero)
-                for train, test in splits
-            ],
-        )
+    scores = [
+        _score_fold(fit_fn, y[train], x[train], y[test], x[test], on_zero)
+        for train, test in splits
+    ]
     return CrossValidationResult(folds=tuple(scores))

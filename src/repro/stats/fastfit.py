@@ -58,19 +58,10 @@ engineered and then certified per fit:
    factorization — tight to a factor ``k``, so real designs are not
    spuriously rejected.
 
-Determinism: the kernels are pure serial numpy — no executor fan-out —
-and every batched operation is column-separable, so bitwise-identical
-input columns (duplicate counters) produce bitwise-identical scores and
-the exact-tie warnings of the selection reduce are preserved verbatim.
-Column-separability is also what makes the cache *shareable*: a
-:class:`GramCache` published into a shared-memory arena
-(:meth:`GramCache.share` / :meth:`GramCache.from_handle`) can have its
-``score_candidates`` step chunked across worker processes — each chunk
-reads the same buffer bytes, runs the same column-separable kernels,
-and the concatenation of chunk results is bitwise-identical to the
-single batched call (asserted by the tier-1 suite).  The fan-out
-itself lives in the caller (:func:`repro.core.selection.select_events`);
-this module stays executor-free.
+Determinism: the kernels are pure serial numpy and every batched
+operation is column-separable, so bitwise-identical input columns
+(duplicate counters) produce bitwise-identical scores and the
+exact-tie warnings of the selection reduce are preserved verbatim.
 """
 
 from __future__ import annotations
@@ -81,7 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.arena import ArrayHandle, SharedArena
 from repro.stats.correlation import pearson
 from repro.stats.linalg import as_2d, triangular_solve, try_cholesky
 from repro.stats.ols import _design_has_constant
@@ -98,7 +88,6 @@ __all__ = [
     "FastFoldFit",
     "FoldGramSolver",
     "GramCache",
-    "GramCacheHandle",
 ]
 
 #: Certified upper bound on the *design* condition number above which
@@ -136,36 +125,6 @@ _EXCESS_RTOL = 1e-10
 
 #: ``(criterion score, R², adjusted R²)`` of one fast-scored candidate.
 CandidateScore = Tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class GramCacheHandle:
-    """Picklable shared-memory reference to a published :class:`GramCache`.
-
-    Carries one :class:`~repro.parallel.arena.ArrayHandle` per cache
-    buffer plus the scalar statistics — ~500 bytes on the wire where
-    pickling the cache itself would ship the full design matrix.  The
-    handle is hashable, so worker processes memoize the reconstructed
-    cache across work items.
-    """
-
-    y: ArrayHandle
-    design: ArrayHandle
-    rates: ArrayHandle
-    gram: ArrayHandle
-    xty: ArrayHandle
-    col_finite: ArrayHandle
-    rate_bad: ArrayHandle
-    yty: float
-    ss_tot: float
-    y_finite: bool
-
-
-#: Worker-side reconstruction memo: one :class:`GramCache` per handle
-#: per process, bounded so long-lived workers serving many selections
-#: cannot accumulate stale caches.
-_SHARED_CACHE_MEMO: Dict[GramCacheHandle, "GramCache"] = {}
-_SHARED_CACHE_MEMO_CAP = 4
 
 
 def _criterion_from_ssr(
@@ -347,72 +306,6 @@ class GramCache:
                     )
             vifs[active] = vifs_from_correlation(corr)
         return float(np.mean(vifs))
-
-    # ------------------------------------------------------------------
-    # shared-memory publication
-    # ------------------------------------------------------------------
-    def share(self, arena: "SharedArena") -> GramCacheHandle:
-        """Publish every cache buffer into ``arena``; return the handle.
-
-        The sufficient statistics (``gram``/``xty``) are published
-        alongside the raw buffers so workers reconstruct the cache
-        without recomputing a single Gram product — the resolved cache
-        reads the *same bytes* the parent computed, which is what makes
-        chunked worker-side :meth:`score_candidates` calls bitwise
-        equal to the parent's batched call.
-        """
-        return GramCacheHandle(
-            y=arena.publish(self.y),
-            design=arena.publish(self.design),
-            rates=arena.publish(self.rates),
-            gram=arena.publish(self.gram),
-            xty=arena.publish(self.xty),
-            col_finite=arena.publish(self.col_finite),
-            rate_bad=arena.publish(self._rate_bad),
-            yty=self.yty,
-            ss_tot=self.ss_tot,
-            y_finite=self.y_finite,
-        )
-
-    @classmethod
-    def from_handle(cls, handle: GramCacheHandle) -> "GramCache":
-        """Reconstruct a cache from shared buffers (worker side).
-
-        No Gram recomputation: every heavy field is a read-only view of
-        the published segment; the cheap derived fields (column norms)
-        are recomputed with the exact expressions of ``__init__`` on
-        the identical ``gram`` bytes, so they are bitwise identical
-        too.  Reconstruction is memoized per process and handle.
-        """
-        cached = _SHARED_CACHE_MEMO.get(handle)
-        if cached is not None:
-            return cached
-        cache = cls.__new__(cls)
-        cache.y = handle.y.resolve()
-        cache.design = handle.design.resolve()
-        cache.rates = handle.rates.resolve()
-        cache.n = cache.design.shape[0]
-        cache.n_candidates = cache.rates.shape[1]
-        cache.struct = tuple(
-            range(cache.n_candidates, cache.design.shape[1])
-        )
-        cache.y_finite = handle.y_finite
-        cache.col_finite = handle.col_finite.resolve()
-        cache.gram = handle.gram.resolve()
-        cache.xty = handle.xty.resolve()
-        cache.yty = handle.yty
-        cache.ss_tot = handle.ss_tot
-        diag = np.diagonal(cache.gram).copy()
-        cache.col_norm_sq = diag
-        with np.errstate(invalid="ignore"):
-            cache.col_norm = np.sqrt(np.maximum(diag, 0.0))
-        cache._rate_bad = handle.rate_bad.resolve()
-        cache._constant_memo = {}
-        cache._corr_memo = {}
-        while len(_SHARED_CACHE_MEMO) >= _SHARED_CACHE_MEMO_CAP:
-            _SHARED_CACHE_MEMO.pop(next(iter(_SHARED_CACHE_MEMO)))
-        _SHARED_CACHE_MEMO[handle] = cache
-        return cache
 
     # ------------------------------------------------------------------
     # candidate-scoring kernel

@@ -164,39 +164,3 @@ class TestPersistence:
         assert back.workloads == ds.workloads
         assert back.suites == ds.suites
         assert back.counter_names == ds.counter_names
-
-
-class TestSharedMemoryHandle:
-    def test_share_resolve_roundtrip_is_bitwise(self):
-        from repro.parallel import SharedArena
-
-        ds = _dataset()
-        with SharedArena() as arena:
-            back = ds.share(arena).resolve()
-            assert np.array_equal(back.counters, ds.counters, equal_nan=True)
-            assert np.array_equal(back.power_w, ds.power_w)
-            assert np.array_equal(back.voltage_v, ds.voltage_v)
-            assert np.array_equal(back.frequency_mhz, ds.frequency_mhz)
-            assert np.array_equal(back.threads, ds.threads)
-            assert back.workloads == ds.workloads
-            assert back.suites == ds.suites
-            assert back.phase_names == ds.phase_names
-            assert back.counter_names == ds.counter_names
-
-    def test_resolution_memoized_per_handle(self):
-        from repro.parallel import SharedArena
-
-        ds = _dataset()
-        with SharedArena() as arena:
-            handle = ds.share(arena)
-            assert handle.resolve() is handle.resolve()
-
-    def test_handle_pickles_small(self):
-        import pickle
-
-        from repro.parallel import SharedArena
-
-        ds = _dataset()
-        with SharedArena() as arena:
-            handle = ds.share(arena)
-            assert len(pickle.dumps(handle)) < 2000

@@ -17,6 +17,7 @@ import pytest
 
 from repro.acquisition.dataset import PowerDataset
 from repro.core.features import design_matrix
+from repro.core.scenarios import cv_out_of_fold_predictions
 from repro.core.selection import select_events
 from repro.stats.crossval import cross_validate
 
@@ -166,3 +167,13 @@ class TestRealDatasetEquivalence:
     def test_selection_dataset_vif_guarded(self, selection_dataset):
         slow, fast = run_both(selection_dataset, n_events=6, max_vif=5.0)
         assert_selection_equivalent(slow, fast)
+
+    def test_table2_cv_predictions(self, full_dataset, selected_counters):
+        slow = cv_out_of_fold_predictions(
+            full_dataset, selected_counters, fast=False
+        )
+        fast = cv_out_of_fold_predictions(
+            full_dataset, selected_counters, fast=True
+        )
+        np.testing.assert_allclose(slow[0], fast[0], rtol=1e-9)
+        np.testing.assert_allclose(slow[1], fast[1], rtol=1e-9)

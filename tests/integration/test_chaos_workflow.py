@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from repro.acquisition import run_resilient_campaign
-from repro.core import (
-    PowerEnvelope,
-    cv_out_of_fold_predictions,
-    estimate_run_degraded,
-    run_workflow,
-    select_events,
-)
+from repro.core import PowerEnvelope, estimate_run_degraded, run_workflow
 from repro.faults import CounterLossPlan, FaultPlan
 from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS
 from repro.hardware.platform import Platform
@@ -148,30 +142,6 @@ class TestDegradedOnlinePath:
         assert r1 == r2
 
 
-class TestParallelChaos:
-    def test_process_backend_bit_identical_under_chaos(
-        self, campaign, fault_seed
-    ):
-        """ISSUE-4 tentpole gate on the chaos path: the full degraded
-        campaign under ``parallel="process"`` reproduces the serial
-        dataset and report (timing excluded) for any CI fault seed."""
-        import dataclasses
-
-        result = degraded_campaign(
-            fault_seed, parallel="process", max_workers=2
-        )
-        assert result.dataset is not None and campaign.dataset is not None
-        assert np.array_equal(
-            result.dataset.counters, campaign.dataset.counters,
-            equal_nan=True,
-        )
-        assert np.array_equal(result.dataset.power_w, campaign.dataset.power_w)
-        assert result.dataset.counter_names == campaign.dataset.counter_names
-        assert dataclasses.replace(
-            result.report, timing=None
-        ) == dataclasses.replace(campaign.report, timing=None)
-
-
 class TestChaosAudit:
     """ISSUE-6 gate on the chaos path: a degraded acquisition run must
     come out of the audit graded minor or major — never a silent pass."""
@@ -253,95 +223,25 @@ class TestFastFitChaos:
 class TestFastsimChaos:
     """The batched acquisition kernel (phase-state memo, shared-grid
     tracer, vectorized plugins) must be invisible on degraded data for
-    every CI fault seed: the serial scalar oracle
-    (:func:`tests.oracles.acquisition.scalar_acquisition`), production
-    and the process/arena backend all produce identical datasets and
-    reports (timing excluded)."""
+    every CI fault seed: the scalar oracle
+    (:func:`tests.oracles.acquisition.scalar_acquisition`) and
+    production produce identical datasets and reports (timing
+    excluded)."""
 
     @pytest.mark.parametrize("chaos_seed", [0, 1, 2])
     def test_fastsim_bit_identical_under_chaos(self, chaos_seed):
         import dataclasses
 
         fast = degraded_campaign(chaos_seed)
-        arena = degraded_campaign(
-            chaos_seed, parallel="process", max_workers=2
-        )
         with scalar_acquisition():
             scalar = degraded_campaign(chaos_seed)
-        assert scalar.dataset is not None
-        for other in (fast, arena):
-            assert other.dataset is not None
-            assert np.array_equal(
-                scalar.dataset.counters, other.dataset.counters,
-                equal_nan=True,
-            )
-            assert np.array_equal(
-                scalar.dataset.power_w, other.dataset.power_w
-            )
-            assert np.array_equal(
-                scalar.dataset.voltage_v, other.dataset.voltage_v
-            )
-            assert (
-                scalar.dataset.counter_names == other.dataset.counter_names
-            )
-            assert dataclasses.replace(
-                scalar.report, timing=None
-            ) == dataclasses.replace(other.report, timing=None)
-
-
-class TestArenaChaos:
-    """ISSUE-9 gate on the chaos path: shared-memory process dispatch
-    must be invisible on degraded data for every CI fault seed — the
-    same selection, folds and predictions as serial, and zero leaked
-    ``/dev/shm`` segments."""
-
-    def shm_segments(self):
-        import glob
-
-        return glob.glob("/dev/shm/repro-arena-*")
-
-    def dense_campaign(self, fault_seed):
-        # More thread counts than the module default: enough surviving
-        # rows (30+) for a 16-fold CV, which is what clears the
-        # small-task guard and puts real fold batches on the pool.
-        return run_resilient_campaign(
-            Platform(seed=20170529),
-            [get_workload(w) for w in WORKLOADS],
-            FREQUENCIES,
-            events=EVENTS,
-            thread_counts=(1, 2, 4, 6, 8, 12, 16, 20, 24),
-            faults=FaultPlan.chaos(0.25, fault_seed=fault_seed),
+        assert scalar.dataset is not None and fast.dataset is not None
+        assert np.array_equal(
+            scalar.dataset.counters, fast.dataset.counters, equal_nan=True
         )
-
-    @pytest.mark.parametrize("chaos_seed", [0, 1, 2])
-    def test_selection_bit_identical_under_chaos(self, chaos_seed):
-        ds = self.dense_campaign(chaos_seed).dataset
-        assert ds is not None
-        kwargs = dict(on_missing="skip", fast=False)
-        serial = select_events(ds, 2, parallel="serial", **kwargs)
-        process = select_events(
-            ds, 2, parallel="process", max_workers=2, **kwargs
-        )
-        assert process.selected == serial.selected
-        assert process.warnings == serial.warnings
-        assert [s.criterion_value for s in process.steps] == [
-            s.criterion_value for s in serial.steps
-        ]
-        assert self.shm_segments() == []
-
-    @pytest.mark.parametrize("chaos_seed", [0, 1, 2])
-    def test_cv_bit_identical_under_chaos(self, chaos_seed):
-        ds = self.dense_campaign(chaos_seed).dataset
-        assert ds is not None
-        counters = ds.counter_names[:2]
-        kwargs = dict(n_splits=16, on_zero="skip", fast=False)
-        serial = cv_out_of_fold_predictions(
-            ds, counters, parallel="serial", **kwargs
-        )
-        arena = cv_out_of_fold_predictions(
-            ds, counters, parallel="process", max_workers=2, **kwargs
-        )
-        assert np.array_equal(serial[0], arena[0], equal_nan=True)
-        assert serial[1] == arena[1]
-        assert serial[2] == arena[2]
-        assert self.shm_segments() == []
+        assert np.array_equal(scalar.dataset.power_w, fast.dataset.power_w)
+        assert np.array_equal(scalar.dataset.voltage_v, fast.dataset.voltage_v)
+        assert scalar.dataset.counter_names == fast.dataset.counter_names
+        assert dataclasses.replace(
+            scalar.report, timing=None
+        ) == dataclasses.replace(fast.report, timing=None)

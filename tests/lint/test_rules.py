@@ -18,8 +18,6 @@ from repro.lint.rules import (
     RequireAllowPickleFalse,
     NoRawLinalgSolvers,
     NoUnauditedReport,
-    NoRawParallelPrimitives,
-    NoRawSharedMemory,
     NoUnboundedQueue,
     SilentBroadExcept,
     UnitSuffixConsistency,
@@ -489,56 +487,6 @@ class TestRL008RawLinalg:
 
 
 # ---------------------------------------------------------------------------
-class TestRL009ParallelPrimitives:
-    def test_flags_concurrent_futures_import(self):
-        bad = """
-            from concurrent.futures import ThreadPoolExecutor
-            def fan_out(fn, items):
-                with ThreadPoolExecutor() as pool:
-                    return list(pool.map(fn, items))
-        """
-        assert ids(run_rule(NoRawParallelPrimitives(), bad)) == ["RL009"]
-
-    def test_flags_plain_import(self):
-        bad = """
-            import concurrent.futures
-            import multiprocessing
-        """
-        assert ids(run_rule(NoRawParallelPrimitives(), bad)) == [
-            "RL009",
-            "RL009",
-        ]
-
-    def test_flags_multiprocessing_submodule(self):
-        bad = """
-            from multiprocessing.pool import Pool
-        """
-        assert ids(run_rule(NoRawParallelPrimitives(), bad)) == ["RL009"]
-
-    def test_passes_threading_and_executor_layer_use(self):
-        good = """
-            import threading
-            from repro.parallel import resolve_executor
-            def fan_out(fn, items):
-                return resolve_executor("thread", 4).map(fn, items)
-        """
-        assert run_rule(NoRawParallelPrimitives(), good) == []
-
-    def test_exempt_inside_parallel_layer(self):
-        code = """
-            from concurrent.futures import ProcessPoolExecutor
-        """
-        exempt = Path("src/repro/parallel/executor.py")
-        assert run_rule(NoRawParallelPrimitives(), code, path=exempt) == []
-
-    def test_inline_suppression_honoured(self):
-        code = """
-            import multiprocessing  # replint: ignore[RL009] -- cpu_count probe only, no fan-out
-        """
-        assert run_rule(NoRawParallelPrimitives(), code) == []
-
-
-# ---------------------------------------------------------------------------
 class TestRL011UnauditedReport:
     GATED = Path("src/repro/core/report.py")
 
@@ -681,75 +629,3 @@ class TestRL013UnboundedQueue:
         custom = Path("src/custom/buffer.py")
         assert run_rule(NoUnboundedQueue(), code, path=custom, config=config) == []
         assert ids(run_rule(NoUnboundedQueue(), code, config=config)) == ["RL013"]
-
-
-# ---------------------------------------------------------------------------
-class TestRL014RawSharedMemory:
-    def test_flags_submodule_import(self):
-        bad = """
-            import multiprocessing.shared_memory
-
-            seg = multiprocessing.shared_memory.SharedMemory(create=True, size=8)
-        """
-        assert ids(run_rule(NoRawSharedMemory(), bad)) == ["RL014"]
-
-    def test_flags_from_multiprocessing_import(self):
-        bad = """
-            from multiprocessing import shared_memory
-
-            seg = shared_memory.SharedMemory(create=True, size=8)
-        """
-        assert ids(run_rule(NoRawSharedMemory(), bad)) == ["RL014"]
-
-    def test_flags_from_submodule_import(self):
-        bad = """
-            from multiprocessing.shared_memory import SharedMemory
-
-            seg = SharedMemory(create=True, size=8)
-        """
-        assert ids(run_rule(NoRawSharedMemory(), bad)) == ["RL014"]
-
-    def test_flags_attribute_use_through_alias(self):
-        # `import multiprocessing as mp` may carry an RL009 suppression
-        # (cpu_count probe); raw segment ownership through the alias
-        # must still trip the narrow rule.
-        bad = """
-            import multiprocessing as mp
-
-            seg = mp.shared_memory.SharedMemory(create=True, size=8)
-        """
-        assert ids(run_rule(NoRawSharedMemory(), bad)) == ["RL014"]
-
-    def test_passes_arena_layer_use(self):
-        good = """
-            from repro.parallel import SharedArena
-
-            def publish(arrays):
-                with SharedArena() as arena:
-                    return [arena.publish(a) for a in arrays]
-        """
-        assert run_rule(NoRawSharedMemory(), good) == []
-
-    def test_passes_plain_multiprocessing_import(self):
-        # The broad fence is RL009's job; RL014 only owns segments.
-        code = """
-            import multiprocessing
-
-            n = multiprocessing.cpu_count()
-        """
-        assert run_rule(NoRawSharedMemory(), code) == []
-
-    def test_exempt_inside_parallel_layer(self):
-        code = """
-            from multiprocessing import shared_memory
-
-            seg = shared_memory.SharedMemory(create=True, size=8)
-        """
-        exempt = Path("src/repro/parallel/arena.py")
-        assert run_rule(NoRawSharedMemory(), code, path=exempt) == []
-
-    def test_inline_suppression_honoured(self):
-        code = """
-            from multiprocessing import shared_memory  # replint: ignore[RL014] -- attach-only probe in a diagnostic script
-        """
-        assert run_rule(NoRawSharedMemory(), code) == []

@@ -19,10 +19,7 @@ one-phase-at-a-time implementation of each of those stages:
 :func:`scalar_acquisition` swaps all of them in for the duration of a
 ``with`` block, so a whole campaign — strict or resilient, faulty or
 not — can be replayed on the oracle and compared byte for byte with
-production at the same seeds.  The swap is process-local, so inside
-the block the default executor is pinned to serial: a campaign left
-to the environment's backend must not hand its cells to worker
-processes that still run the production path.
+production at the same seeds.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.hardware.platform import (
     RunExecution,
 )
 from repro.hardware.power import PowerBreakdown, compute_power
-from repro.parallel import PARALLEL_ENV
 from repro.seeding import derive_rng
 from repro.tracing import phases as phases_module
 from repro.tracing.otf2 import MetricStream, Trace
@@ -390,12 +386,9 @@ def scalar_acquisition():
     Patches ``Platform.execute`` (and so every subclass that delegates
     to it, such as the fault-injecting platform), ``ScorePTracer.trace``
     and the module-level ``profile_trace`` that both phase-profile
-    generators call, and sets ``REPRO_PARALLEL=serial`` so campaigns
-    without an explicit backend stay in this process.  Everything is
-    restored on exit.
+    generators call.  Everything is restored on exit.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(PARALLEL_ENV, "serial")
         mp.setattr(Platform, "execute", scalar_execute)
         mp.setattr(ScorePTracer, "trace", scalar_trace)
         mp.setattr(phases_module, "profile_trace", scalar_profile_trace)

@@ -221,6 +221,28 @@ class TestServiceSoak:
         assert report.queue.diverted == len(NODES)
         assert report.stateless_served == len(NODES)
 
+    def test_shed_oldest_counts_every_burst_overflow(self, model, envelope):
+        """A 2x burst under ``shed-oldest``: the queue sheds the
+        overflow, counts every shed sample and never grows past its
+        cap."""
+        service = FleetService(
+            model,
+            envelope=envelope,
+            n_shards=2,
+            queue_capacity=len(NODES),
+            policy="shed-oldest",
+            seed=7,
+        )
+        rng = np.random.default_rng(5)
+        burst = make_fleet_samples(NODES, 0, rng) + make_fleet_samples(
+            NODES, 1, rng
+        )
+        service.submit(burst)
+        service.process()
+        stats = service.queue.stats()
+        assert stats.max_depth <= stats.capacity
+        assert stats.shed == len(burst) - len(NODES)
+
     def test_malformed_submissions_dropped_and_counted(
         self, model, envelope
     ):

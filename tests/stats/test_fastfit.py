@@ -211,78 +211,3 @@ class TestFoldGramSolver:
     def test_row_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="row mismatch"):
             FoldGramSolver(np.ones(5), np.ones((6, 2)))
-
-
-class TestGramCacheSharing:
-    """Shared-memory reconstruction is bitwise — the contract that lets
-    selection chunk one step's candidates across pool workers."""
-
-    def build(self, rng, n=80, k_cand=10):
-        y, design, rates = make_design(rng, n=n, k_cand=k_cand)
-        return GramCache(y, design, rates)
-
-    def test_from_handle_reads_identical_bytes(self, rng):
-        from repro.parallel import SharedArena
-
-        cache = self.build(rng)
-        with SharedArena() as arena:
-            twin = GramCache.from_handle(cache.share(arena))
-            for field in ("y", "design", "rates", "gram", "xty",
-                          "col_norm", "col_norm_sq"):
-                assert np.array_equal(
-                    getattr(twin, field), getattr(cache, field)
-                ), field
-            assert twin.yty == cache.yty
-            assert twin.ss_tot == cache.ss_tot
-            assert (twin.n, twin.n_candidates, twin.struct) == (
-                cache.n, cache.n_candidates, cache.struct
-            )
-
-    def test_shared_scoring_is_bitwise(self, rng):
-        from repro.parallel import SharedArena
-
-        cache = self.build(rng)
-        remaining = list(range(1, cache.n_candidates))
-        with SharedArena() as arena:
-            twin = GramCache.from_handle(cache.share(arena))
-            assert twin.score_candidates([0], remaining, "r2") == \
-                cache.score_candidates([0], remaining, "r2")
-            assert twin.mean_vif([0, 2, 5]) == cache.mean_vif([0, 2, 5])
-
-    def test_chunked_scoring_matches_batched(self, rng):
-        # The separability the parallel fast path rests on: scoring the
-        # remaining set in chunks concatenates to the one-shot batch.
-        # Chunks must carry >= 2 candidates — BLAS computes a one-column
-        # matmul through gemv, whose accumulation differs from gemm by
-        # ~1 ulp, which is why selection never emits size-1 chunks.
-        cache = self.build(rng, n=120, k_cand=12)
-        remaining = list(range(1, cache.n_candidates))  # 11 candidates
-        whole = cache.score_candidates([0], remaining, "adj_r2")
-        for n_chunks in (2, 3, 5):  # min chunk sizes 5/3/2
-            from repro.parallel import split_batches
-
-            chunked = [
-                s
-                for chunk in split_batches(remaining, n_chunks)
-                for s in cache.score_candidates([0], chunk, "adj_r2")
-            ]
-            assert chunked == whole, n_chunks
-
-    def test_reconstruction_memoized_per_handle(self, rng):
-        from repro.parallel import SharedArena
-
-        cache = self.build(rng)
-        with SharedArena() as arena:
-            handle = cache.share(arena)
-            assert GramCache.from_handle(handle) is GramCache.from_handle(
-                handle
-            )
-
-    def test_share_dedupes_buffers_in_arena(self, rng):
-        from repro.parallel import SharedArena
-
-        cache = self.build(rng)
-        with SharedArena() as arena:
-            first = cache.share(arena)
-            second = cache.share(arena)
-            assert first == second  # same segment names → equal handles

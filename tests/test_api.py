@@ -1,6 +1,10 @@
 """Public-API surface tests: everything advertised must resolve."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +56,26 @@ class TestPublicSurface:
             obj = getattr(repro, name)
             if callable(obj):
                 assert obj.__doc__, f"repro.{name} lacks a docstring"
+
+
+class TestImportFootprint:
+    def test_import_leaves_multiprocessing_unloaded(self):
+        """``import repro`` pulls in no process-pool machinery: every
+        fan-out is a serial loop.  Numpy and scipy do not load the
+        module themselves, so a hit means a repro module imports it."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
