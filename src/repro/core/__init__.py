@@ -34,17 +34,6 @@ from repro.core.energy import (
     phase_energy,
     run_energy,
 )
-from repro.core.changepoint import (
-    PhaseSegment,
-    cusum_changepoints,
-    detect_phases,
-    segment_mean,
-)
-from repro.core.governor import (
-    GovernorTimeline,
-    PowerCapGovernor,
-    govern_workload,
-)
 from repro.core.online import (
     ONLINE_STATE_FORMAT,
     DriftReport,
@@ -59,7 +48,6 @@ from repro.core.selection import (
     SelectionResult,
     SelectionStep,
     select_events,
-    select_events_lasso,
 )
 from repro.core.workflow import WorkflowResult, run_workflow
 
@@ -90,7 +78,6 @@ __all__ = [
     "render_series",
     "render_counts",
     "fmt",
-    "select_events_lasso",
     "EnergyAccount",
     "phase_energy",
     "run_energy",
@@ -111,11 +98,4 @@ __all__ = [
     "load_model",
     "model_to_dict",
     "model_from_dict",
-    "PowerCapGovernor",
-    "GovernorTimeline",
-    "govern_workload",
-    "cusum_changepoints",
-    "segment_mean",
-    "detect_phases",
-    "PhaseSegment",
 ]

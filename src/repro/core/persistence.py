@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import warnings as _warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -22,12 +21,15 @@ import numpy as np
 from repro.core.model import FittedPowerModel
 from repro.core.features import feature_names
 from repro.io.atomic import atomic_write_text
-from repro.stats.ols import OLSResult
+from repro.stats.ols import _HC_KINDS, OLSResult
 
 __all__ = ["model_to_dict", "model_from_dict", "save_model", "load_model"]
 
 #: Format tag so future revisions can migrate old files.
 FORMAT = "repro-power-model/1"
+
+#: Largest standard error whose square (the restored variance) is finite.
+_MAX_BSE = float(np.sqrt(np.finfo(np.float64).max))
 
 
 def model_to_dict(model: FittedPowerModel) -> Dict:
@@ -48,48 +50,92 @@ def model_to_dict(model: FittedPowerModel) -> Dict:
     }
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a finite float, or :class:`ValueError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range: {value!r}") from None
+    if not np.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return out
+
+
 def model_from_dict(payload: Dict) -> FittedPowerModel:
     """Restore a fitted model from :func:`model_to_dict` output.
 
     The restored object predicts and attributes exactly; residual
     vectors of the original fit are not persisted (they belong to the
-    calibration data, not the model).
+    calibration data, not the model).  A malformed payload — wrong
+    types, non-finite coefficients or standard errors, an unknown
+    ``cov_type`` — raises :class:`ValueError`.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"model file must hold a JSON object, got {type(payload).__name__}"
+        )
     if payload.get("format") != FORMAT:
         raise ValueError(
             f"unsupported model format {payload.get('format')!r}; "
             f"expected {FORMAT!r}"
         )
-    counters = tuple(payload["counters"])
+    counters = payload.get("counters")
+    if not isinstance(counters, list) or not all(
+        isinstance(c, str) and c for c in counters
+    ):
+        raise ValueError("'counters' must be a list of counter names")
+    if len(set(counters)) != len(counters):
+        raise ValueError(f"duplicate counters in model file: {counters}")
+    counters = tuple(counters)
+    coeffs = payload.get("coefficients")
+    if not isinstance(coeffs, dict):
+        raise ValueError("'coefficients' must be an object of name -> value")
+    fit = payload.get("fit", {})
+    if not isinstance(fit, dict):
+        raise ValueError("'fit' must be an object")
+    cov_type = payload.get("cov_type", "HC3")
+    if cov_type not in _HC_KINDS:
+        raise ValueError(f"cov_type must be one of {_HC_KINDS}, got {cov_type!r}")
     names = feature_names(counters)
-    coeffs = payload["coefficients"]
     missing = [n for n in names if n not in coeffs]
     if missing:
         raise ValueError(f"model file missing coefficients: {missing}")
-    params = np.array([coeffs[n] for n in names], dtype=np.float64)
-    fit = payload.get("fit", {})
-    bse = np.asarray(fit.get("bse", np.zeros_like(params)), dtype=np.float64)
-    if bse.shape != params.shape:
+    params = np.array(
+        [_number(coeffs[n], f"coefficient {n!r}") for n in names], dtype=np.float64
+    )
+    raw_bse = fit.get("bse", [0.0] * len(names))
+    if not isinstance(raw_bse, list) or len(raw_bse) != len(names):
         raise ValueError("standard-error vector does not match coefficients")
-    nobs = int(fit.get("nobs", len(params)))
+    bse = np.array([_number(v, "standard error") for v in raw_bse], dtype=np.float64)
+    if np.any(bse < 0) or np.any(bse > _MAX_BSE):
+        raise ValueError(
+            "standard errors must be non-negative with a finite variance"
+        )
+    nobs = fit.get("nobs", len(params))
+    if isinstance(nobs, bool) or not isinstance(nobs, int) or nobs < 1:
+        raise ValueError(f"'nobs' must be a positive integer, got {nobs!r}")
+    r2, r2_adj = (
+        _number(fit[key], key) if key in fit else float("nan")
+        for key in ("rsquared", "rsquared_adj")
+    )
     ols = OLSResult(
         params=params,
         bse=bse,
         cov_params=np.diag(bse**2),
-        rsquared=float(fit.get("rsquared", float("nan"))),
-        rsquared_adj=float(fit.get("rsquared_adj", float("nan"))),
+        rsquared=r2,
+        rsquared_adj=r2_adj,
         nobs=nobs,
         df_model=len(params),
         df_resid=max(nobs - len(params), 1),
-        cov_type=payload.get("cov_type", "HC3"),
+        cov_type=cov_type,
         fitted_values=np.array([]),
         residuals=np.array([]),
         exog_names=tuple(names),
         has_intercept=False,
     )
-    return FittedPowerModel(
-        counters=counters, ols=ols, cov_type=payload.get("cov_type", "HC3")
-    )
+    return FittedPowerModel(counters=counters, ols=ols, cov_type=cov_type)
 
 
 def _audit_gate(

@@ -37,7 +37,6 @@ __all__ = [
     "SelectionStep",
     "SelectionResult",
     "select_events",
-    "select_events_lasso",
 ]
 
 
@@ -367,76 +366,3 @@ def select_events(
         warnings=tuple(run_warnings),
     )
 
-
-def select_events_lasso(
-    dataset: PowerDataset,
-    n_events: int,
-    *,
-    candidates: Optional[Sequence[str]] = None,
-    n_alphas: int = 40,
-) -> SelectionResult:
-    """Lasso-path event selection (future-work alternative).
-
-    Runs the lasso over the full candidate feature block
-    (:math:`E_n V^2 f` for every candidate) and selects counters in the
-    order they enter the regularization path — an embedded-selection
-    alternative to the greedy wrapper of Algorithm 1 that handles
-    correlated candidates by construction.
-
-    Each selected prefix is re-fit with plain Equation 1 OLS so the
-    reported R²/Adj.R²/VIF columns are directly comparable to
-    :func:`select_events`.
-    """
-    from repro.core.features import design_matrix
-    from repro.stats.regularized import lasso_path
-
-    pool = list(candidates) if candidates is not None else list(dataset.counter_names)
-    for c in pool:
-        if c not in dataset.counter_names:
-            raise KeyError(f"candidate {c!r} not in dataset")
-    if not 1 <= n_events <= len(pool):
-        raise ValueError(
-            f"cannot select {n_events} events from {len(pool)} candidates"
-        )
-
-    # Counter-feature block only: the structural terms stay unpenalized
-    # conceptually, so we regress power minus nothing on the alpha
-    # features and let the lasso intercept absorb the rest.
-    full = design_matrix(dataset, pool)[:, : len(pool)]
-    path = lasso_path(dataset.power_w, full, n_alphas=n_alphas)
-
-    order: List[str] = []
-    for fit in path:
-        for idx in fit.selected_features():
-            name = pool[idx]
-            if name not in order:
-                order.append(name)
-        if len(order) >= n_events:
-            break
-    if len(order) < n_events:
-        # Densest path point didn't reach n_events: fall back to
-        # magnitude order at the smallest penalty.
-        last = path[-1]
-        ranked = np.argsort(-np.abs(last.coef))
-        for idx in ranked:
-            name = pool[int(idx)]
-            if name not in order:
-                order.append(name)
-            if len(order) >= n_events:
-                break
-    order = order[:n_events]
-
-    steps: List[SelectionStep] = []
-    for i in range(1, len(order) + 1):
-        prefix = order[:i]
-        fitted = PowerModel(prefix).fit(dataset)
-        steps.append(
-            SelectionStep(
-                counter=order[i - 1],
-                rsquared=fitted.rsquared,
-                rsquared_adj=fitted.rsquared_adj,
-                mean_vif=mean_vif(dataset.counter_matrix(prefix)),
-                criterion_value=fitted.rsquared,
-            )
-        )
-    return SelectionResult(steps=tuple(steps), criterion="lasso-path")

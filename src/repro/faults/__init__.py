@@ -10,7 +10,6 @@ campaign loop retries on.
 from repro.faults.errors import (
     AcquisitionError,
     FaultError,
-    NodeFailure,
     RunFailure,
 )
 from repro.faults.injector import (
@@ -39,7 +38,6 @@ __all__ = [
     "FaultError",
     "RunFailure",
     "AcquisitionError",
-    "NodeFailure",
     "OVERFLOW_RATE_PER_S",
     "PLAUSIBLE_MAX_RATE_PER_S",
     "STUCK_RUN_LENGTH",

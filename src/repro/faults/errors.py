@@ -8,7 +8,7 @@ fault statistics without parsing message strings.
 
 from __future__ import annotations
 
-__all__ = ["FaultError", "RunFailure", "AcquisitionError", "NodeFailure"]
+__all__ = ["FaultError", "RunFailure", "AcquisitionError"]
 
 
 class FaultError(RuntimeError):
@@ -40,10 +40,3 @@ class AcquisitionError(FaultError):
     overflow, or lost phases — the "silent" failure modes that would
     otherwise poison the regression dataset.
     """
-
-
-class NodeFailure(FaultError):
-    """A cluster node is dead (does not boot / heartbeat)."""
-
-    def __init__(self, message: str, *, kind: str = "dead-node") -> None:
-        super().__init__(message, kind=kind)

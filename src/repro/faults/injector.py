@@ -117,13 +117,6 @@ class FaultInjector:
                 f"run {tag} attempt {attempt}: transient crash injected"
             )
 
-    def node_is_dead(self, node_id: int) -> bool:
-        """Whether cluster node ``node_id`` never comes up."""
-        dead = self._event(self.plan.dead_node_rate, "node-dead", int(node_id))
-        if dead:
-            self._count("dead-node")
-        return dead
-
     def sensor_faults(
         self, *key: Union[str, int]
     ) -> SensorFaults:

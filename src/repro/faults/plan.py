@@ -2,7 +2,7 @@
 
 Real multi-day Score-P measurement sessions (Section III-A) are lossy:
 runs crash, power sensors drop out or flat-line, PAPI counters wrap,
-traces get truncated when a buffer fills, and cluster nodes die.  A
+and traces get truncated when a buffer fills.  A
 :class:`FaultPlan` describes *how* lossy a simulated campaign should
 be; the :class:`~repro.faults.injector.FaultInjector` turns the plan
 into concrete, deterministic fault decisions derived from the root
@@ -26,7 +26,6 @@ _RATE_FIELDS: Tuple[str, ...] = (
     "nan_sample_rate",
     "counter_overflow_rate",
     "trace_truncation_rate",
-    "dead_node_rate",
 )
 
 
@@ -37,8 +36,7 @@ class FaultPlan:
     All rates are probabilities.  ``run_failure_rate``,
     ``trace_truncation_rate``, ``sensor_dropout_rate`` and
     ``sensor_stuck_rate`` are per run attempt; ``nan_sample_rate`` is
-    per power sample; ``counter_overflow_rate`` is per (run, counter);
-    ``dead_node_rate`` is per cluster node.
+    per power sample; ``counter_overflow_rate`` is per (run, counter).
     """
 
     run_failure_rate: float = 0.0
@@ -53,8 +51,6 @@ class FaultPlan:
     """Per-(run, counter) probability of a 48-bit PMC wrap/saturation."""
     trace_truncation_rate: float = 0.0
     """Probability a trace is cut short (Score-P buffer exhaustion)."""
-    dead_node_rate: float = 0.0
-    """Per-node probability a cluster node never comes up."""
     kill_cells: Tuple[str, ...] = ()
     """``fnmatch`` patterns of ``workload:freq:threads:run_index`` cells
     that crash on *every* attempt — models a persistently broken
@@ -129,7 +125,6 @@ class FaultPlan:
             nan_sample_rate=0.02,
             counter_overflow_rate=0.5,
             trace_truncation_rate=1.0,
-            dead_node_rate=0.5,
             fault_seed=fault_seed,
         ).scaled(intensity)
 

@@ -74,7 +74,6 @@ from repro.stats.metrics import (
     rmse,
 )
 from repro.stats.ols import OLSResult, fit_ols
-from repro.stats.regularized import RegularizedFit, lasso, lasso_path, ridge
 from repro.stats.robust import HUBER_C, fit_robust, huber_weights
 from repro.stats.selection_criteria import (
     CRITERIA,
@@ -145,8 +144,4 @@ __all__ = [
     "bic",
     "criterion_value",
     "CRITERIA",
-    "RegularizedFit",
-    "ridge",
-    "lasso",
-    "lasso_path",
 ]

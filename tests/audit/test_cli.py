@@ -69,6 +69,22 @@ class TestExitCodes:
         assert main([str(bad)]) == EXIT_USAGE
         assert "repraudit: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[1, 2]",
+            '{"format": "repro-power-model/1", "counters": 5, "coefficients": {}}',
+        ],
+        ids=["not-an-object", "counters-not-a-list"],
+    )
+    def test_malformed_model_file_exits_usage(self, tmp_path, capsys, content):
+        """A well-formed JSON file that is not a model is a usage error,
+        reported in one line rather than as an escaped exception."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        assert main([str(bad)]) == EXIT_USAGE
+        assert "repraudit: error:" in capsys.readouterr().err
+
 
 class TestReporters:
     def test_json_report_parses(self, fail_model, capsys):

@@ -86,6 +86,12 @@ class TestEstimateRun:
         assert timeline.times_s.size == pytest.approx(20, abs=2)
         assert timeline.mape() < 15.0
 
+    def test_multi_phase_timeline_fidelity(self, platform, fitted):
+        run = platform.execute(get_workload("mgrid331"), 2400, 24)
+        timeline = estimate_run(platform, run, fitted, interval_s=0.5)
+        assert timeline.times_s.size > 50
+        assert timeline.mape() < 15.0
+
     def test_multi_phase_run_follows_transitions(self, platform, fitted):
         run = platform.execute(get_workload("mgrid331"), 2400, 24)
         timeline = estimate_run(platform, run, fitted, interval_s=1.0)

@@ -28,7 +28,6 @@ class TestValidation:
         assert FaultPlan(trace_truncation_rate=0.1).corrupts_traces
         assert FaultPlan(nan_sample_rate=0.1).corrupts_traces
         assert not FaultPlan(run_failure_rate=0.5).corrupts_traces
-        assert not FaultPlan(dead_node_rate=0.5).corrupts_traces
 
 
 class TestComposition:
@@ -56,7 +55,7 @@ class TestComposition:
         plan = FaultPlan.chaos(0.1)
         assert plan.any_active and plan.corrupts_traces
         assert plan.run_failure_rate == pytest.approx(0.1)
-        assert 0.0 < plan.dead_node_rate <= 1.0
+        assert 0.0 < plan.sensor_stuck_rate <= 1.0
 
     def test_describe_names_active_faults(self):
         text = FaultPlan(sensor_stuck_rate=0.25).describe()

@@ -113,15 +113,6 @@ class TestRunFaults:
             injector.check_run("w", 2400, 8, run_index)
         assert injector.fault_counts() == {}
 
-    def test_dead_node_rate(self, fault_seed):
-        plan = FaultPlan(dead_node_rate=0.5, fault_seed=fault_seed)
-        injector = FaultInjector(plan, 7)
-        dead = [injector.node_is_dead(i) for i in range(200)]
-        assert 0 < sum(dead) < 200
-        # Decision is stable per node.
-        again = FaultInjector(plan, 7)
-        assert dead == [again.node_is_dead(i) for i in range(200)]
-
 
 class TestTraceCorruption:
     def test_input_trace_not_mutated(self, clean_trace):

@@ -4,6 +4,7 @@ guarded-solver integration."""
 import numpy as np
 import pytest
 
+from repro.core.features import design_matrix
 from repro.stats import fit_ols, fit_robust, mape
 from repro.stats.robust import HUBER_C, huber_weights
 
@@ -99,6 +100,25 @@ class TestOutlierResistance:
         mape_robust = mape(y_test + offset, robust.predict(x_test))
         mape_ols = mape(y_test + offset, ols.predict(x_test))
         assert mape_robust < mape_ols
+
+    def test_huber_beats_ols_on_campaign_with_sensor_glitches(
+        self, full_dataset, selected_counters
+    ):
+        """5 % of the paper campaign's power readings glitch by +150 W:
+        the Huber fit must predict the clean rows better than OLS."""
+        x = design_matrix(full_dataset, selected_counters)
+        y_clean = full_dataset.power_w
+        y_bad, idx = _contaminate(
+            np.random.default_rng(99), y_clean, fraction=0.05, magnitude=150.0
+        )
+        clean = np.ones(y_clean.size, dtype=bool)
+        clean[idx] = False
+        robust = fit_robust(y_bad, x, intercept=False)
+        ols = fit_ols(y_bad, x, intercept=False)
+        assert robust.diagnostics.converged
+        assert mape(y_clean[clean], robust.predict(x)[clean]) < mape(
+            y_clean[clean], ols.predict(x)[clean]
+        )
 
     def test_rsquared_on_original_scale(self, rng):
         """The reported R² must describe the unweighted data, not the

@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.tracing",
     "repro.acquisition",
     "repro.core",
-    "repro.cluster",
     "repro.experiments",
 ]
 
