@@ -1,1 +1,1 @@
-"""Benchmark harness package (pytest-benchmark)."""
+"""Benchmarks: the end-to-end benchmark lives in :mod:`benchmarks.e2e`."""

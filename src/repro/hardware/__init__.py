@@ -37,7 +37,12 @@ from repro.hardware.microarch import (
     evaluate,
     place_threads,
 )
-from repro.hardware.platform import PhaseExecution, Platform, RunExecution
+from repro.hardware.platform import (
+    PhaseExecution,
+    Platform,
+    RunExecution,
+    WorkloadNameConflictError,
+)
 from repro.hardware.pmu import PMU, EventSet, schedule_events
 from repro.hardware.power import (
     HASWELL_EP_POWER_PARAMS,
@@ -96,6 +101,7 @@ __all__ = [
     "Platform",
     "RunExecution",
     "PhaseExecution",
+    "WorkloadNameConflictError",
     "SKYLAKE_SP_CONFIG",
     "SKYLAKE_SP_CURVE",
     "SKYLAKE_SP_POWER_PARAMS",

@@ -42,7 +42,12 @@ from repro.seeding import (
 )
 from repro.workloads.base import PhaseSpec, Workload
 
-__all__ = ["PhaseExecution", "RunExecution", "Platform"]
+__all__ = [
+    "PhaseExecution",
+    "RunExecution",
+    "Platform",
+    "WorkloadNameConflictError",
+]
 
 #: Counters exempt from run-to-run execution jitter: cycle counts are
 #: pinned by the fixed frequency and wall time.
@@ -52,6 +57,17 @@ _JITTER_EXEMPT = ("TOT_CYC", "REF_CYC")
 _EXEMPT_IDX = np.array(
     [counter_index(name) for name in _JITTER_EXEMPT], dtype=np.intp
 )
+
+
+class WorkloadNameConflictError(ValueError):
+    """A second workload reached a :class:`Platform` under the name of
+    one it already ran, with different phases.
+
+    The platform memoizes runs by workload name, so serving the second
+    workload from the memo would silently return the first one's data
+    (``generate_workloads`` names every set ``gen000…``).  Run each
+    such set on its own platform.
+    """
 
 
 @dataclass(frozen=True)
@@ -73,9 +89,10 @@ class _RunSkeleton:
     breakdowns: Tuple[PowerBreakdown, ...]
     voltages: Tuple[float, ...]
     bounds: Tuple[Tuple[float, float], ...]
-    derived: bool
-    """True when ``specs`` came from ``workload.phases(threads)`` (the
-    memo may then serve ``phases=None`` callers)."""
+    source: Optional[Workload]
+    """The workload whose own ``phases(threads)`` gave ``specs`` (the
+    memo may then serve its ``phases=None`` calls); ``None`` for an
+    explicit phase list."""
 
 
 @dataclass(frozen=True)
@@ -291,19 +308,20 @@ class Platform:
     ) -> _RunSkeleton:
         """The run_index-independent phase stack, memoized.
 
-        Keyed ``(workload, frequency, threads)``; a memo entry built
-        from the workload's own phase list also serves ``phases=None``
-        callers, while explicit phase lists must match the cached specs
-        exactly (otherwise the skeleton is rebuilt uncached).
+        Keyed ``(workload name, frequency, threads)``; a memo entry
+        built from the workload's own phase list also serves
+        ``phases=None`` callers (see :meth:`_derived_skeleton`), while
+        explicit phase lists must match the cached specs exactly
+        (otherwise the skeleton is rebuilt uncached).
         """
         key = (workload.name, frequency_mhz, threads)
         cached = self._run_memo.get(key)
-        if cached is not None:
-            if phases is None:
-                if cached.derived:
-                    return cached
-            elif tuple(phases) == cached.specs:
-                return cached
+        if phases is None:
+            hit = self._derived_skeleton(workload, frequency_mhz, threads)
+            if hit is not None:
+                return hit
+        elif cached is not None and tuple(phases) == cached.specs:
+            return cached
         workload.validate_threads(threads, self.cfg.total_cores)
         op = self.cfg.curve.operating_point(frequency_mhz)
         derived = phases is None
@@ -330,13 +348,36 @@ class Platform:
                 for spec in specs
             ),
             bounds=tuple(bounds),
-            derived=derived,
+            source=workload if derived else None,
         )
         if derived or cached is None:
             if len(self._run_memo) >= 4096:
                 self._run_memo.pop(next(iter(self._run_memo)))
             self._run_memo[key] = skeleton
         return skeleton
+
+    def _derived_skeleton(
+        self, workload: Workload, frequency_mhz: int, threads: int
+    ) -> Optional[_RunSkeleton]:
+        """The memoized skeleton built from ``workload``'s own phases.
+
+        ``None`` on a miss.  A hit by the same workload object costs one
+        identity check; another object under the same name must derive
+        the same phase specs, or :class:`WorkloadNameConflictError` is
+        raised instead of serving it the other workload's run.
+        """
+        cached = self._run_memo.get((workload.name, frequency_mhz, threads))
+        if cached is None or cached.source is None:
+            return None
+        if cached.source is not workload and (
+            tuple(workload.phases(threads)) != cached.specs
+        ):
+            raise WorkloadNameConflictError(
+                f"workload {workload.name!r} at {frequency_mhz} MHz x "
+                f"{threads} threads differs from the workload of that name "
+                "this platform already ran; use one platform per workload set"
+            )
+        return cached
 
     # ------------------------------------------------------------------
     def prime_run_skeletons(
@@ -359,8 +400,7 @@ class Platform:
         pending: List[Tuple[Workload, int, int]] = []
         by_op: Dict[int, Tuple[OperatingPoint, dict]] = {}
         for workload, frequency_mhz, threads in experiments:
-            cached = self._run_memo.get((workload.name, frequency_mhz, threads))
-            if cached is not None and cached.derived:
+            if self._derived_skeleton(workload, frequency_mhz, threads) is not None:
                 continue
             workload.validate_threads(threads, self.cfg.total_cores)
             op = self.cfg.curve.operating_point(frequency_mhz)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.stats.errors import (
     DegenerateResidualsError,
@@ -127,6 +126,8 @@ def _lm_test(resid: np.ndarray, aux_exog: np.ndarray, name: str) -> Heteroscedas
     res = fit_ols(u2, aux, cov_type="nonrobust")
     n = u2.shape[0]
     lm = n * max(res.rsquared, 0.0)
+    from scipy import stats as _scipy_stats
+
     pvalue = float(_scipy_stats.chi2.sf(lm, df))
     return HeteroscedasticityTest(statistic=float(lm), pvalue=pvalue, df=df, name=name)
 
@@ -208,6 +209,8 @@ def jarque_bera(resid: np.ndarray) -> NormalityTest:
     n = r.shape[0]
     skew, kurt = _moments(r)
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
+    from scipy import stats as _scipy_stats
+
     pvalue = float(_scipy_stats.chi2.sf(jb, 2))
     return NormalityTest(
         statistic=float(jb),
@@ -227,6 +230,8 @@ def dagostino_k2(resid: np.ndarray) -> NormalityTest:
     ``n >= DAGOSTINO_MIN_N`` (8).
     """
     r = _validated_residuals(resid, name="dagostino-k2", min_n=DAGOSTINO_MIN_N)
+    from scipy import stats as _scipy_stats
+
     stat, pvalue = _scipy_stats.normaltest(r)
     skew, kurt = _moments(r)
     return NormalityTest(

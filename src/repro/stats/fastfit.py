@@ -11,8 +11,8 @@ the cached Gram matrix:
 * :class:`GramCache` — one cache per ``(dataset, candidate pool)``.
   :meth:`GramCache.score_candidates` evaluates "selected ∪ {candidate}"
   for *all* remaining candidates of a greedy step in a handful of
-  batched BLAS/LAPACK calls: one Cholesky factorization of the
-  selected-set Gram, batched triangular solves for the bordered
+  batched calls: one Cholesky factorization of the selected-set Gram,
+  batched triangular solves for the bordered
   updates, and one residual pass.  :meth:`GramCache.mean_vif` answers
   the per-step VIF from memoized pairwise correlations and the shared
   correlation-matrix inversion of :mod:`repro.stats.vif`.
@@ -549,7 +549,7 @@ class FoldGramSolver:
         ):
             return None
         # Applying the explicit Ĝ⁻¹ is one gemv per solve instead of
-        # two LAPACK triangular sweeps — the refinement steps and the
+        # two triangular sweeps — the refinement steps and the
         # excess certificate below recover/verify whatever accuracy the
         # explicit inverse costs.
         inv_gram = inv_factor.T @ inv_factor

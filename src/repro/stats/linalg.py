@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular as _scipy_solve_triangular
 
 __all__ = [
     "add_constant",
@@ -226,16 +225,38 @@ def triangular_solve(
     """Solve ``L x = rhs`` (or ``Lᵀ x = rhs`` with ``trans=True``) for a
     lower-triangular ``factor``.
 
-    Thin wrapper over the LAPACK triangular solver so the fast-fit
-    kernels stay inside the guarded linear-algebra layer (lint rule
-    RL008).  ``rhs`` may be a vector or a matrix of stacked right-hand
-    sides; the solve is exact per column, so identical columns produce
-    bitwise-identical solutions (the tie-preservation contract of the
-    selection fast path).
+    Column-oriented forward (or, transposed, back) substitution in
+    numpy, so the fast-fit kernels and the VIF need no scipy: their
+    factors are k ≤ ~16 Cholesky factors, where the k-step loop costs
+    a few microseconds more than one LAPACK call through scipy.
+    ``rhs`` may be a vector or a matrix of stacked right-hand sides.  Every step is elementwise per column, so identical columns
+    produce bitwise-identical solutions (the tie-preservation contract
+    of the selection fast path).  Results agree with LAPACK's
+    ``trtrs`` to rounding, not bit for bit.
     """
-    return _scipy_solve_triangular(
-        factor, rhs, lower=True, trans=1 if trans else 0, check_finite=False
-    )
+    a = np.asarray(factor, dtype=np.float64)
+    x = np.array(rhs, dtype=np.float64)
+    k = a.shape[0] if a.ndim == 2 else -1
+    if a.shape != (k, k) or x.ndim not in (1, 2) or x.shape[0] != k:
+        raise ValueError(
+            f"expected a square factor matching rhs rows, got {a.shape} "
+            f"and {x.shape}"
+        )
+    cols = x if x.ndim == 2 else x[:, None]
+    diag = np.diagonal(a)
+    if trans:
+        # Lᵀ = Ûᵀ D with Û = D⁻¹L unit lower: unit back substitution,
+        # column j of Ûᵀ being row j of Û.
+        unit = (a / diag[:, None]).T
+        for j in range(k - 1, 0, -1):
+            cols[:j] -= unit[:j, j : j + 1] * cols[j]
+    else:
+        # L = Û D with Û = L D⁻¹ unit lower: unit forward substitution.
+        unit = a / diag
+        for j in range(k - 1):
+            cols[j + 1 :] -= unit[j + 1 :, j : j + 1] * cols[j]
+    cols /= diag[:, None]
+    return x
 
 
 def guarded_lstsq(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.stats.errors import (
     NonFiniteInputError,
@@ -81,6 +80,8 @@ class OLSResult:
     @property
     def pvalues(self) -> np.ndarray:
         """Two-sided p values from a Student-t with ``df_resid`` dof."""
+        from scipy import stats as _scipy_stats
+
         dof = max(self.df_resid, 1)
         return 2.0 * _scipy_stats.t.sf(np.abs(self.tvalues), dof)
 
@@ -88,6 +89,8 @@ class OLSResult:
         """Confidence intervals ``(k, 2)`` at level ``1 - alpha``."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        from scipy import stats as _scipy_stats
+
         dof = max(self.df_resid, 1)
         q = _scipy_stats.t.ppf(1.0 - alpha / 2.0, dof)
         half = q * self.bse

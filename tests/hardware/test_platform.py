@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.acquisition import run_campaign
 from repro.hardware import (
-    HASWELL_EP_CONFIG,
     Platform,
     SKYLAKE_SP_CONFIG,
     SKYLAKE_SP_POWER_PARAMS,
+    WorkloadNameConflictError,
 )
-from repro.workloads import get_workload
+from repro.workloads import generate_workloads, get_workload
 
 
 class TestExecute:
@@ -109,6 +110,30 @@ class TestDeterminismAndJitter:
         a = p1.execute(get_workload("compute"), 2400, 8)
         b = p2.execute(get_workload("compute"), 2400, 8)
         assert a.phases[0].power_breakdown.measured_w != b.phases[0].power_breakdown.measured_w
+
+
+class TestRunMemo:
+    """The run memo is keyed by workload name; ``generate_workloads``
+    names every set ``gen000…``, so two sets meet under one name."""
+
+    def test_same_name_with_other_phases_is_rejected(self):
+        platform = Platform(seed=5)
+        first = run_campaign(platform, generate_workloads(2, seed=1), [2400])
+        second_set = generate_workloads(2, seed=2)
+        assert [w.name for w in second_set] == ["gen000", "gen001"]
+        assert issubclass(WorkloadNameConflictError, ValueError)
+        with pytest.raises(WorkloadNameConflictError, match="gen000"):
+            run_campaign(platform, second_set, [2400])
+        # What the memo would have served: a fresh platform gives the
+        # second set its own power.
+        fresh = run_campaign(Platform(seed=5), second_set, [2400])
+        assert not np.array_equal(first.power_w, fresh.power_w)
+
+    def test_equal_workload_under_a_new_object_hits_the_memo(self):
+        platform = Platform(seed=5)
+        a = run_campaign(platform, generate_workloads(2, seed=1), [2400])
+        b = run_campaign(platform, generate_workloads(2, seed=1), [2400])
+        assert np.array_equal(a.power_w, b.power_w)
 
 
 class TestOtherPlatforms:
