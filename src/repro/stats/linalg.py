@@ -229,10 +229,11 @@ def triangular_solve(
     numpy, so the fast-fit kernels and the VIF need no scipy: their
     factors are k ≤ ~16 Cholesky factors, where the k-step loop costs
     a few microseconds more than one LAPACK call through scipy.
-    ``rhs`` may be a vector or a matrix of stacked right-hand sides.  Every step is elementwise per column, so identical columns
-    produce bitwise-identical solutions (the tie-preservation contract
-    of the selection fast path).  Results agree with LAPACK's
-    ``trtrs`` to rounding, not bit for bit.
+    ``rhs`` may be a vector or a matrix of stacked right-hand sides.
+    Every step is elementwise per column, so identical columns produce
+    bitwise-identical solutions (the tie-preservation contract of the
+    selection fast path).  Results agree with LAPACK's ``trtrs`` to
+    rounding, not bit for bit.
     """
     a = np.asarray(factor, dtype=np.float64)
     x = np.array(rhs, dtype=np.float64)
