@@ -54,7 +54,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import validate_profiles, validate_trace
 from repro.hardware.counters import COUNTER_NAMES
-from repro.hardware.platform import Platform
+from repro.hardware.platform import Platform, RunExecution
 from repro.hardware.pmu import EventSet, schedule_events
 from repro.timing import StageTimer, TimingReport
 from repro.tracing.phases import PhaseProfile, haecsim_profiles, postprocess_profiles
@@ -64,10 +64,11 @@ from repro.tracing.plugins import (
     PowerPlugin,
     VoltagePlugin,
 )
-from repro.tracing.scorep import ScorePTracer
+from repro.tracing.scorep import ScorePTracer, check_sampling_interval
 from repro.workloads.base import Workload
 
 __all__ = [
+    "BLOCK_SAMPLES",
     "CampaignPlan",
     "Campaign",
     "RetryPolicy",
@@ -137,13 +138,45 @@ class CampaignPlan:
             raise ValueError("campaign needs at least one workload")
         if not self.frequencies_mhz:
             raise ValueError("campaign needs at least one frequency")
-        if self.sampling_interval_s <= 0:
-            raise ValueError("sampling interval must be positive")
+        check_sampling_interval(self.sampling_interval_s)
+        # A repeated entry would execute, and merge, every run twice.
+        for label, entries in (
+            ("workload", [w.name for w in self.workloads]),
+            ("frequency", self.frequencies_mhz),
+            ("thread count", self.thread_counts_override or ()),
+            ("event", self.events),
+        ):
+            seen = set()
+            for entry in entries:
+                if entry in seen:
+                    raise ValueError(f"campaign plan repeats {label} {entry!r}")
+                seen.add(entry)
         if self.multiplexing not in ("multi-run", "time-division"):
             raise ValueError(
                 f"multiplexing must be 'multi-run' or 'time-division', "
                 f"got {self.multiplexing!r}"
             )
+
+
+#: Sample budget of one acquisition block (see
+#: :meth:`Campaign.collect_profiles`): large enough that per-call
+#: overhead vanishes, small enough that the stacked sample buffers stay
+#: cache-resident and the working set stays flat.
+BLOCK_SAMPLES = 4096
+
+
+def _is_kernel(run: RunExecution) -> bool:
+    """Whether a run's trace goes through the HAEC-SIM module."""
+    return run.suite in ("roco2", "synthetic")
+
+
+def _profile_block(
+    tracer: ScorePTracer, runs: List[RunExecution]
+) -> List[PhaseProfile]:
+    """Trace and profile one block of runs, in run order."""
+    traced = tracer.trace(runs)
+    generator = haecsim_profiles if _is_kernel(runs[0]) else postprocess_profiles
+    return generator(traced)
 
 
 class Campaign:
@@ -237,49 +270,82 @@ class Campaign:
                 )
         return out
 
-    def execute_cell(
-        self, cell: "CampaignCell", *, attempt: int = 0, phases=None
-    ) -> List[PhaseProfile]:
-        """Execute one cell: run, trace, extract phase profiles.
-
-        roco2 traces go through the HAEC-SIM module, benchmark traces
-        through the custom OTF2 post-processing tool (Section III-A).
-        ``phases`` forwards a pre-derived phase list to
-        :meth:`Platform.execute` (retry loops derive it once).
-        """
-        run = self.platform.execute(
+    def _execute(self, cell: "CampaignCell") -> RunExecution:
+        return self.platform.execute(
             cell.workload,
             cell.frequency_mhz,
             cell.threads,
             run_index=cell.run_index,
-            phases=phases,
         )
-        trace = self._cell_tracer(cell).trace(run, attempt=attempt)
-        if run.suite in ("roco2", "synthetic"):
-            return haecsim_profiles(trace)
-        return postprocess_profiles(trace)
 
     def collect_profiles(
         self, progress: Optional[ProgressFn] = None
     ) -> List[PhaseProfile]:
-        """Execute all runs and extract phase profiles, in cell order."""
+        """Execute all runs and extract phase profiles, in cell order.
+
+        Runs are traced and profiled in blocks.  Consecutive experiments
+        that share a profile generator form a chunk of up to
+        :data:`BLOCK_SAMPLES` samples per run set (an experiment's runs
+        all sample the same grid), and each event set's runs of a chunk
+        form one block.  Every run goes through
+        :meth:`Platform.execute`; every block through one
+        :meth:`ScorePTracer.trace` call and one profile-generator call
+        — roco2 traces through the HAEC-SIM module, benchmark traces
+        through the custom OTF2 post-processing tool (Section III-A).
+        Blocking changes call counts, never values.
+        """
         cells = self.cells()
         # One batched warm-up covers every cell's skeleton and RNG
         # streams up front (pure cache warm-ups — outputs unchanged).
         self._prime_caches(cells)
+        n_sets = self.runs_per_experiment
+        tracers = [self._cell_tracer(cell) for cell in cells[:n_sets]]
         profiles: List[PhaseProfile] = []
-        last_announced = None
-        for cell in cells:
-            experiment = (cell.workload.name, cell.frequency_mhz, cell.threads)
-            if progress is not None and experiment != last_announced:
-                _call_progress(
-                    progress,
-                    f"{cell.workload.name} @ {cell.frequency_mhz} MHz, "
-                    f"{cell.threads} threads",
-                    self._hook_errors,
-                )
-                last_announced = experiment
-            profiles.extend(self.execute_cell(cell))
+
+        def acquire(first: int, chunk: List[RunExecution]) -> None:
+            """Profile experiments ``first, first + 1, ...``, given
+            their first event set's runs (``chunk``)."""
+            stop = (first + len(chunk)) * n_sets
+            for k, tracer in enumerate(tracers):
+                block = chunk if k == 0 else [
+                    self._execute(cell)
+                    for cell in cells[first * n_sets + k : stop : n_sets]
+                ]
+                profiles.extend(_profile_block(tracer, block))
+
+        first, chunk, samples = 0, [], 0
+        for e, cell in enumerate(cells[::n_sets]):
+            _call_progress(
+                progress,
+                f"{cell.workload.name} @ {cell.frequency_mhz} MHz, "
+                f"{cell.threads} threads",
+                self._hook_errors,
+            )
+            run = self._execute(cell)
+            n = tracers[0].sample_count(run)
+            if chunk and (
+                samples + n > BLOCK_SAMPLES
+                or _is_kernel(run) != _is_kernel(chunk[0])
+            ):
+                acquire(first, chunk)
+                first, chunk, samples = e, [], 0
+            chunk.append(run)
+            samples += n
+        acquire(first, chunk)
+        # Back to cell order (the sort is stable, so each run's phases
+        # keep theirs).
+        experiment_index = {
+            (workload.name, frequency_mhz, threads): e
+            for e, (workload, frequency_mhz, threads) in enumerate(
+                self.plan.experiments()
+            )
+        }
+
+        def cell_index(p: PhaseProfile) -> int:
+            e = experiment_index[(p.workload, p.frequency_mhz, p.threads)]
+            return e * n_sets + p.run_index
+
+        profiles.sort(key=cell_index)
         return profiles
 
     def run(
@@ -569,7 +635,7 @@ class ResilientCampaign(Campaign):
         trace = self._cell_tracer(cell).trace(run, attempt=attempt)
         if self.validate:
             validate_trace(trace)
-        if run.suite in ("roco2", "synthetic"):
+        if _is_kernel(run):
             profiles = haecsim_profiles(trace)
         else:
             profiles = postprocess_profiles(trace)

@@ -269,6 +269,39 @@ class SensorArray:
             total += mean + (0.0 + scales[c] * z[c])
         return float(total)
 
+    def channel_means(self, per_socket_true_w) -> np.ndarray:
+        """Calibrated mean reading of each channel: one row of socket
+        powers in, one row of channel means out (any leading shape)."""
+        n_sockets = np.shape(per_socket_true_w)[-1]
+        if n_sockets != len(self.sensors):
+            raise ValueError(
+                f"{n_sockets} socket powers for "
+                f"{len(self.sensors)} sensor channels"
+            )
+        return np.multiply(per_socket_true_w, self._gains) + self._offsets
+
+    def node_total(
+        self, means: np.ndarray, z: np.ndarray, interval_s: float
+    ) -> np.ndarray:
+        """Summed node-power plugin samples from standard-normal noise.
+
+        ``z`` is ``(channels, samples)``; ``means`` holds each
+        channel's :meth:`channel_means` entry per sample (or one column
+        broadcast over all of them).  Every element sees the operation
+        sequence of the one-channel-at-a-time path (``mean + (0.0 +
+        scale * z)``) and the channel accumulation keeps its sequential
+        order, so the result is bit-identical to it.  ``z`` is
+        overwritten.
+        """
+        scales = self._window_scales(interval_s)
+        readings = np.multiply(scales[:, None], z, out=z)
+        np.add(0.0, readings, out=readings)
+        np.add(means, readings, out=readings)
+        total = np.zeros(readings.shape[1])
+        for row in readings:
+            np.add(total, row, out=total)
+        return total
+
     def sample_node_total(
         self,
         per_socket_true_w: Tuple[float, ...],
@@ -284,23 +317,6 @@ class SensorArray:
         matches the per-channel ``normal(0, scale, size=n)`` draws of
         the one-channel-at-a-time path bit for bit.
         """
-        if len(per_socket_true_w) != len(self.sensors):
-            raise ValueError(
-                f"{len(per_socket_true_w)} socket powers for "
-                f"{len(self.sensors)} sensor channels"
-            )
-        scales = self._window_scales(interval_s)
+        means = self.channel_means(per_socket_true_w)
         z = rng.standard_normal((len(self.sensors), n))
-        # One block of elementwise ufunc calls replaces the per-channel
-        # temporaries; every element sees the exact operation sequence
-        # of the channel loop (``mean + (0.0 + scale * z)``), and the
-        # channel accumulation below keeps its sequential order, so the
-        # result is bit-identical.
-        readings = scales[:, None] * z
-        np.add(0.0, readings, out=readings)
-        means = np.multiply(per_socket_true_w, self._gains) + self._offsets
-        np.add(means[:, None], readings, out=readings)
-        total = np.zeros(n)
-        for row in readings:
-            np.add(total, row, out=total)
-        return total
+        return self.node_total(means[:, None], z, interval_s)

@@ -7,11 +7,18 @@ from repro.tracing.analysis import (
     TraceStatistics,
     trace_statistics,
 )
-from repro.tracing.otf2 import MetricDef, MetricStream, RegionEvent, Trace
+from repro.tracing.otf2 import (
+    MetricDef,
+    MetricStream,
+    RegionEvent,
+    Trace,
+    TraceBlock,
+)
 from repro.tracing.phases import (
     PhaseProfile,
     haecsim_profiles,
     postprocess_profiles,
+    profile_block,
     profile_trace,
 )
 from repro.tracing.plugins import (
@@ -24,6 +31,7 @@ from repro.tracing.scorep import ScorePTracer, trace_run
 
 __all__ = [
     "Trace",
+    "TraceBlock",
     "MetricDef",
     "MetricStream",
     "RegionEvent",
@@ -35,6 +43,7 @@ __all__ = [
     "trace_run",
     "PhaseProfile",
     "profile_trace",
+    "profile_block",
     "haecsim_profiles",
     "postprocess_profiles",
     "trace_statistics",

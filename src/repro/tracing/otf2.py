@@ -19,7 +19,7 @@ round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.io.atomic import atomic_open
 
-__all__ = ["MetricDef", "RegionEvent", "MetricStream", "Trace"]
+__all__ = ["MetricDef", "RegionEvent", "MetricStream", "Trace", "TraceBlock"]
 
 
 @dataclass(frozen=True)
@@ -273,4 +273,40 @@ class Trace:
                 trace.record_enter(rec["region"], rec["time_s"], rec["active_threads"])
             else:
                 trace.record_leave(rec["region"], rec["time_s"], rec["active_threads"])
+        return trace
+
+
+
+@dataclass(frozen=True, eq=False)
+class TraceBlock:
+    """The metric samples of several runs traced by one tracer, stacked.
+
+    ``values`` is one ``(metrics × samples)`` buffer: row ``m`` holds
+    metric ``defs[m]`` and run ``r`` owns columns
+    ``offsets[r]:offsets[r + 1]``, sampled at ``times[r]`` (the run's
+    shared grid).  ``metas[r]`` and ``intervals[r]`` are what run
+    ``r``'s :class:`Trace` would carry as ``meta`` and
+    :meth:`Trace.phase_intervals`.  A block is what profile extraction
+    reduces in one pass; :meth:`trace` materializes one run's trace
+    for callers that need the OTF2 view.
+    """
+
+    metas: Tuple[Dict[str, Union[str, int, float]], ...]
+    intervals: Tuple[Tuple[Tuple[str, float, float, int], ...], ...]
+    defs: Tuple[MetricDef, ...]
+    values: np.ndarray
+    times: Tuple[np.ndarray, ...]
+    offsets: Tuple[int, ...]
+
+    def trace(self, r: int) -> Trace:
+        """Run ``r``'s trace; its streams share the run's times array
+        and view the block's rows."""
+        trace = Trace(meta=self.metas[r])
+        for region, start_s, end_s, active in self.intervals[r]:
+            trace.record_enter(region, start_s, active)
+            trace.record_leave(region, end_s, active)
+        times = self.times[r]
+        lo, hi = self.offsets[r], self.offsets[r + 1]
+        for mdef, row in zip(self.defs, self.values):
+            trace.metrics[mdef.name] = MetricStream.trusted(mdef, times, row[lo:hi])
         return trace

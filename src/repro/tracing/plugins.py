@@ -15,19 +15,22 @@ executed run.  The three plugins of the paper are modelled:
   is the counter increment over the sampling interval, normalized to
   events/second (the post-processing converts to events per cycle).
 
-Plugins sample a whole run at once (``sample_run``): per-phase RNG
-draws — one standard-normal block per phase stream, the seeding
-contract — followed by one arithmetic pass over the stacked
-``(events, total_samples)`` matrix.  The C-order block fill consumes
-the ziggurat stream in the same order as per-event ``normal()`` calls,
-and ``loc + (0.0 + sigma*z)`` is exactly how ``Generator.normal``
-assembles each draw, so values match event-at-a-time sampling bit for
-bit (the oracle in ``tests/oracles/acquisition.py`` pins this).
+Plugins sample a block of phase streams at once (``sample``): one
+standard-normal block per (run, phase) stream, the seeding contract,
+drawn into a stacked ``(rows, samples)`` buffer, followed by one
+elementwise pass over the whole buffer.  The C-order block fill
+consumes the ziggurat stream in the same order as per-event
+``normal()`` calls, and ``loc + (0.0 + sigma*z)`` is exactly how
+``Generator.normal`` assembles each draw, so values match
+event-at-a-time sampling bit for bit (the oracle in
+``tests/oracles/acquisition.py`` pins this).  Elementwise float64
+ufuncs do not depend on the batch shape, so a block of many runs gives
+each run the samples it would get alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,39 +42,58 @@ __all__ = ["MetricPlugin", "PowerPlugin", "VoltagePlugin", "ApapiPlugin"]
 
 
 class MetricPlugin:
-    """Interface every metric plugin implements."""
+    """Interface every metric plugin implements.
+
+    A plugin declares its metrics, the true value behind each noise row
+    in each phase of a block (:meth:`phase_truth`) and the elementwise
+    arithmetic that turns true values and standard-normal noise into
+    samples (:meth:`finish`).  :meth:`sample` draws and stacks the
+    streams.
+    """
 
     def metric_defs(self) -> List[MetricDef]:
         """Metric definitions this plugin contributes to the trace."""
         raise NotImplementedError
 
-    def sample_run(
-        self,
-        run: RunExecution,
-        phases: Sequence[PhaseExecution],
-        grids: Sequence[np.ndarray],
-        interval_s: float,
-        rngs: Sequence[np.random.Generator],
-    ) -> Dict[str, np.ndarray]:
-        """Values for each metric across all phases of a run.
-
-        ``grids`` holds each phase's absolute sample times and ``rngs``
-        one generator per phase, seeded by the tracer.  Each returned
-        array is the concatenation of the per-phase samples, in phase
-        order.
-        """
+    def phase_truth(
+        self, streams: Sequence[Tuple[RunExecution, PhaseExecution]]
+    ) -> np.ndarray:
+        """True value behind each noise row during each stream's phase,
+        ``(rows, streams)``."""
         raise NotImplementedError
 
+    def finish(
+        self, truth: np.ndarray, z: np.ndarray, interval_s: float
+    ) -> np.ndarray:
+        """Samples of every metric, ``(len(metric_defs()), samples)``,
+        from ``(rows, samples)`` true values and standard-normal noise.
+        Works in place: ``truth`` and ``z`` may be overwritten."""
+        raise NotImplementedError
 
-def _fill_segments(
-    out: np.ndarray, grids: Sequence[np.ndarray], per_phase: Sequence
-) -> np.ndarray:
-    """Write one value (or column) per phase across its grid segment."""
-    pos = 0
-    for grid, value in zip(grids, per_phase):
-        out[..., pos : pos + grid.size] = value
-        pos += grid.size
-    return out
+    def sample(
+        self,
+        streams: Sequence[Tuple[RunExecution, PhaseExecution]],
+        sizes: Sequence[int],
+        interval_s: float,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Samples of every metric across a block of phase streams.
+
+        Stream ``k`` is a (run, phase) pair with ``sizes[k]`` samples
+        drawn from ``rngs[k]``; its columns follow those of stream
+        ``k - 1``.  Each stream draws one ``(rows, sizes[k])`` block,
+        so its values do not depend on the rest of the block.
+        """
+        if not streams:
+            return np.empty((len(self.metric_defs()), 0))
+        truth = np.repeat(self.phase_truth(streams), sizes, axis=1)
+        rows = truth.shape[0]
+        z = np.empty(truth.shape)
+        pos = 0
+        for n, rng in zip(sizes, rngs):
+            z[:, pos : pos + n] = rng.standard_normal((rows, n))
+            pos += n
+        return self.finish(truth, z, interval_s)
 
 
 class PowerPlugin(MetricPlugin):
@@ -85,20 +107,12 @@ class PowerPlugin(MetricPlugin):
     def metric_defs(self) -> List[MetricDef]:
         return [MetricDef(self.METRIC, "W")]
 
-    def sample_run(self, run, phases, grids, interval_s, rngs):
-        total = np.empty(sum(grid.size for grid in grids))
-        pos = 0
-        for phase, grid, rng in zip(phases, grids, rngs):
-            total[pos : pos + grid.size] = (
-                self.platform.sensors.sample_node_total(
-                    phase.power_breakdown.per_socket_w,
-                    grid.size,
-                    interval_s,
-                    rng,
-                )
-            )
-            pos += grid.size
-        return {self.METRIC: total}
+    def phase_truth(self, streams):
+        per_socket_w = [phase.power_breakdown.per_socket_w for _, phase in streams]
+        return self.platform.sensors.channel_means(per_socket_w).T
+
+    def finish(self, truth, z, interval_s):
+        return self.platform.sensors.node_total(truth, z, interval_s)[None]
 
 
 class VoltagePlugin(MetricPlugin):
@@ -112,22 +126,19 @@ class VoltagePlugin(MetricPlugin):
     def metric_defs(self) -> List[MetricDef]:
         return [MetricDef(self.METRIC, "V")]
 
-    def sample_run(self, run, phases, grids, interval_s, rngs):
+    def phase_truth(self, streams):
+        return np.array([[phase.true_voltage_v for _, phase in streams]])
+
+    def finish(self, truth, z, interval_s):
+        # readings = truth + (0.0 + sigma * z), then snapped to VID steps.
         telemetry = self.platform.voltage
-        blocks = [
-            rng.standard_normal(grid.size) for grid, rng in zip(grids, rngs)
-        ]
-        if len(blocks) == 1:
-            z = blocks[0]
-            true = phases[0].true_voltage_v
-        else:
-            z = np.concatenate(blocks)
-            true = _fill_segments(
-                np.empty(z.size), grids, [p.true_voltage_v for p in phases]
-            )
-        readings = true + (0.0 + telemetry.read_noise_v * z)
         step = telemetry.VID_STEP
-        return {self.METRIC: np.round(readings / step) * step}
+        readings = np.multiply(telemetry.read_noise_v, z, out=z)
+        np.add(0.0, readings, out=readings)
+        np.add(truth, readings, out=readings)
+        np.divide(readings, step, out=readings)
+        np.round(readings, out=readings)
+        return np.multiply(readings, step, out=readings)
 
 
 class ApapiPlugin(MetricPlugin):
@@ -141,9 +152,6 @@ class ApapiPlugin(MetricPlugin):
         self._indices = np.array(
             [_counter_index(name) for name in event_set.events], dtype=np.intp
         )
-        self._names = tuple(
-            f"{self.PREFIX}{name}" for name in event_set.events
-        )
 
     def metric_defs(self) -> List[MetricDef]:
         return [
@@ -151,48 +159,34 @@ class ApapiPlugin(MetricPlugin):
             for name in self.event_set.events
         ]
 
-    def sample_run(self, run, phases, grids, interval_s, rngs):
-        return _sample_counters(
-            self._names,
-            self._indices,
-            self.platform.pmu.read_noise_sigma,
-            run,
-            phases,
-            grids,
-            interval_s,
-            rngs,
+    def phase_truth(self, streams):
+        rates = np.array([phase.state.counter_rates for _, phase in streams])
+        f_hz = np.array([run.op.frequency_hz for run, _ in streams])
+        return (rates[:, self._indices] * f_hz[:, None]).T
+
+    def finish(self, truth, z, interval_s):
+        return _counter_samples(
+            truth, z, self.platform.pmu.read_noise_sigma, interval_s
         )
 
 
-def _sample_counters(names, indices, sigmas, run, phases, grids, interval_s, rngs):
-    """Counter-rate samples of a run, one row per event in ``names``.
+def _counter_samples(true_per_s, z, sigmas, interval_s):
+    """Counter-rate samples, one row per event.
 
     ``sigmas`` is the relative read noise: a scalar, or an
     ``(events, 1)`` column when events differ.  Each sample is the
-    floored counter increment over one interval, in events/second.
+    floored counter increment over one interval, in events/second:
+    ``floor(max(true_per_s * interval_s * (1.0 + (0.0 + sigmas * z)),
+    0.0)) / interval_s``, computed in place.
     """
-    n_events = len(names)
-    f_hz = run.op.frequency_hz
-    blocks = [
-        rng.standard_normal((n_events, grid.size))
-        for grid, rng in zip(grids, rngs)
-    ]
-    if len(blocks) == 1:
-        # Single-phase run: broadcasting the rate column is the
-        # same elementwise arithmetic as filling a matrix.
-        z = blocks[0]
-        true_per_s = (phases[0].state.counter_rates[indices] * f_hz)[:, None]
-    else:
-        z = np.concatenate(blocks, axis=1)
-        true_per_s = _fill_segments(
-            np.empty(z.shape),
-            grids,
-            [(p.state.counter_rates[indices] * f_hz)[:, None] for p in phases],
-        )
-    noise = 1.0 + (0.0 + sigmas * z)
-    counts = np.maximum(true_per_s * interval_s * noise, 0.0)
-    values = np.floor(counts) / interval_s
-    return {name: values[i] for i, name in enumerate(names)}
+    noise = np.multiply(sigmas, z, out=z)
+    np.add(0.0, noise, out=noise)
+    np.add(1.0, noise, out=noise)
+    counts = np.multiply(true_per_s, interval_s, out=true_per_s)
+    np.multiply(counts, noise, out=counts)
+    np.maximum(counts, 0.0, out=counts)
+    np.floor(counts, out=counts)
+    return np.divide(counts, interval_s, out=counts)
 
 
 def _counter_index(name: str) -> int:
@@ -221,7 +215,6 @@ class MultiplexedApapiPlugin(MetricPlugin):
         self._indices = np.array(
             [counter_index(name) for name in self.events], dtype=np.intp
         )
-        self._names = tuple(f"{self.PREFIX}{name}" for name in self.events)
         prog = [e for e in self.events if e not in FIXED_COUNTERS]
         n_groups = max(-(-len(prog) // platform.cfg.programmable_slots), 1)
         mux_sigma = float(
@@ -243,14 +236,7 @@ class MultiplexedApapiPlugin(MetricPlugin):
             for name in self.events
         ]
 
-    def sample_run(self, run, phases, grids, interval_s, rngs):
-        return _sample_counters(
-            self._names,
-            self._indices,
-            self._sigmas[:, None],
-            run,
-            phases,
-            grids,
-            interval_s,
-            rngs,
-        )
+    phase_truth = ApapiPlugin.phase_truth
+
+    def finish(self, truth, z, interval_s):
+        return _counter_samples(truth, z, self._sigmas[:, None], interval_s)

@@ -8,20 +8,26 @@ samples to the trace (Section III-A).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+import math
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, overload
 
 import numpy as np
 
-from repro.hardware.platform import Platform, RunExecution
+from repro.hardware.platform import PhaseExecution, Platform, RunExecution
 from repro.hardware.pmu import EventSet
 from repro.seeding import SeedHasher, rng_from_state_words
-from repro.tracing.otf2 import MetricStream, Trace
+from repro.tracing.otf2 import Trace, TraceBlock
 from repro.tracing.plugins import ApapiPlugin, MetricPlugin, PowerPlugin, VoltagePlugin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults → tracing)
     from repro.faults.injector import FaultInjector
 
-__all__ = ["ScorePTracer", "trace_run", "trace_multiplexed_run"]
+__all__ = [
+    "ScorePTracer",
+    "check_sampling_interval",
+    "trace_run",
+    "trace_multiplexed_run",
+]
 
 #: Shared sample-grid cache of the recording path, keyed by the
 #: run's phase timings and the sampling interval.  Grids are a pure
@@ -62,6 +68,14 @@ def _sample_grids(phases, dt: float):
     return _GRID_CACHE[key]
 
 
+def check_sampling_interval(interval_s: float) -> None:
+    """Raise ``ValueError`` unless ``interval_s`` is finite and positive."""
+    if not (math.isfinite(interval_s) and interval_s > 0):
+        raise ValueError(
+            f"sampling interval must be finite and positive, got {interval_s!r}"
+        )
+
+
 class ScorePTracer:
     """Traces platform executions with a set of metric plugins."""
 
@@ -73,8 +87,7 @@ class ScorePTracer:
         sampling_interval_s: float = 0.1,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
-        if sampling_interval_s <= 0:
-            raise ValueError("sampling interval must be positive")
+        check_sampling_interval(sampling_interval_s)
         if not plugins:
             raise ValueError("need at least one metric plugin")
         self.platform = platform
@@ -90,6 +103,7 @@ class ScorePTracer:
                     raise ValueError(f"metric {mdef.name!r} provided twice")
                 seen.add(mdef.name)
             self._plugin_defs.append(defs)
+        self._defs = tuple(mdef for defs in self._plugin_defs for mdef in defs)
         # Constant head of every plugin's RNG key, hashed once (the
         # per-run tail goes through SeedHasher.child in _record).
         self._plugin_names = [type(plugin).__name__ for plugin in self.plugins]
@@ -102,65 +116,72 @@ class ScorePTracer:
         # per (plugin, phase), so the byte form is worth keeping.
         self._name_blobs: dict = {}
 
-    def trace(self, run: RunExecution, *, attempt: int = 0) -> Trace:
-        """Record the trace of one executed run.
+    @overload
+    def trace(self, runs: RunExecution, *, attempt: int = 0) -> Trace: ...
+
+    @overload
+    def trace(
+        self, runs: Sequence[RunExecution], *, attempt: int = 0
+    ) -> TraceBlock: ...
+
+    def trace(self, runs, *, attempt=0):
+        """Record one run's :class:`Trace`, or a block of runs.
+
+        Given a sequence of runs, every (plugin, run, phase) stream is
+        drawn into one stacked ``(metrics × samples)`` buffer and the
+        plugins make one elementwise pass over it; the result is a
+        :class:`~repro.tracing.otf2.TraceBlock`, which profile
+        extraction reduces in one pass too.  Given a single run, the
+        same code records a block of one and materializes its trace.
 
         Sample times form a run-global grid (plugins sample on their
         own clock, not aligned to phases), as Score-P async plugins do.
+        Every plugin samples the same per-phase grid, so all metric
+        streams of a run share ONE concatenated times array (also what
+        lets profile extraction reuse its window bounds across
+        streams).  Per-plugin RNG streams are ``derive_rng(seed,
+        "plugin", plugin, workload, frequency, threads, run_index,
+        phase)``, derived from a :class:`~repro.seeding.SeedHasher`
+        holding the hashed run prefix, or replayed from a primed
+        platform's state words.
 
         With a ``fault_injector`` attached, the finished trace passes
         through :meth:`~repro.faults.injector.FaultInjector.corrupt_trace`
         keyed by ``attempt`` — the measurement infrastructure, not the
-        system under test, is what glitches.
-
-        Every plugin samples the same per-phase grid, so all metric
-        streams of a trace share ONE concatenated times array (also
-        what lets :func:`repro.tracing.phases.profile_trace` reuse its
-        window bounds across streams).  Per-plugin RNG streams are
-        ``derive_rng(seed, "plugin", plugin, workload, frequency,
-        threads, run_index, phase)``, derived from a
-        :class:`~repro.seeding.SeedHasher` holding the hashed run
-        prefix, or replayed from a primed platform's state words.
+        system under test, is what glitches.  Corruption acts on one
+        run's trace, so such a tracer traces one run at a time.
         """
-        trace = self._record(run)
+        if isinstance(runs, RunExecution):
+            trace = self._record((runs,)).trace(0)
+            if self.fault_injector is not None:
+                trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
+            return trace
         if self.fault_injector is not None:
-            trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
-        return trace
+            raise ValueError("a fault-injecting tracer traces one run at a time")
+        runs = tuple(runs)
+        if not runs:
+            raise ValueError("need at least one run to trace")
+        return self._record(runs)
 
-    def _record(self, run: RunExecution) -> Trace:
-        """The trace of one run, before any fault injection."""
-        trace = Trace(
-            meta={
-                "workload": run.workload_name,
-                "suite": run.suite,
-                "frequency_mhz": run.op.frequency_mhz,
-                "threads": run.threads,
-                "run_index": run.run_index,
-            }
-        )
-        dt = self.sampling_interval_s
-        phases = run.phases
-        for phase in phases:
-            trace.record_enter(
-                phase.phase.name, phase.start_s, phase.phase.active_threads
-            )
-            trace.record_leave(
-                phase.phase.name, phase.end_s, phase.phase.active_threads
-            )
-        grids, shared_times = _sample_grids(phases, dt)
-        shape = shared_times.shape
+    def sample_count(self, run: RunExecution) -> int:
+        """Samples each metric stream of ``run``'s trace holds."""
+        return _sample_grids(run.phases, self.sampling_interval_s)[1].size
 
-        # A primed platform (Platform.prime_rng_words) already expanded
-        # every stream seed of this run to PCG64 state words; the entry
-        # replays them in phase order — guarded by the phase-name
-        # tuple — and skips per-stream hashing and SeedSequence
-        # entirely, yielding the very generators a cold construction
-        # would.  Cold tracers take the incremental-hasher path: the
-        # run suffix and phase names are hashed by every plugin, so
-        # each is encoded once (phase-name byte forms persist across
-        # the event-set runs re-deriving the same streams).
+    def _stream_rngs(self, run: RunExecution) -> List[List[np.random.Generator]]:
+        """Per plugin, one generator per phase of ``run``.
+
+        A primed platform (Platform.prime_rng_words) already expanded
+        every stream seed of the run to PCG64 state words; the entry
+        replays them in phase order — guarded by the phase-name tuple —
+        and skips per-stream hashing and SeedSequence entirely, yielding
+        the very generators a cold construction would.  Cold tracers
+        take the incremental-hasher path: the run suffix and phase
+        names are hashed by every plugin, so each is encoded once
+        (phase-name byte forms persist across the event-set runs
+        re-deriving the same streams).
+        """
         plugin_names = self._plugin_names
-        names = [phase.phase.name for phase in phases]
+        names = [phase.phase.name for phase in run.phases]
         entry = self.platform._rng_words.get(
             (run.workload_name, run.op.frequency_mhz,
              run.threads, run.run_index)
@@ -183,41 +204,71 @@ class ScorePTracer:
                         name_blobs.clear()
                     name_blobs[name] = blob = SeedHasher.encode(name)
                 phase_blobs.append(blob)
-
-        # Metric names are unique across plugins (checked in __init__),
-        # so streams go straight into trace.metrics in definition order.
-        metrics = trace.metrics
-        for plugin, pname, base, defs in zip(
-            self.plugins, plugin_names, self._base_hashers, self._plugin_defs
-        ):
+        rngs = []
+        for pname, base in zip(plugin_names, self._base_hashers):
             words = entry.get(pname) if entry is not None else None
             if words is not None:
-                rngs = [rng_from_state_words(w) for w in words]
+                rngs.append([rng_from_state_words(w) for w in words])
             else:
                 hasher = base.child_encoded(run_blob)
-                rngs = [hasher.rng_encoded(blob) for blob in phase_blobs]
-            sampled = plugin.sample_run(run, phases, grids, dt, rngs)
-            for mdef in defs:
-                values = sampled.pop(mdef.name, None)
-                if values is None:
-                    empty = np.array([])
-                    metrics[mdef.name] = MetricStream.trusted(
-                        mdef, empty, empty
-                    )
-                    continue
-                if values.shape != shape:
-                    raise ValueError(
-                        f"metric {mdef.name!r} not sampled on the shared grid"
-                    )
-                metrics[mdef.name] = MetricStream.trusted(
-                    mdef, shared_times, values
+                rngs.append([hasher.rng_encoded(blob) for blob in phase_blobs])
+        return rngs
+
+    def _record(self, runs: Sequence[RunExecution]) -> TraceBlock:
+        """The block of ``runs``, before any fault injection."""
+        dt = self.sampling_interval_s
+        metas, intervals, times, offsets = [], [], [], [0]
+        streams: List[Tuple[RunExecution, PhaseExecution]] = []
+        sizes: List[int] = []
+        rngs: List[list] = [[] for _ in self.plugins]
+        for run in runs:
+            phases = run.phases
+            metas.append(
+                {
+                    "workload": run.workload_name,
+                    "suite": run.suite,
+                    "frequency_mhz": run.op.frequency_mhz,
+                    "threads": run.threads,
+                    "run_index": run.run_index,
+                }
+            )
+            intervals.append(
+                tuple(
+                    (p.phase.name, p.start_s, p.end_s, p.phase.active_threads)
+                    for p in phases
                 )
-            if sampled:
+            )
+            grids, shared_times = _sample_grids(phases, dt)
+            times.append(shared_times)
+            offsets.append(offsets[-1] + shared_times.size)
+            streams.extend((run, phase) for phase in phases)
+            sizes.extend(grid.size for grid in grids)
+            for plugin_rngs, run_rngs in zip(rngs, self._stream_rngs(run)):
+                plugin_rngs.extend(run_rngs)
+
+        # Metric names are unique across plugins (checked in __init__),
+        # so each plugin fills the next rows, in definition order.
+        values = np.empty((len(self._defs), offsets[-1]))
+        row = 0
+        for plugin, pname, defs, plugin_rngs in zip(
+            self.plugins, self._plugin_names, self._plugin_defs, rngs
+        ):
+            sampled = plugin.sample(streams, sizes, dt, plugin_rngs)
+            if sampled.shape != (len(defs), values.shape[1]):
                 raise ValueError(
-                    f"plugin produced undeclared metric "
-                    f"{next(iter(sampled))!r}"
+                    f"plugin {pname} sampled shape {sampled.shape}, "
+                    f"not one row per metric on the shared grid"
                 )
-        return trace
+            values[row : row + len(defs)] = sampled
+            row += len(defs)
+        return TraceBlock(
+            metas=tuple(metas),
+            intervals=tuple(intervals),
+            defs=self._defs,
+            values=values,
+            times=tuple(times),
+            offsets=tuple(offsets),
+        )
 
 
 def trace_run(

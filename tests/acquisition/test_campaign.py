@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.acquisition import Campaign, CampaignPlan, build_dataset, merge_runs, run_campaign
-from repro.hardware import COUNTER_NAMES
+from repro.hardware import COUNTER_NAMES, Platform
 from repro.tracing import PhaseProfile
 from repro.workloads import get_workload
 
@@ -34,6 +34,37 @@ class TestCampaignPlan:
             CampaignPlan(
                 workloads=(get_workload("idle"),), frequencies_mhz=()
             )
+
+    @pytest.mark.parametrize(
+        "interval_s", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1]
+    )
+    def test_sampling_interval_must_be_finite_positive(self, interval_s):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CampaignPlan(
+                workloads=(get_workload("idle"),),
+                frequencies_mhz=(2400,),
+                sampling_interval_s=interval_s,
+            )
+
+    @pytest.mark.parametrize(
+        "field, entries, label",
+        [
+            ("workloads", ("idle", "compute", "idle"), "workload 'idle'"),
+            ("frequencies_mhz", (1200, 2400, 1200), "frequency 1200"),
+            ("thread_counts_override", (8, 8), "thread count 8"),
+            ("events", ("TOT_CYC", "TOT_INS", "TOT_CYC"), "event 'TOT_CYC'"),
+        ],
+    )
+    def test_duplicate_entries_rejected(self, field, entries, label):
+        kwargs = dict(
+            workloads=(get_workload("idle"), get_workload("compute")),
+            frequencies_mhz=(2400,),
+        )
+        if field == "workloads":
+            entries = tuple(get_workload(name) for name in entries)
+        kwargs[field] = entries
+        with pytest.raises(ValueError, match=f"repeats {label}"):
+            CampaignPlan(**kwargs)
 
 
 class TestCampaignRun:
@@ -72,17 +103,20 @@ class TestCampaignRun:
         )
         assert messages and "idle" in messages[0]
 
-    def test_deterministic(self, platform, small_dataset):
+    def test_deterministic(self, small_dataset):
         again = run_campaign(
-            platform,
+            Platform(),
             [get_workload("idle"), get_workload("compute"),
              get_workload("memory_read"), get_workload("md")],
             [1200, 2400],
             thread_counts=[1, 8, 24],
         )
-        # Row order may legitimately match; values must.
-        assert np.allclose(again.power_w, small_dataset.power_w)
-        assert np.allclose(again.counters, small_dataset.counters)
+        # A fresh platform at the same seed reproduces every bit.
+        assert np.array_equal(again.power_w, small_dataset.power_w)
+        assert np.array_equal(again.voltage_v, small_dataset.voltage_v)
+        assert np.array_equal(again.counters, small_dataset.counters)
+        assert again.workloads == small_dataset.workloads
+        assert again.phase_names == small_dataset.phase_names
 
 
 def _profile(run_index, counters, power_w=100.0, phase="k.loop", threads=8):

@@ -8,11 +8,15 @@ the scalar oracle in :mod:`tests.oracles.acquisition`."""
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.acquisition import campaign as campaign_module
+from repro.acquisition.campaign import Campaign, CampaignPlan
+from repro.acquisition.postprocess import build_dataset, merge_runs
 from repro.hardware.counters import COUNTER_NAMES
 from repro.hardware.fastsim import PhaseStateMemo, simulate_phases
 from repro.hardware.microarch import evaluate
@@ -20,13 +24,20 @@ from repro.hardware.platform import Platform
 from repro.hardware.pmu import EventSet
 from repro.hardware.power import HASWELL_EP_POWER_PARAMS, compute_power
 from repro.tracing.phases import profile_trace
-from repro.tracing.scorep import trace_multiplexed_run, trace_run
+from repro.tracing.plugins import (
+    ApapiPlugin,
+    MultiplexedApapiPlugin,
+    PowerPlugin,
+    VoltagePlugin,
+)
+from repro.tracing.scorep import ScorePTracer, trace_multiplexed_run, trace_run
 from repro.workloads import get_workload
 from repro.workloads.registry import all_workloads
 from tests.oracles.acquisition import (
     scalar_acquisition,
     scalar_execute,
     scalar_profile_trace,
+    scalar_trace,
 )
 
 FREQUENCIES = (1200, 1800, 2400)
@@ -356,25 +367,83 @@ class TestRngWordsPriming:
             assert pf.duration_s == ps.duration_s
 
 
+def _oracle_dataset(plan):
+    """The plan's dataset from the scalar oracle's own per-cell loop:
+    ``scalar_execute`` → ``scalar_trace`` → ``scalar_profile_trace``
+    for every cell of the grid, then merge and assemble."""
+    platform = Platform()
+    profiles = []
+    for cell in Campaign(platform, plan).cells():
+        run = scalar_execute(
+            platform,
+            cell.workload,
+            cell.frequency_mhz,
+            cell.threads,
+            run_index=cell.run_index,
+        )
+        if cell.event_set is None:
+            counters = MultiplexedApapiPlugin(platform, plan.events)
+        else:
+            counters = ApapiPlugin(platform, cell.event_set)
+        tracer = ScorePTracer(
+            platform,
+            [PowerPlugin(platform), VoltagePlugin(platform), counters],
+            sampling_interval_s=plan.sampling_interval_s,
+        )
+        profiles.extend(scalar_profile_trace(scalar_trace(tracer, run)))
+    return build_dataset(merge_runs(profiles), counter_names=plan.events)
+
+
+def assert_datasets_identical(a, b):
+    assert a.counter_names == b.counter_names
+    assert np.array_equal(a.counters, b.counters)
+    assert np.array_equal(a.power_w, b.power_w)
+    assert np.array_equal(a.voltage_v, b.voltage_v)
+    assert a.workloads == b.workloads
+    assert a.phase_names == b.phase_names
+
+
 class TestCampaignBitIdentity:
-    """End-to-end: a small campaign dataset is byte-equal between
-    production and the scalar oracle."""
+    """End-to-end: a small campaign dataset is byte-equal between the
+    block kernel and the scalar oracle, whatever the block size."""
+
+    PLAN = CampaignPlan(
+        workloads=tuple(get_workload(w) for w in ("idle", "compute", "md")),
+        frequencies_mhz=(1200, 2400),
+        thread_counts_override=(1, 24),
+        events=tuple(COUNTER_NAMES[:8]),
+    )
 
     def test_small_campaign_dataset_identical(self):
-        from repro.acquisition import run_campaign
-
-        workloads = [get_workload(w) for w in ("idle", "compute", "md")]
-        kwargs = dict(
-            frequencies_mhz=[1200, 2400],
-            thread_counts=[1, 24],
-            events=COUNTER_NAMES[:8],
+        assert_datasets_identical(
+            Campaign(Platform(), self.PLAN).run(), _oracle_dataset(self.PLAN)
         )
-        fast_ds = run_campaign(Platform(), workloads, **kwargs)
-        with scalar_acquisition():
-            scalar_ds = run_campaign(Platform(), workloads, **kwargs)
-        assert fast_ds.counter_names == scalar_ds.counter_names
-        assert np.array_equal(fast_ds.counters, scalar_ds.counters)
-        assert np.array_equal(fast_ds.power_w, scalar_ds.power_w)
-        assert np.array_equal(fast_ds.voltage_v, scalar_ds.voltage_v)
-        assert fast_ds.workloads == scalar_ds.workloads
-        assert fast_ds.phase_names == scalar_ds.phase_names
+
+    def test_time_division_campaign_identical(self):
+        plan = dataclasses.replace(self.PLAN, multiplexing="time-division")
+        assert_datasets_identical(
+            Campaign(Platform(), plan).run(), _oracle_dataset(plan)
+        )
+
+    @pytest.mark.parametrize("budget", [1, 250])
+    def test_block_boundaries_invisible(self, monkeypatch, budget):
+        # Budget 1 puts every run in a block of its own; 250 samples
+        # cuts the plan into unevenly filled blocks.
+        reference = Campaign(Platform(), self.PLAN).run()
+        assert campaign_module.BLOCK_SAMPLES > 250
+        calls = []
+        trace = ScorePTracer.trace
+
+        def counting_trace(tracer, runs, **kwargs):
+            calls.append(len(runs))
+            return trace(tracer, runs, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "BLOCK_SAMPLES", budget)
+        monkeypatch.setattr(ScorePTracer, "trace", counting_trace)
+        campaign = Campaign(Platform(), self.PLAN)
+        assert_datasets_identical(campaign.run(), reference)
+        assert sum(calls) == len(campaign.cells())
+        if budget == 1:
+            assert set(calls) == {1}
+        else:
+            assert len(set(calls)) > 1

@@ -17,9 +17,11 @@ one-phase-at-a-time implementation of each of those stages:
 * :func:`scalar_profile_trace` — per-stream ``window_mean`` extraction.
 
 :func:`scalar_acquisition` swaps all of them in for the duration of a
-``with`` block, so a whole campaign — strict or resilient, faulty or
-not — can be replayed on the oracle and compared byte for byte with
-production at the same seeds.
+``with`` block, so single-run tracing and a resilient campaign, faulty
+or not, can be replayed on the oracle and compared byte for byte with
+production at the same seeds.  The strict campaign traces blocks of
+runs, which the one-run oracle does not model; its reference is the
+oracle's own per-cell loop (``TestCampaignBitIdentity``).
 """
 
 from __future__ import annotations
@@ -385,8 +387,9 @@ def scalar_acquisition():
 
     Patches ``Platform.execute`` (and so every subclass that delegates
     to it, such as the fault-injecting platform), ``ScorePTracer.trace``
-    and the module-level ``profile_trace`` that both phase-profile
-    generators call.  Everything is restored on exit.
+    (single runs only) and the module-level ``profile_trace`` that both
+    phase-profile generators call on a trace.  Everything is restored
+    on exit.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Platform, "execute", scalar_execute)

@@ -4,6 +4,7 @@ exercised together because they form the acquisition data path."""
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import EventSet, FIXED_COUNTERS
 from repro.tracing import (
     ApapiPlugin,
@@ -12,6 +13,7 @@ from repro.tracing import (
     VoltagePlugin,
     haecsim_profiles,
     postprocess_profiles,
+    profile_block,
     profile_trace,
     trace_run,
 )
@@ -76,6 +78,15 @@ class TestTracer:
         with pytest.raises(ValueError):
             ScorePTracer(platform, [PowerPlugin(platform)], sampling_interval_s=0.0)
 
+    @pytest.mark.parametrize(
+        "interval_s", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1]
+    )
+    def test_sampling_interval_must_be_finite_positive(self, platform, interval_s):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ScorePTracer(
+                platform, [PowerPlugin(platform)], sampling_interval_s=interval_s
+            )
+
     def test_duplicate_metric_plugins_rejected(self, platform):
         with pytest.raises(ValueError, match="twice"):
             ScorePTracer(
@@ -125,3 +136,68 @@ class TestPhaseProfiles:
         trace = trace_run(platform, run, EVENTS, sampling_interval_s=0.5)
         profiles = profile_trace(trace, min_duration_s=1e9)
         assert profiles == []
+
+
+class TestTraceBlock:
+    """A block of runs is the per-run traces, stacked: each run's
+    samples and profiles do not depend on the rest of the block."""
+
+    RUNS = (("compute", 2400, 8), ("md", 1200, 24), ("idle", 2400, 1))
+
+    @pytest.fixture(scope="class")
+    def tracer_and_runs(self, platform):
+        tracer = ScorePTracer(
+            platform,
+            [
+                PowerPlugin(platform),
+                VoltagePlugin(platform),
+                ApapiPlugin(platform, EVENTS),
+            ],
+        )
+        runs = [
+            platform.execute(get_workload(name), f, t, run_index=2)
+            for name, f, t in self.RUNS
+        ]
+        return tracer, runs
+
+    def test_block_runs_equal_single_traces(self, tracer_and_runs):
+        tracer, runs = tracer_and_runs
+        block = tracer.trace(runs)
+        assert len(block.metas) == len(runs)
+        for r, run in enumerate(runs):
+            alone, stacked = tracer.trace(run), block.trace(r)
+            assert stacked.meta == alone.meta
+            assert stacked.events == alone.events
+            assert list(stacked.metrics) == list(alone.metrics)
+            for name, stream in alone.metrics.items():
+                assert np.array_equal(stacked.metrics[name].times_s, stream.times_s)
+                assert np.array_equal(stacked.metrics[name].values, stream.values)
+
+    def test_block_profiles_equal_single_profiles(self, tracer_and_runs):
+        tracer, runs = tracer_and_runs
+        expected = [p for run in runs for p in profile_trace(tracer.trace(run))]
+        assert postprocess_profiles(tracer.trace(runs)) == expected
+        assert profile_block(tracer.trace(runs)) == expected
+
+    def test_haecsim_checks_every_run_of_a_block(self, tracer_and_runs):
+        tracer, runs = tracer_and_runs
+        kernels = [run for run in runs if run.suite == "roco2"]
+        assert len(haecsim_profiles(tracer.trace(kernels))) == len(kernels)
+        with pytest.raises(ValueError, match="synthetic"):
+            haecsim_profiles(tracer.trace(runs))
+
+    def test_empty_block_rejected(self, tracer_and_runs):
+        tracer, _ = tracer_and_runs
+        with pytest.raises(ValueError, match="at least one run"):
+            tracer.trace([])
+
+    def test_fault_injecting_tracer_traces_single_runs(self, platform, tracer_and_runs):
+        _, runs = tracer_and_runs
+        tracer = ScorePTracer(
+            platform,
+            [PowerPlugin(platform), VoltagePlugin(platform)],
+            fault_injector=FaultInjector(FaultPlan(), platform.seed),
+        )
+        assert tracer.trace(runs[0]).meta["workload"] == "compute"
+        with pytest.raises(ValueError, match="one run at a time"):
+            tracer.trace(runs)
