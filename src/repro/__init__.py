@@ -28,7 +28,6 @@ from repro.acquisition import (
     CampaignReport,
     CampaignResult,
     PowerDataset,
-    ResilientCampaign,
     RetryPolicy,
     run_campaign,
     run_resilient_campaign,
@@ -89,7 +88,6 @@ __all__ = [
     "run_campaign",
     # fault tolerance
     "FaultPlan",
-    "ResilientCampaign",
     "RetryPolicy",
     "CampaignReport",
     "CampaignResult",

@@ -7,7 +7,6 @@ from repro.acquisition.campaign import (
     CampaignPlan,
     CampaignReport,
     CampaignResult,
-    ResilientCampaign,
     RetryPolicy,
     run_campaign,
     run_resilient_campaign,
@@ -27,7 +26,6 @@ __all__ = [
     "CampaignCell",
     "CampaignReport",
     "CampaignResult",
-    "ResilientCampaign",
     "RetryPolicy",
     "run_campaign",
     "run_resilient_campaign",

@@ -7,23 +7,28 @@ extracts phase profiles, and merges everything into a
 :class:`~repro.acquisition.dataset.PowerDataset`.
 
 This is the simulated equivalent of the multi-day measurement sessions
-behind the paper's Section IV — and multi-day sessions on production
-hardware are lossy, so two execution modes exist:
+behind the paper's Section IV, and multi-day sessions on production
+hardware are lossy.  :class:`Campaign` is therefore one fault-tolerant
+loop: runs are traced and profiled in blocks, every trace passes the
+acquisition watchdog, a failed run is retried alone with bounded
+backoff and quarantined once its attempts run out, completed cells are
+checkpointed through
+:class:`~repro.acquisition.checkpoint.CampaignCheckpoint`, and the
+merge degrades to a partial dataset with an explicit per-counter
+coverage map.  Every outcome is accounted for in a structured
+:class:`CampaignReport`.
 
-* :class:`Campaign` — the strict all-or-nothing loop: any failure
-  aborts the whole campaign (the behaviour of the original tooling);
-* :class:`ResilientCampaign` — the fault-tolerant loop: per-run
-  bounded retry with backoff, quarantine of persistently failing
-  cells, incremental checkpoint/resume through
-  :class:`~repro.acquisition.checkpoint.CampaignCheckpoint`, and
-  graceful degradation to a partial dataset with an explicit
-  per-counter coverage map.  Every outcome is accounted for in a
-  structured :class:`CampaignReport`.
+With an empty :class:`~repro.faults.plan.FaultPlan` the loop is the
+paper's campaign.  :func:`run_campaign` is its all-or-nothing form (the
+behaviour of the original tooling): it returns the dataset of a clean
+campaign and raises the first failure of any other.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -49,10 +54,10 @@ from repro.acquisition.postprocess import (
     counter_coverage,
     merge_runs,
 )
-from repro.faults.errors import AcquisitionError, RunFailure
+from repro.faults.errors import AcquisitionError, FaultError, RunFailure
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import validate_profiles, validate_trace
+from repro.faults.watchdog import screen_block, validate_profiles, validate_trace
 from repro.hardware.counters import COUNTER_NAMES
 from repro.hardware.platform import Platform, RunExecution
 from repro.hardware.pmu import EventSet, schedule_events
@@ -75,7 +80,6 @@ __all__ = [
     "CampaignCell",
     "CampaignReport",
     "CampaignResult",
-    "ResilientCampaign",
     "run_campaign",
     "run_resilient_campaign",
 ]
@@ -158,217 +162,6 @@ class CampaignPlan:
             )
 
 
-#: Sample budget of one acquisition block (see
-#: :meth:`Campaign.collect_profiles`): large enough that per-call
-#: overhead vanishes, small enough that the stacked sample buffers stay
-#: cache-resident and the working set stays flat.
-BLOCK_SAMPLES = 4096
-
-
-def _is_kernel(run: RunExecution) -> bool:
-    """Whether a run's trace goes through the HAEC-SIM module."""
-    return run.suite in ("roco2", "synthetic")
-
-
-def _profile_block(
-    tracer: ScorePTracer, runs: List[RunExecution]
-) -> List[PhaseProfile]:
-    """Trace and profile one block of runs, in run order."""
-    traced = tracer.trace(runs)
-    generator = haecsim_profiles if _is_kernel(runs[0]) else postprocess_profiles
-    return generator(traced)
-
-
-class Campaign:
-    """Executes a :class:`CampaignPlan` on a platform (all-or-nothing)."""
-
-    def __init__(self, platform: Platform, plan: CampaignPlan) -> None:
-        self.platform = platform
-        self.plan = plan
-        self.event_sets: List[EventSet] = schedule_events(
-            plan.events, platform.cfg
-        )
-        #: Observer-hook exceptions survived (see :func:`_call_progress`).
-        self._hook_errors: List[str] = []
-        #: Tracers cached per event set: stateless across traces, so a
-        #: campaign builds one per counter group instead of one per
-        #: cell.
-        self._tracer_cache: Dict[Optional[int], ScorePTracer] = {}
-
-    def _cell_tracer(self, cell: "CampaignCell") -> ScorePTracer:
-        """The tracer for a cell's counter group, cached per event set."""
-        key = None if cell.event_set is None else cell.run_index
-        tracer = self._tracer_cache.get(key)
-        if tracer is not None:
-            return tracer
-        if cell.event_set is None:
-            counter_plugin: Any = MultiplexedApapiPlugin(
-                self.platform, self.plan.events
-            )
-        else:
-            counter_plugin = ApapiPlugin(self.platform, cell.event_set)
-        tracer = ScorePTracer(
-            self.platform,
-            [
-                PowerPlugin(self.platform),
-                VoltagePlugin(self.platform),
-                counter_plugin,
-            ],
-            sampling_interval_s=self.plan.sampling_interval_s,
-            fault_injector=getattr(self, "injector", None),
-        )
-        self._tracer_cache[key] = tracer
-        return tracer
-
-    def _prime_caches(self, cells: List["CampaignCell"]) -> None:
-        """Warm the batched kernel's caches for the whole campaign.
-
-        Pure cache warm-ups — phase-state skeletons and pre-expanded
-        RNG state words — so primed and unprimed acquisition produce
-        byte-identical datasets.
-        """
-        self.platform.prime_run_skeletons(self.plan.experiments())
-        counter_plugin_name = (
-            "MultiplexedApapiPlugin"
-            if self.plan.multiplexing == "time-division"
-            else "ApapiPlugin"
-        )
-        self.platform.prime_rng_words(
-            (
-                (cell.workload, cell.frequency_mhz, cell.threads, cell.run_index)
-                for cell in cells
-            ),
-            ("PowerPlugin", "VoltagePlugin", counter_plugin_name),
-        )
-
-    @property
-    def runs_per_experiment(self) -> int:
-        """Run count imposed by the acquisition mode."""
-        if self.plan.multiplexing == "time-division":
-            return 1
-        return len(self.event_sets)
-
-    def cells(self) -> List["CampaignCell"]:
-        """The campaign's unit-of-retry grid: one cell per run.
-
-        Multi-run mode has one cell per (experiment, event set);
-        time-division mode one cell per experiment (``event_set``
-        ``None`` means "all plan events, multiplexed").
-        """
-        out: List[CampaignCell] = []
-        for workload, frequency_mhz, threads in self.plan.experiments():
-            if self.plan.multiplexing == "time-division":
-                out.append(
-                    CampaignCell(workload, frequency_mhz, threads, 0, None)
-                )
-                continue
-            for run_index, event_set in enumerate(self.event_sets):
-                out.append(
-                    CampaignCell(
-                        workload, frequency_mhz, threads, run_index, event_set
-                    )
-                )
-        return out
-
-    def _execute(self, cell: "CampaignCell") -> RunExecution:
-        return self.platform.execute(
-            cell.workload,
-            cell.frequency_mhz,
-            cell.threads,
-            run_index=cell.run_index,
-        )
-
-    def collect_profiles(
-        self, progress: Optional[ProgressFn] = None
-    ) -> List[PhaseProfile]:
-        """Execute all runs and extract phase profiles, in cell order.
-
-        Runs are traced and profiled in blocks.  Consecutive experiments
-        that share a profile generator form a chunk of up to
-        :data:`BLOCK_SAMPLES` samples per run set (an experiment's runs
-        all sample the same grid), and each event set's runs of a chunk
-        form one block.  Every run goes through
-        :meth:`Platform.execute`; every block through one
-        :meth:`ScorePTracer.trace` call and one profile-generator call
-        — roco2 traces through the HAEC-SIM module, benchmark traces
-        through the custom OTF2 post-processing tool (Section III-A).
-        Blocking changes call counts, never values.
-        """
-        cells = self.cells()
-        # One batched warm-up covers every cell's skeleton and RNG
-        # streams up front (pure cache warm-ups — outputs unchanged).
-        self._prime_caches(cells)
-        n_sets = self.runs_per_experiment
-        tracers = [self._cell_tracer(cell) for cell in cells[:n_sets]]
-        profiles: List[PhaseProfile] = []
-
-        def acquire(first: int, chunk: List[RunExecution]) -> None:
-            """Profile experiments ``first, first + 1, ...``, given
-            their first event set's runs (``chunk``)."""
-            stop = (first + len(chunk)) * n_sets
-            for k, tracer in enumerate(tracers):
-                block = chunk if k == 0 else [
-                    self._execute(cell)
-                    for cell in cells[first * n_sets + k : stop : n_sets]
-                ]
-                profiles.extend(_profile_block(tracer, block))
-
-        first, chunk, samples = 0, [], 0
-        for e, cell in enumerate(cells[::n_sets]):
-            _call_progress(
-                progress,
-                f"{cell.workload.name} @ {cell.frequency_mhz} MHz, "
-                f"{cell.threads} threads",
-                self._hook_errors,
-            )
-            run = self._execute(cell)
-            n = tracers[0].sample_count(run)
-            if chunk and (
-                samples + n > BLOCK_SAMPLES
-                or _is_kernel(run) != _is_kernel(chunk[0])
-            ):
-                acquire(first, chunk)
-                first, chunk, samples = e, [], 0
-            chunk.append(run)
-            samples += n
-        acquire(first, chunk)
-        # Back to cell order (the sort is stable, so each run's phases
-        # keep theirs).
-        experiment_index = {
-            (workload.name, frequency_mhz, threads): e
-            for e, (workload, frequency_mhz, threads) in enumerate(
-                self.plan.experiments()
-            )
-        }
-
-        def cell_index(p: PhaseProfile) -> int:
-            e = experiment_index[(p.workload, p.frequency_mhz, p.threads)]
-            return e * n_sets + p.run_index
-
-        profiles.sort(key=cell_index)
-        return profiles
-
-    def run(
-        self,
-        progress: Optional[ProgressFn] = None,
-        *,
-        require_complete: bool = True,
-    ) -> PowerDataset:
-        """Full campaign: execute, trace, profile, merge, assemble."""
-        profiles = self.collect_profiles(progress)
-        merged = merge_runs(profiles)
-        return build_dataset(
-            merged,
-            require_complete=require_complete,
-            counter_names=self.plan.events,
-        )
-
-
-# ---------------------------------------------------------------------------
-# fault-tolerant execution
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class CampaignCell:
     """One run of one experiment — the unit of retry and checkpointing."""
@@ -405,7 +198,7 @@ class RetryPolicy:
     """Bounded retry with exponential backoff for failed runs."""
 
     max_attempts: int = 3
-    """Total attempts per cell before quarantine (≥ 1)."""
+    """Total attempts per cell before quarantine (an integer ≥ 1)."""
     backoff_base_s: float = 0.0
     """Delay before the first retry; 0 disables sleeping entirely
     (the right setting for simulated campaigns and tests)."""
@@ -413,26 +206,42 @@ class RetryPolicy:
     backoff_max_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        if (
+            isinstance(self.max_attempts, bool)
+            or not isinstance(self.max_attempts, numbers.Integral)
+            or self.max_attempts < 1
+        ):
+            raise ValueError(
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
+            )
+        for name in ("backoff_base_s", "backoff_max_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
+        if not (math.isfinite(self.backoff_factor) and self.backoff_factor >= 1.0):
+            raise ValueError(
+                f"backoff_factor must be finite and >= 1, "
+                f"got {self.backoff_factor!r}"
+            )
 
     def delay_s(self, attempt: int) -> float:
         """Backoff before retrying after failed attempt ``attempt``."""
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        return min(
-            self.backoff_base_s * self.backoff_factor**attempt,
-            self.backoff_max_s,
-        )
+        if self.backoff_base_s <= 0.0:
+            return 0.0
+        try:
+            growth = self.backoff_factor**attempt
+        except OverflowError:
+            growth = math.inf
+        return min(self.backoff_base_s * growth, self.backoff_max_s)
 
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Structured account of what a resilient campaign went through."""
+    """Structured account of what a campaign went through."""
 
     total_cells: int
     completed_cells: int
@@ -444,7 +253,8 @@ class CampaignReport:
     faults_observed: Mapping[str, int]
     """Fault kind → occurrence count, over all attempts."""
     quarantined: Tuple[Tuple[str, str], ...]
-    """(cell description, last error) for cells that exhausted retries."""
+    """(cell description, last error) for cells that exhausted retries,
+    in cell order."""
     merge_issues: Tuple[str, ...]
     """Recorded post-processing inconsistencies (phase-set mismatches,
     counter disagreements)."""
@@ -521,35 +331,65 @@ class CampaignReport:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Outcome of a resilient campaign: data plus accountability."""
+    """Outcome of a campaign: data plus accountability."""
 
     dataset: Optional[PowerDataset]
     """``None`` when nothing usable survived (all cells quarantined)."""
     report: CampaignReport
+    failure: Optional[Exception] = field(default=None, compare=False, repr=False)
+    """What a strict campaign dies of: the first failed cell's own
+    error (in cell order), else the merge's ``ValueError``.  ``None``
+    exactly when the campaign produced a complete dataset cleanly."""
 
 
-@dataclass
-class _CellOutcome:
-    profiles: Optional[List[PhaseProfile]]
-    attempts: int
-    faults: List[str] = field(default_factory=list)
-    last_error: str = ""
+class _Ledger:
+    """What acquisition did to each cell, by cell index.
+
+    Per-cell state lives in flat lists and dicts, not in an object per
+    cell: a paper campaign has 5,395 cells and every one of them
+    succeeds on its first attempt, so only failing cells get entries.
+    """
+
+    def __init__(self, n_cells: int) -> None:
+        #: Profiles of each completed cell (``None`` until completed).
+        self.profiles: List[Optional[List[PhaseProfile]]] = [None] * n_cells
+        self.resumed = 0
+        #: Attempts made at each cell that needed more than one.
+        self.attempts: Dict[int, int] = {}
+        #: Fault kinds per failing cell, in attempt order.
+        self.faults: Dict[int, List[str]] = {}
+        #: Last error per failing cell.
+        self.errors: Dict[int, FaultError] = {}
+
+    def fail(self, i: int, exc: FaultError) -> None:
+        self.faults.setdefault(i, []).append(exc.kind)
+        self.errors[i] = exc
 
 
-class ResilientCampaign(Campaign):
-    """Fault-tolerant campaign execution.
+#: Sample budget of one acquisition block (see :meth:`Campaign.run`):
+#: large enough that per-call overhead vanishes, small enough that the
+#: stacked sample buffers stay cache-resident and the working set stays
+#: flat.
+BLOCK_SAMPLES = 4096
 
-    Wraps the strict :class:`Campaign` grid with, per cell: fault
-    injection (optional), bounded retry with backoff, quarantine after
-    exhausted retries, and incremental checkpointing.  The final merge
-    degrades gracefully — holes become coverage-map entries and report
-    lines instead of exceptions.
+
+def _is_kernel(suite: str) -> bool:
+    """Whether a run's trace goes through the HAEC-SIM module."""
+    return suite in ("roco2", "synthetic")
+
+
+#: A started run of a block: its cell's index and its execution.
+_Member = Tuple[int, RunExecution]
+
+
+class Campaign:
+    """Executes a :class:`CampaignPlan` on a platform, fault-tolerantly.
 
     Parameters
     ----------
     faults:
         Fault plan injected during acquisition (``None`` → no injected
-        faults; the watchdog still validates every trace).
+        faults; the watchdog still checks every trace).
     retry:
         Per-cell retry budget and backoff.
     checkpoint_dir:
@@ -560,8 +400,6 @@ class ResilientCampaign(Campaign):
         Counters covered by fewer than this fraction of merged phases
         are dropped from the dataset (columns), then phases missing any
         surviving counter are dropped (rows).
-    validate:
-        Run the acquisition watchdog on every trace/profile set.
     sleep_fn:
         Injectable sleep (tests pass a recorder; default
         :func:`time.sleep`).
@@ -576,25 +414,32 @@ class ResilientCampaign(Campaign):
         retry: Optional[RetryPolicy] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         min_counter_coverage: float = 0.75,
-        validate: bool = True,
         sleep_fn: Callable[[float], None] = time.sleep,
     ) -> None:
-        super().__init__(platform, plan)
         if not 0.0 <= min_counter_coverage <= 1.0:
             raise ValueError("min_counter_coverage must be in [0, 1]")
+        self.platform = platform
+        self.plan = plan
+        self.event_sets: List[EventSet] = schedule_events(
+            plan.events, platform.cfg
+        )
         self.faults = faults or FaultPlan()
         self.injector = FaultInjector(self.faults, platform.seed)
         self.retry = retry or RetryPolicy()
         self.min_counter_coverage = min_counter_coverage
-        self.validate = validate
         self.sleep_fn = sleep_fn
         self.checkpoint: Optional[CampaignCheckpoint] = None
         if checkpoint_dir is not None:
             self.checkpoint = CampaignCheckpoint(
                 checkpoint_dir, self.fingerprint()
             )
+        #: Observer-hook exceptions survived (see :func:`_call_progress`).
+        self._hook_errors: List[str] = []
+        #: Tracers cached per event set: stateless across traces, so a
+        #: campaign builds one per counter group instead of one per
+        #: cell.
+        self._tracer_cache: Dict[Optional[int], ScorePTracer] = {}
 
-    # ------------------------------------------------------------------
     def fingerprint(self) -> str:
         """Hash of everything that determines the stored cell data."""
         parts = (
@@ -611,7 +456,6 @@ class ResilientCampaign(Campaign):
             "mux", self.plan.multiplexing,
             "faults", repr(self.faults),
             "attempts", self.retry.max_attempts,
-            "validate", self.validate,
         )
         h = hashlib.blake2b(digest_size=12)
         for part in parts:
@@ -619,118 +463,287 @@ class ResilientCampaign(Campaign):
             h.update(b"\x1f")
         return h.hexdigest()
 
+    def _cell_tracer(self, cell: CampaignCell) -> ScorePTracer:
+        """The tracer for a cell's counter group, cached per event set."""
+        key = None if cell.event_set is None else cell.run_index
+        tracer = self._tracer_cache.get(key)
+        if tracer is not None:
+            return tracer
+        if cell.event_set is None:
+            counter_plugin: Any = MultiplexedApapiPlugin(
+                self.platform, self.plan.events
+            )
+        else:
+            counter_plugin = ApapiPlugin(self.platform, cell.event_set)
+        tracer = ScorePTracer(
+            self.platform,
+            [
+                PowerPlugin(self.platform),
+                VoltagePlugin(self.platform),
+                counter_plugin,
+            ],
+            sampling_interval_s=self.plan.sampling_interval_s,
+        )
+        self._tracer_cache[key] = tracer
+        return tracer
+
+    def _prime_caches(self, cells: List[CampaignCell]) -> None:
+        """Warm the batched kernel's caches for the whole campaign.
+
+        Pure cache warm-ups — phase-state skeletons and pre-expanded
+        RNG state words — so primed and unprimed acquisition produce
+        byte-identical datasets.
+        """
+        self.platform.prime_run_skeletons(self.plan.experiments())
+        counter_plugin_name = (
+            "MultiplexedApapiPlugin"
+            if self.plan.multiplexing == "time-division"
+            else "ApapiPlugin"
+        )
+        self.platform.prime_rng_words(
+            (
+                (cell.workload, cell.frequency_mhz, cell.threads, cell.run_index)
+                for cell in cells
+            ),
+            ("PowerPlugin", "VoltagePlugin", counter_plugin_name),
+        )
+
+    @property
+    def runs_per_experiment(self) -> int:
+        """Run count imposed by the acquisition mode."""
+        if self.plan.multiplexing == "time-division":
+            return 1
+        return len(self.event_sets)
+
+    def cells(self) -> List[CampaignCell]:
+        """The campaign's unit-of-retry grid: one cell per run.
+
+        Multi-run mode has one cell per (experiment, event set);
+        time-division mode one cell per experiment (``event_set``
+        ``None`` means "all plan events, multiplexed").
+        """
+        out: List[CampaignCell] = []
+        for workload, frequency_mhz, threads in self.plan.experiments():
+            if self.plan.multiplexing == "time-division":
+                out.append(
+                    CampaignCell(workload, frequency_mhz, threads, 0, None)
+                )
+                continue
+            for run_index, event_set in enumerate(self.event_sets):
+                out.append(
+                    CampaignCell(
+                        workload, frequency_mhz, threads, run_index, event_set
+                    )
+                )
+        return out
+
     # ------------------------------------------------------------------
-    def execute_cell(
-        self, cell: CampaignCell, *, attempt: int = 0, phases=None
-    ) -> List[PhaseProfile]:
-        """One attempt at one cell, with fault injection + validation."""
-        self.injector.check_run(*cell.key, attempt=attempt)
-        run = self.platform.execute(
+    def _attempt(
+        self, cells: List[CampaignCell], ledger: _Ledger, i: int, attempt: int
+    ) -> Optional[RunExecution]:
+        """Crash-check and execute one attempt at cell ``i``; ``None`` if
+        it crashed.  Fault decisions are keyed on (cell, attempt), so
+        they do not depend on wall clock, block layout or other cells."""
+        cell = cells[i]
+        try:
+            self.injector.check_run(*cell.key, attempt=attempt)
+        except RunFailure as exc:
+            ledger.fail(i, exc)
+            return None
+        return self.platform.execute(
             cell.workload,
             cell.frequency_mhz,
             cell.threads,
             run_index=cell.run_index,
-            phases=phases,
         )
-        trace = self._cell_tracer(cell).trace(run, attempt=attempt)
-        if self.validate:
-            validate_trace(trace)
-        if _is_kernel(run):
-            profiles = haecsim_profiles(trace)
-        else:
-            profiles = postprocess_profiles(trace)
-        if self.validate:
-            validate_profiles(profiles, run)
-        return profiles
 
-    def run_cell(self, cell: CampaignCell) -> _CellOutcome:
-        """Execute one cell under the retry policy.
+    def _acquire_block(
+        self,
+        tracer: ScorePTracer,
+        cells: List[CampaignCell],
+        ledger: _Ledger,
+        members: List[_Member],
+        attempt: int,
+    ) -> None:
+        """Trace, check and profile one block of executed runs.
 
-        Fault decisions are keyed on (cell, attempt) — deterministic,
-        independent of wall-clock and of other cells, which is what
-        makes interrupted campaigns resumable bit-for-bit.
+        One :meth:`ScorePTracer.trace` call and, unless the fault plan
+        corrupts traces, one watchdog screen and one profile-generator
+        call — roco2 traces through the HAEC-SIM module, benchmark
+        traces through the custom OTF2 post-processing tool (Section
+        III-A).  Corruption acts on one run's trace, so a corrupting
+        plan has each run's trace materialized, corrupted and profiled
+        on its own; otherwise only runs the screen flags get a
+        :class:`~repro.tracing.otf2.Trace`, for ``validate_trace`` to
+        diagnose.  Every cell that passes is stored at once.
         """
-        outcome = _CellOutcome(profiles=None, attempts=0)
-        # The phase list is a pure function of (workload, threads):
-        # derive it once, not once per attempt.
-        phases = tuple(cell.workload.phases(cell.threads))
-        for attempt in range(self.retry.max_attempts):
-            outcome.attempts = attempt + 1
+        block = tracer.trace([run for _, run in members])
+        kernel = _is_kernel(members[0][1].suite)
+        generator = haecsim_profiles if kernel else postprocess_profiles
+        by_run: Dict[Tuple[str, int, int, int], List[PhaseProfile]] = {}
+        if self.faults.corrupts_traces:
+            traces = {
+                r: self.injector.corrupt_trace(block.trace(r), attempt=attempt)
+                for r in range(len(members))
+            }
+        else:
+            traces = {r: block.trace(r) for r in screen_block(block)}
+            for p in generator(block):
+                key = (p.workload, p.frequency_mhz, p.threads, p.run_index)
+                by_run.setdefault(key, []).append(p)
+        for r, (i, run) in enumerate(members):
             try:
-                outcome.profiles = self.execute_cell(
-                    cell, attempt=attempt, phases=phases
-                )
-                return outcome
-            except (RunFailure, AcquisitionError) as exc:
-                outcome.faults.append(exc.kind)
-                outcome.last_error = str(exc)
-                if attempt + 1 < self.retry.max_attempts:
-                    delay_s = self.retry.delay_s(attempt)
-                    if delay_s > 0:
-                        self.sleep_fn(delay_s)
-        return outcome
-
-    # ------------------------------------------------------------------
-    def _run_cells(
-        self, cells: List[CampaignCell], progress: Optional[ProgressFn]
-    ) -> Tuple[List[Optional[_CellOutcome]], Dict[int, List[PhaseProfile]]]:
-        """The cell loop: strictly interleaved progress, execution and
-        checkpointing (an interrupt mid-loop leaves every finished cell
-        stored — the resume tests rely on this)."""
-        outcomes: List[Optional[_CellOutcome]] = []
-        resumed: Dict[int, List[PhaseProfile]] = {}
-        for i, cell in enumerate(cells):
-            cid = cell_id(*cell.key, self.plan.events)
-            _call_progress(
-                progress, f"cell {cell.describe()}", self._hook_errors
-            )
+                if r in traces:
+                    validate_trace(traces[r])
+                    profiles = generator(traces[r])
+                else:
+                    profiles = by_run.get(cells[i].key, [])
+                validate_profiles(profiles, run)
+            except AcquisitionError as exc:
+                ledger.fail(i, exc)
+                continue
+            ledger.profiles[i] = profiles
             if self.checkpoint is not None:
-                stored = self.checkpoint.load(cid)
+                self.checkpoint.store(
+                    cell_id(*cells[i].key, self.plan.events), profiles
+                )
+
+    def _retry(
+        self,
+        tracer: ScorePTracer,
+        cells: List[CampaignCell],
+        ledger: _Ledger,
+        i: int,
+    ) -> None:
+        """Attempts 1 … N−1 at failed cell ``i``, each a block of one."""
+        for attempt in range(1, self.retry.max_attempts):
+            delay_s = self.retry.delay_s(attempt - 1)
+            if delay_s > 0:
+                self.sleep_fn(delay_s)
+            ledger.attempts[i] = attempt + 1
+            run = self._attempt(cells, ledger, i, attempt)
+            if run is not None:
+                self._acquire_block(tracer, cells, ledger, [(i, run)], attempt)
+            if ledger.profiles[i] is not None:
+                return
+
+    def _acquire(
+        self,
+        cells: List[CampaignCell],
+        ledger: _Ledger,
+        progress: Optional[ProgressFn],
+    ) -> None:
+        """The cell loop: every cell announced, then loaded from the
+        checkpoint or acquired, in blocks (see :meth:`run`)."""
+        n_sets = self.runs_per_experiment
+        tracers = [self._cell_tracer(cell) for cell in cells[:n_sets]]
+
+        def start(i: int) -> Optional[RunExecution]:
+            """Announce cell ``i``, then resume it or make its first
+            attempt; its run if that attempt executed."""
+            cell = cells[i]
+            _call_progress(progress, f"cell {cell.describe()}", self._hook_errors)
+            if self.checkpoint is not None:
+                stored = self.checkpoint.load(cell_id(*cell.key, self.plan.events))
                 if stored is not None:
-                    outcomes.append(None)
-                    resumed[i] = stored
-                    continue
-            outcome = self.run_cell(cell)
-            if self.checkpoint is not None and outcome.profiles is not None:
-                self.checkpoint.store(cid, outcome.profiles)
-            outcomes.append(outcome)
-        return outcomes, resumed
+                    ledger.profiles[i] = stored
+                    ledger.resumed += 1
+                    return None
+            return self._attempt(cells, ledger, i, 0)
+
+        def acquire(first: int, stop: int, head: List[_Member]) -> None:
+            """Acquire experiments ``first … stop − 1``, given their
+            started event-set-0 runs (``head``)."""
+            for k, tracer in enumerate(tracers):
+                indices = range(first * n_sets + k, stop * n_sets, n_sets)
+                members = head
+                if k:
+                    members = []
+                    for i in indices:
+                        run = start(i)
+                        if run is not None:
+                            members.append((i, run))
+                if members:
+                    self._acquire_block(tracer, cells, ledger, members, 0)
+                for i in indices:
+                    if ledger.profiles[i] is None:
+                        self._retry(tracer, cells, ledger, i)
+
+        first, samples = 0, 0
+        head: List[_Member] = []
+        n_experiments = len(cells) // n_sets
+        for e in range(n_experiments):
+            i = e * n_sets
+            run = start(i)
+            # A stored or crashed first cell sizes nothing.
+            n = tracers[0].sample_count(run) if run is not None else 0
+            if e > first and (
+                samples + n > BLOCK_SAMPLES
+                or _is_kernel(cells[i].workload.suite)
+                != _is_kernel(cells[first * n_sets].workload.suite)
+            ):
+                acquire(first, e, head)
+                first, head, samples = e, [], 0
+            if run is not None:
+                head.append((i, run))
+            samples += n
+        acquire(first, n_experiments, head)
 
     def run(self, progress: Optional[ProgressFn] = None) -> CampaignResult:
-        """Fault-tolerant campaign: retry, quarantine, checkpoint,
-        merge with graceful degradation, and report."""
-        profiles: List[PhaseProfile] = []
-        faults_observed: Dict[str, int] = {}
-        quarantined: List[Tuple[str, str]] = []
-        retries = 0
-        completed = 0
-        backoff_s = 0.0
+        """Acquire every cell, merge with graceful degradation, report.
+
+        Runs are traced and profiled in blocks.  Consecutive experiments
+        that share a profile generator form a chunk of up to
+        :data:`BLOCK_SAMPLES` samples per run set (an experiment's runs
+        all sample the same grid, so event set 0's run sizes the chunk),
+        and each event set's cells of a chunk form one block.  Every
+        cell gets ``progress`` once, before its first attempt; a cell
+        stored in the checkpoint is loaded and left out of its block.
+        A first attempt that crashes drops its cell out of the block;
+        a cell that crashes or fails the watchdog is retried alone
+        under the :class:`RetryPolicy` and quarantined when its
+        attempts run out.  Blocking changes call counts, never values.
+
+        The merge records phase-set mismatches and counter
+        disagreements instead of raising, computes the per-counter
+        coverage map, drops counters below ``min_counter_coverage``
+        (columns), then phases missing a kept counter (rows).
+        """
         self._hook_errors = []
         cells = self.cells()
-        # The resilient path bypasses collect_profiles, so it warms the
-        # batched kernel's caches itself (same warm-ups).
+        # One batched warm-up covers every cell's skeleton and RNG
+        # streams up front (pure cache warm-ups — outputs unchanged).
         self._prime_caches(cells)
+        ledger = _Ledger(len(cells))
         timer = StageTimer()
         with timer.stage("acquisition", n_items=len(cells)):
-            # One outcome per cell (``None`` = resumed) plus the
-            # resumed profiles by cell index.
-            outcomes, resumed_profiles = self._run_cells(cells, progress)
-        resumed = len(resumed_profiles)
-        completed += resumed
-        for i, (cell, outcome) in enumerate(zip(cells, outcomes)):
-            if outcome is None:  # resumed from checkpoint
-                profiles.extend(resumed_profiles[i])
-                continue
-            retries += outcome.attempts - 1
-            for attempt in range(outcome.attempts - 1):
-                backoff_s += self.retry.delay_s(attempt)
-            for kind in outcome.faults:
+            self._acquire(cells, ledger, progress)
+
+        profiles = [
+            p for done in ledger.profiles if done is not None for p in done
+        ]
+        quarantined = [
+            (cell.describe(), str(ledger.errors[i]))
+            for i, cell in enumerate(cells)
+            if ledger.profiles[i] is None
+        ]
+        faults_observed: Dict[str, int] = {}
+        for i in sorted(ledger.faults):
+            for kind in ledger.faults[i]:
                 faults_observed[kind] = faults_observed.get(kind, 0) + 1
-            if outcome.profiles is None:
-                quarantined.append((cell.describe(), outcome.last_error))
-                continue
-            completed += 1
-            profiles.extend(outcome.profiles)
+        retries = 0
+        backoff_s = 0.0
+        for i in sorted(ledger.attempts):
+            retries += ledger.attempts[i] - 1
+            for attempt in range(ledger.attempts[i] - 1):
+                backoff_s += self.retry.delay_s(attempt)
+        resumed = ledger.resumed
+        failure: Optional[Exception] = (
+            ledger.errors[min(ledger.errors)] if ledger.errors else None
+        )
+        # The merge's transient peak is the campaign's memory high-water
+        # mark; the ledger's per-cell lists are freed before it.
+        del ledger
 
         merge_issues: List[str] = []
         with timer.stage("merge", n_items=len(profiles)):
@@ -760,9 +773,19 @@ class ResilientCampaign(Campaign):
                 dataset = build_dataset(
                     rows, require_complete=True, counter_names=kept
                 )
+
+        if failure is None and merge_issues:
+            failure = ValueError(merge_issues[0])
+        if failure is None and (
+            dataset is None or dropped_counters or degraded_phases
+        ):
+            try:
+                build_dataset(merged, counter_names=self.plan.events)
+            except ValueError as exc:
+                failure = exc
         report = CampaignReport(
             total_cells=len(cells),
-            completed_cells=completed,
+            completed_cells=len(cells) - len(quarantined),
             resumed_cells=resumed,
             retries=retries,
             total_backoff_s=backoff_s,
@@ -778,7 +801,7 @@ class ResilientCampaign(Campaign):
         from repro.audit.engine import audit_campaign
 
         report = replace(report, audit=audit_campaign(report))
-        return CampaignResult(dataset=dataset, report=report)
+        return CampaignResult(dataset=dataset, report=report, failure=failure)
 
 
 # ---------------------------------------------------------------------------
@@ -814,14 +837,17 @@ def run_campaign(
     sampling_interval_s: float = 0.1,
     thread_counts: Optional[Sequence[int]] = None,
     multiplexing: str = "multi-run",
-    require_complete: bool = True,
     progress: Optional[ProgressFn] = None,
 ) -> PowerDataset:
-    """One-call convenience around :class:`Campaign`.
+    """The paper's all-or-nothing campaign, in one call.
 
-    Exposes the full plan surface — ``events`` (counter subset),
-    ``multiplexing`` mode and ``require_complete`` are forwarded, not
-    silently fixed to defaults.
+    One attempt per cell and no injected faults.  Returns the dataset
+    of a clean campaign; otherwise raises the first failed cell's own
+    typed error (e.g. :class:`~repro.faults.errors.AcquisitionError`)
+    or the merge's ``ValueError`` — never a partial dataset.  Exposes
+    the full plan surface: ``events`` (counter subset) and the
+    ``multiplexing`` mode are forwarded, not silently fixed to
+    defaults.
     """
     plan = _make_plan(
         workloads,
@@ -831,8 +857,11 @@ def run_campaign(
         thread_counts=thread_counts,
         multiplexing=multiplexing,
     )
-    campaign = Campaign(platform, plan)
-    return campaign.run(progress, require_complete=require_complete)
+    campaign = Campaign(platform, plan, retry=RetryPolicy(max_attempts=1))
+    result = campaign.run(progress)
+    if result.failure is not None:
+        raise result.failure
+    return result.dataset
 
 
 def run_resilient_campaign(
@@ -850,7 +879,8 @@ def run_resilient_campaign(
     min_counter_coverage: float = 0.75,
     progress: Optional[ProgressFn] = None,
 ) -> CampaignResult:
-    """One-call convenience around :class:`ResilientCampaign`."""
+    """One-call convenience around :class:`Campaign` that returns the
+    whole :class:`CampaignResult`, degraded or not."""
     plan = _make_plan(
         workloads,
         frequencies_mhz,
@@ -859,7 +889,7 @@ def run_resilient_campaign(
         thread_counts=thread_counts,
         multiplexing=multiplexing,
     )
-    campaign = ResilientCampaign(
+    campaign = Campaign(
         platform,
         plan,
         faults=faults,

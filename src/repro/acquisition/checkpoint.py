@@ -1,10 +1,10 @@
 """Incremental campaign checkpoints: crash-safe persistence of runs.
 
 A multi-day campaign must never lose finished work to a crash, an OOM
-kill, or a cluster drain.  The resilient campaign loop therefore
-persists the phase profiles of every completed cell (one run of one
-experiment) the moment it finishes, and on restart loads them back
-instead of re-executing — checkpoint/resume at run granularity.
+kill, or a cluster drain.  The campaign loop therefore persists the
+phase profiles of every completed cell (one run of one experiment) the
+moment it finishes, and on restart loads them back instead of
+re-executing — checkpoint/resume at run granularity.
 
 Layout of a checkpoint directory::
 

@@ -25,7 +25,7 @@ an issue list, or ``"ignore"``):
 
 :func:`counter_coverage` makes the resulting holes explicit: the
 fraction of merged phases carrying each counter — the coverage map the
-resilient campaign reports and degrades on.
+campaign reports and degrades on.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def merge_runs(
             raise ValueError(f"{name} must be one of {_MODES}, got {mode!r}")
 
     buckets: Dict[tuple, MergedPhase] = {}
-    counter_acc: Dict[tuple, Dict[str, List[float]]] = defaultdict(
-        lambda: defaultdict(list)
-    )
+    # Per merged phase: counter -> its one rate, or the list of rates
+    # once a second run recorded it.
+    counter_acc: Dict[tuple, Dict[str, object]] = {}
     # experiment key -> run_index -> phase names seen in that run
     run_phases: Dict[tuple, Dict[int, Set[str]]] = defaultdict(
         lambda: defaultdict(set)
@@ -153,8 +153,15 @@ def merge_runs(
             )
         merged.power_samples.append(p.power_w)
         merged.voltage_samples.append(p.voltage_v)
+        acc = counter_acc.setdefault(key, {})
         for counter, rate in p.counter_rates_per_s.items():
-            counter_acc[key][counter].append(rate)
+            seen = acc.get(counter)
+            if seen is None:
+                acc[counter] = rate
+            elif type(seen) is list:
+                seen.append(rate)
+            else:
+                acc[counter] = [seen, rate]
 
     if on_phase_mismatch != "ignore":
         for exp_key, by_run in sorted(run_phases.items()):
@@ -180,12 +187,12 @@ def merge_runs(
 
     for key, merged in buckets.items():
         for counter, values in counter_acc[key].items():
-            if len(values) == 1:
+            if type(values) is not list:
                 # Mean of one sample is the sample: programmable
                 # counters appear in exactly one event-set run, and
                 # skipping the ndarray round-trip here removes the
                 # dominant per-counter cost of a merge.
-                merged.counter_rates_per_s[counter] = values[0]
+                merged.counter_rates_per_s[counter] = values
                 continue
             arr = np.asarray(values)
             mean = float(arr.mean())

@@ -4,12 +4,14 @@
 formulation → validation`` in one call, so the examples and the CLI can
 run the whole methodology without touching the individual layers.
 
-The workflow accepts a pre-acquired ``dataset`` (e.g. the degraded
-output of a fault-injected :class:`ResilientCampaign`) and a
-``robust=True`` mode that switches the whole pipeline onto the hardened
-path: Huber-IRLS fits, missing-candidate-tolerant selection, and a
-clamped event count when the degraded data cannot support the requested
-model size.  Degradation is surfaced, never swallowed — see
+The workflow acquires through the strict
+:func:`~repro.acquisition.campaign.run_campaign`, or accepts a
+pre-acquired ``dataset`` (e.g. the degraded output of a
+:class:`~repro.acquisition.campaign.Campaign` run under a fault plan),
+and has a ``robust=True`` mode that switches the whole pipeline onto the
+hardened path: Huber-IRLS fits, missing-candidate-tolerant selection,
+and a clamped event count when the degraded data cannot support the
+requested model size.  Degradation is surfaced, never swallowed — see
 :attr:`WorkflowResult.warnings` and :attr:`WorkflowResult.diagnostics`.
 """
 
@@ -125,7 +127,7 @@ def run_workflow(
     dataset:
         Pre-acquired full dataset; when given, acquisition is skipped
         and the workflow models exactly these rows (the chaos pipeline
-        hands the degraded output of a resilient campaign here).
+        hands the degraded output of a fault-injected campaign here).
     robust:
         Route every stage through the hardened path: Huber-IRLS fits
         (``estimator="huber"``), selection that skips missing/unfittable

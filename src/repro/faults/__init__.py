@@ -1,10 +1,9 @@
 """Fault model of the acquisition pipeline.
 
 Declarative fault plans (:class:`FaultPlan`), a deterministic injector
-that applies them to platforms and traces (:class:`FaultInjector`,
-:class:`FaultyPlatform`), the watchdog validators that detect the
-resulting corruption, and the exception taxonomy the resilient
-campaign loop retries on.
+that crashes runs and corrupts traces per plan (:class:`FaultInjector`),
+the watchdog that detects the resulting corruption, and the exception
+taxonomy the campaign loop retries on.
 """
 
 from repro.faults.errors import (
@@ -12,17 +11,14 @@ from repro.faults.errors import (
     FaultError,
     RunFailure,
 )
-from repro.faults.injector import (
-    OVERFLOW_RATE_PER_S,
-    FaultInjector,
-    FaultyPlatform,
-)
+from repro.faults.injector import OVERFLOW_RATE_PER_S, FaultInjector
 from repro.faults.ingest import IngestFaultInjector, IngestFaultPlan
 from repro.faults.online import CounterLossPlan, OnlineFaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import (
     PLAUSIBLE_MAX_RATE_PER_S,
     STUCK_RUN_LENGTH,
+    screen_block,
     validate_profiles,
     validate_trace,
 )
@@ -30,7 +26,6 @@ from repro.faults.watchdog import (
 __all__ = [
     "FaultPlan",
     "FaultInjector",
-    "FaultyPlatform",
     "CounterLossPlan",
     "OnlineFaultInjector",
     "IngestFaultPlan",
@@ -41,6 +36,7 @@ __all__ = [
     "OVERFLOW_RATE_PER_S",
     "PLAUSIBLE_MAX_RATE_PER_S",
     "STUCK_RUN_LENGTH",
+    "screen_block",
     "validate_trace",
     "validate_profiles",
 ]

@@ -1,9 +1,9 @@
 """Exception taxonomy of the fault subsystem.
 
 Every error carries a ``kind`` tag — a short machine-readable label
-("run-crash", "sensor-dropout", …) that the resilient campaign loop
-aggregates into the :class:`~repro.acquisition.campaign.CampaignReport`
-fault statistics without parsing message strings.
+("run-crash", "sensor-dropout", …) that the campaign loop aggregates
+into the :class:`~repro.acquisition.campaign.CampaignReport` fault
+statistics without parsing message strings.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class RunFailure(FaultError):
     Score-P buffer exhaustion, node reboot mid-run, …).
 
     Transient by definition: re-executing the run may succeed, which is
-    why the resilient campaign loop retries it rather than aborting the
-    whole multi-day campaign.
+    why the campaign loop retries it rather than aborting the whole
+    multi-day campaign.
     """
 
     def __init__(self, message: str, *, kind: str = "run-crash") -> None:

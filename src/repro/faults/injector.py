@@ -13,30 +13,28 @@ fault_seed, kind, cell key…, attempt)``:
   interrupted-and-resumed campaign bit-identical to an uninterrupted
   one.
 
-Injection sites mirror the real acquisition stack: run crashes at
-:meth:`FaultyPlatform.execute`, everything else as corruption of the
-recorded trace (sensor dropout / stuck-at / NaN readings on the power
-stream, 48-bit wrap on PMC streams, truncation of the event record).
+Injection sites mirror the real acquisition stack: run crashes before
+the campaign executes a cell (:meth:`FaultInjector.check_run`),
+everything else as corruption of the recorded trace (sensor dropout /
+stuck-at / NaN readings on the power stream, 48-bit wrap on PMC
+streams, truncation of the event record).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
 from fnmatch import fnmatch
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from repro.faults.errors import RunFailure
 from repro.faults.plan import FaultPlan
-from repro.hardware.platform import Platform
 from repro.hardware.sensors import SensorFaults
 from repro.seeding import derive_rng
 from repro.tracing.otf2 import MetricStream, Trace
 from repro.tracing.plugins import ApapiPlugin, PowerPlugin
 
-__all__ = ["FaultInjector", "FaultyPlatform", "OVERFLOW_RATE_PER_S"]
+__all__ = ["FaultInjector", "OVERFLOW_RATE_PER_S"]
 
 #: Reported event rate of a wrapped/saturated 48-bit PMC read.  Orders
 #: of magnitude above anything a ~3 GHz chip can produce, so the
@@ -52,25 +50,9 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, root_seed: int) -> None:
         self.plan = plan
         self.root_seed = int(root_seed)
-        #: Count of faults actually injected, by kind (report material).
-        self.injected: Counter = Counter()
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Locks cannot cross process boundaries; every fault *decision*
-        # is a pure function of (root_seed, plan, kind, cell, attempt),
-        # so a pickled injector replays identically in the worker.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def _count(self, kind: str) -> None:
-        with self._lock:
-            self.injected[kind] += 1
+        # An inactive plan never crashes a run: the paper campaign
+        # pays one attribute test per cell.
+        self._crashes = bool(plan.kill_cells) or plan.run_failure_rate > 0.0
 
     # ------------------------------------------------------------------
     def _rng(self, kind: str, *key: Union[str, int]) -> np.random.Generator:
@@ -101,18 +83,18 @@ class FaultInjector:
         attempt: int = 0,
     ) -> None:
         """Raise :class:`RunFailure` if this (cell, attempt) crashes."""
+        if not self._crashes:
+            return
         cell: _CellKey = (workload, int(frequency_mhz), int(threads), int(run_index))
         tag = self._cell_tag(cell)
         for pattern in self.plan.kill_cells:
             if fnmatch(tag, pattern):
-                self._count("cell-killed")
                 raise RunFailure(
                     f"run {tag} attempt {attempt}: cell matches kill "
                     f"pattern {pattern!r} (persistently broken)",
                     kind="cell-killed",
                 )
         if self._event(self.plan.run_failure_rate, "run-crash", *cell, attempt):
-            self._count("run-crash")
             raise RunFailure(
                 f"run {tag} attempt {attempt}: transient crash injected"
             )
@@ -181,7 +163,6 @@ class FaultInjector:
                     values=stream.values[keep].copy(),
                 )
             )
-        self._count("trace-truncation")
         return truncated
 
     @staticmethod
@@ -213,21 +194,16 @@ class FaultInjector:
         n = values.size
         if self.plan.nan_sample_rate > 0.0:
             rng = self._rng("nan-sample", *cell, attempt)
-            mask = rng.random(n) < self.plan.nan_sample_rate
-            if np.any(mask):
-                values[mask] = np.nan
-                self._count("nan-sample")
+            values[rng.random(n) < self.plan.nan_sample_rate] = np.nan
         if self._event(self.plan.sensor_dropout_rate, "sensor-dropout", *cell, attempt):
             rng = self._rng("sensor-dropout-window", *cell, attempt)
             width = max(int(n * float(rng.uniform(0.1, 0.4))), 1)
             start = int(rng.integers(0, max(n - width, 0) + 1))
             values[start : start + width] = np.nan
-            self._count("sensor-dropout")
         if self._event(self.plan.sensor_stuck_rate, "sensor-stuck", *cell, attempt):
             rng = self._rng("sensor-stuck-index", *cell, attempt)
             idx = int(rng.integers(0, max(n - 8, 0) + 1))
             values[idx:] = values[idx]
-            self._count("sensor-stuck")
 
     # -- PMC overflow ---------------------------------------------------
     def _corrupt_counter_streams(
@@ -249,54 +225,3 @@ class FaultInjector:
             width = max(n // 10, 1)
             start = int(rng.integers(0, max(n - width, 0) + 1))
             stream.values[start : start + width] = OVERFLOW_RATE_PER_S
-            self._count("counter-overflow")
-
-    # ------------------------------------------------------------------
-    def fault_counts(self) -> Dict[str, int]:
-        """Faults injected so far, by kind."""
-        return dict(self.injected)
-
-
-class FaultyPlatform(Platform):
-    """A :class:`Platform` whose executions crash per a fault plan.
-
-    Reconstructs an identical platform from the base's parameters (the
-    sensor calibrations are redrawn deterministically from the same
-    seed), so swapping ``Platform`` for ``FaultyPlatform`` changes
-    *only* the fault behaviour, never the physics.
-    """
-
-    def __init__(self, base: Platform, plan: FaultPlan) -> None:
-        super().__init__(
-            base.cfg,
-            base.power_params,
-            seed=base.seed,
-            run_jitter_sigma=base.run_jitter_sigma,
-            power_jitter_sigma=base.power_jitter_sigma,
-            power_offset_sigma_w=base.power_offset_sigma_w,
-        )
-        self.fault_plan = plan
-        self.injector = FaultInjector(plan, base.seed)
-
-    def execute(
-        self,
-        workload,
-        frequency_mhz,
-        threads,
-        *,
-        run_index=0,
-        attempt=0,
-        phases=None,
-    ):
-        """Execute with fault checks; raises :class:`RunFailure` when
-        the plan crashes this (cell, attempt)."""
-        self.injector.check_run(
-            workload.name, frequency_mhz, threads, run_index, attempt=attempt
-        )
-        return super().execute(
-            workload,
-            frequency_mhz,
-            threads,
-            run_index=run_index,
-            phases=phases,
-        )

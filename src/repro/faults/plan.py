@@ -54,7 +54,7 @@ class FaultPlan:
     kill_cells: Tuple[str, ...] = ()
     """``fnmatch`` patterns of ``workload:freq:threads:run_index`` cells
     that crash on *every* attempt — models a persistently broken
-    configuration (the quarantine path of the resilient loop)."""
+    configuration (the quarantine path of the campaign loop)."""
     fault_seed: int = 0
     """Extra stream key so distinct chaos scenarios can share one
     platform seed without correlating their fault decisions."""

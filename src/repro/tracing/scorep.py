@@ -9,7 +9,7 @@ samples to the trace (Section III-A).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, overload
+from typing import List, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -18,9 +18,6 @@ from repro.hardware.pmu import EventSet
 from repro.seeding import SeedHasher, rng_from_state_words
 from repro.tracing.otf2 import Trace, TraceBlock
 from repro.tracing.plugins import ApapiPlugin, MetricPlugin, PowerPlugin, VoltagePlugin
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults → tracing)
-    from repro.faults.injector import FaultInjector
 
 __all__ = [
     "ScorePTracer",
@@ -85,7 +82,6 @@ class ScorePTracer:
         plugins: Sequence[MetricPlugin],
         *,
         sampling_interval_s: float = 0.1,
-        fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         check_sampling_interval(sampling_interval_s)
         if not plugins:
@@ -93,7 +89,6 @@ class ScorePTracer:
         self.platform = platform
         self.plugins = list(plugins)
         self.sampling_interval_s = sampling_interval_s
-        self.fault_injector = fault_injector
         seen = set()
         self._plugin_defs = []
         for plugin in self.plugins:
@@ -117,14 +112,12 @@ class ScorePTracer:
         self._name_blobs: dict = {}
 
     @overload
-    def trace(self, runs: RunExecution, *, attempt: int = 0) -> Trace: ...
+    def trace(self, runs: RunExecution) -> Trace: ...
 
     @overload
-    def trace(
-        self, runs: Sequence[RunExecution], *, attempt: int = 0
-    ) -> TraceBlock: ...
+    def trace(self, runs: Sequence[RunExecution]) -> TraceBlock: ...
 
-    def trace(self, runs, *, attempt=0):
+    def trace(self, runs):
         """Record one run's :class:`Trace`, or a block of runs.
 
         Given a sequence of runs, every (plugin, run, phase) stream is
@@ -144,20 +137,9 @@ class ScorePTracer:
         phase)``, derived from a :class:`~repro.seeding.SeedHasher`
         holding the hashed run prefix, or replayed from a primed
         platform's state words.
-
-        With a ``fault_injector`` attached, the finished trace passes
-        through :meth:`~repro.faults.injector.FaultInjector.corrupt_trace`
-        keyed by ``attempt`` — the measurement infrastructure, not the
-        system under test, is what glitches.  Corruption acts on one
-        run's trace, so such a tracer traces one run at a time.
         """
         if isinstance(runs, RunExecution):
-            trace = self._record((runs,)).trace(0)
-            if self.fault_injector is not None:
-                trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
-            return trace
-        if self.fault_injector is not None:
-            raise ValueError("a fault-injecting tracer traces one run at a time")
+            return self._record((runs,)).trace(0)
         runs = tuple(runs)
         if not runs:
             raise ValueError("need at least one run to trace")
@@ -215,7 +197,7 @@ class ScorePTracer:
         return rngs
 
     def _record(self, runs: Sequence[RunExecution]) -> TraceBlock:
-        """The block of ``runs``, before any fault injection."""
+        """The block of ``runs``."""
         dt = self.sampling_interval_s
         metas, intervals, times, offsets = [], [], [], [0]
         streams: List[Tuple[RunExecution, PhaseExecution]] = []
@@ -277,8 +259,6 @@ def trace_run(
     event_set: EventSet,
     *,
     sampling_interval_s: float = 0.1,
-    fault_injector: Optional["FaultInjector"] = None,
-    attempt: int = 0,
 ) -> Trace:
     """Convenience: trace a run with the paper's three plugins."""
     tracer = ScorePTracer(
@@ -289,9 +269,8 @@ def trace_run(
             ApapiPlugin(platform, event_set),
         ],
         sampling_interval_s=sampling_interval_s,
-        fault_injector=fault_injector,
     )
-    return tracer.trace(run, attempt=attempt)
+    return tracer.trace(run)
 
 
 def trace_multiplexed_run(
@@ -300,8 +279,6 @@ def trace_multiplexed_run(
     events: Sequence[str],
     *,
     sampling_interval_s: float = 0.1,
-    fault_injector: Optional["FaultInjector"] = None,
-    attempt: int = 0,
 ) -> Trace:
     """Trace a run with time-division-multiplexed counter sampling:
     all requested events from a single run (see
@@ -316,6 +293,5 @@ def trace_multiplexed_run(
             MultiplexedApapiPlugin(platform, events),
         ],
         sampling_interval_s=sampling_interval_s,
-        fault_injector=fault_injector,
     )
-    return tracer.trace(run, attempt=attempt)
+    return tracer.trace(run)

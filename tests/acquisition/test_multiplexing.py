@@ -91,7 +91,7 @@ class TestTdmCampaign:
         )
         campaign = Campaign(platform, plan)
         assert campaign.runs_per_experiment == 1
-        ds = campaign.run()
+        ds = campaign.run().dataset
         assert ds.n_samples == 1
         assert ds.counters.shape[1] == 54
 
@@ -102,10 +102,10 @@ class TestTdmCampaign:
             frequencies_mhz=(2400,),
             thread_counts_override=(24,),
         )
-        multi = Campaign(platform, CampaignPlan(**kwargs)).run()
+        multi = Campaign(platform, CampaignPlan(**kwargs)).run().dataset
         tdm = Campaign(
             platform, CampaignPlan(multiplexing="time-division", **kwargs)
-        ).run()
+        ).run().dataset
         # Same experiments, same physics: rates agree within noise.
         assert np.allclose(tdm.counters, multi.counters, rtol=0.2, atol=1e-6)
         assert np.allclose(tdm.power_w, multi.power_w, rtol=0.05)

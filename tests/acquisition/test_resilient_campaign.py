@@ -1,5 +1,6 @@
 """Fault-tolerant campaigns: retry, quarantine, checkpoint/resume,
-graceful degradation.
+graceful degradation — all on the one :class:`Campaign` loop, whose
+empty-plan case is the paper campaign.
 
 The seed-parametrized tests must hold for any ``REPRO_FAULT_SEED`` (the
 CI chaos matrix runs three); only tests pinning a specific scenario
@@ -14,13 +15,15 @@ import pytest
 from repro.acquisition import (
     Campaign,
     CampaignPlan,
-    ResilientCampaign,
     RetryPolicy,
     run_campaign,
     run_resilient_campaign,
 )
+from repro.acquisition import campaign as campaign_module
+from repro.acquisition.checkpoint import cell_id
 from repro.faults import FaultPlan, RunFailure
 from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS
+from repro.tracing.scorep import ScorePTracer
 from repro.workloads import get_workload
 
 #: Small event list → 2 PMU event sets (3 fixed ride along in both).
@@ -37,13 +40,6 @@ def small_plan(**overrides):
     )
     defaults.update(overrides)
     return CampaignPlan(**defaults)
-
-
-@pytest.fixture(scope="module")
-def fault_seed():
-    import os
-
-    return int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
 def datasets_equal(a, b):
@@ -77,6 +73,37 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_attempts=2.5),
+            dict(max_attempts=True),
+            dict(max_attempts=-1),
+            dict(backoff_base_s=float("nan")),
+            dict(backoff_base_s=float("inf"), backoff_max_s=float("inf")),
+            dict(backoff_max_s=float("nan")),
+            dict(backoff_max_s=-1.0),
+            dict(backoff_factor=float("nan")),
+            dict(backoff_factor=float("inf")),
+        ],
+        ids=repr,
+    )
+    def test_validation_rejects_campaign_breaking_values(self, kwargs):
+        # Each of these used to be accepted and break the campaign
+        # later: a NaN total backoff with every sleep skipped,
+        # time.sleep(inf) raising OverflowError, a TypeError from
+        # range() inside the cell loop.
+        with pytest.raises(ValueError):
+            RetryPolicy(**kwargs)
+
+    def test_huge_factor_saturates_at_the_cap(self):
+        policy = RetryPolicy(
+            max_attempts=4, backoff_base_s=1.0, backoff_factor=1e300,
+            backoff_max_s=5.0,
+        )
+        assert policy.delay_s(3) == pytest.approx(5.0)
+        assert RetryPolicy(backoff_factor=1e300).delay_s(3) == 0.0
+
 
 class TestRetryCompletion:
     def test_flaky_campaign_completes_and_matches_clean(
@@ -91,14 +118,15 @@ class TestRetryCompletion:
             thread_counts_override=(4, 8),
         )
         faults = FaultPlan(run_failure_rate=0.1, fault_seed=fault_seed)
-        campaign = ResilientCampaign(
+        campaign = Campaign(
             platform, plan, faults=faults, retry=RetryPolicy(max_attempts=6)
         )
         result = campaign.run()
         assert result.report.completed_cells == result.report.total_cells
         assert not result.report.quarantined
         clean = Campaign(platform, plan).run()
-        assert datasets_equal(result.dataset, clean)
+        assert clean.report.clean and clean.failure is None
+        assert datasets_equal(result.dataset, clean.dataset)
 
     def test_retries_observed_at_pinned_seed(self, platform):
         # Pinned fault stream: verified locally to crash at least once.
@@ -108,7 +136,7 @@ class TestRetryCompletion:
             thread_counts_override=(4, 8),
         )
         faults = FaultPlan(run_failure_rate=0.2, fault_seed=0)
-        campaign = ResilientCampaign(
+        campaign = Campaign(
             platform, plan, faults=faults, retry=RetryPolicy(max_attempts=6)
         )
         result = campaign.run()
@@ -117,7 +145,7 @@ class TestRetryCompletion:
 
     def test_backoff_sleeps_through_injected_fn(self, platform):
         sleeps = []
-        campaign = ResilientCampaign(
+        campaign = Campaign(
             platform,
             small_plan(),
             faults=FaultPlan(kill_cells=("compute:*",)),
@@ -131,7 +159,7 @@ class TestRetryCompletion:
 
 class TestQuarantine:
     def test_dead_experiment_is_quarantined_not_fatal(self, platform):
-        campaign = ResilientCampaign(
+        campaign = Campaign(
             platform,
             small_plan(),
             faults=FaultPlan(kill_cells=("compute:*",)),
@@ -146,19 +174,138 @@ class TestQuarantine:
         assert set(result.dataset.workloads) == {"idle"}
         assert "quarantined" in report.summary()
 
-    def test_strict_campaign_would_have_died(self, platform):
-        from repro.faults import FaultyPlatform
+    def test_strict_campaign_would_have_died(self, platform, monkeypatch):
+        # The strict entry point runs the same loop; under a plan that
+        # kills a cell it raises that cell's own error instead of
+        # returning the partial dataset the campaign above salvaged.
+        killing = FaultPlan(kill_cells=("compute:*",))
+        monkeypatch.setattr(campaign_module, "FaultPlan", lambda: killing)
+        with pytest.raises(RunFailure, match="compute:2400:8:0"):
+            run_campaign(
+                platform,
+                [get_workload("compute"), get_workload("idle")],
+                [2400],
+                events=EVENTS,
+                thread_counts=[8],
+            )
 
-        faulty = FaultyPlatform(platform, FaultPlan(kill_cells=("compute:*",)))
-        with pytest.raises(RunFailure):
-            Campaign(faulty, small_plan()).run()
+    def test_strict_failure_is_first_failed_cell(self, platform):
+        result = Campaign(
+            platform,
+            small_plan(),
+            faults=FaultPlan(kill_cells=("idle:*", "compute:2400:8:1")),
+        ).run()
+        assert isinstance(result.failure, RunFailure)
+        assert "compute:2400:8:1" in str(result.failure)
+        assert [desc for desc, _ in result.report.quarantined] == [
+            "compute@2400MHz/8t#1", "idle@2400MHz/8t#0", "idle@2400MHz/8t#1",
+        ]
+
+
+class TestBlockIsolation:
+    """A failure inside a block is its cell's alone: the block's other
+    cells, and the failed cell once retried on its own, come out byte
+    for byte as in a clean campaign."""
+
+    PLAN = dict(
+        workloads=(
+            get_workload("compute"),
+            get_workload("idle"),
+            get_workload("memory_read"),
+        ),
+    )
+    VICTIM = ("idle", 2400, 8, 1)
+
+    def _stored(self, campaign):
+        """Every cell's stored profiles, by cell key."""
+        return {
+            cell.key: campaign.checkpoint.load(
+                cell_id(*cell.key, campaign.plan.events)
+            )
+            for cell in campaign.cells()
+        }
+
+    def _block_sizes(self, monkeypatch):
+        sizes = []
+        trace = ScorePTracer.trace
+
+        def counting_trace(tracer, runs):
+            sizes.append(len(runs))
+            return trace(tracer, runs)
+
+        monkeypatch.setattr(ScorePTracer, "trace", counting_trace)
+        return sizes
+
+    def _assert_isolated(self, platform, tmp_path, result, campaign, kind):
+        clean = Campaign(
+            platform, small_plan(**self.PLAN), checkpoint_dir=tmp_path / "clean"
+        )
+        reference = clean.run()
+        assert reference.report.clean
+        assert result.report.retries == 1
+        assert dict(result.report.faults_observed) == {kind: 1}
+        assert result.report.completed_cells == result.report.total_cells
+        assert self._stored(campaign) == self._stored(clean)
+        assert datasets_equal(result.dataset, reference.dataset)
+
+    def test_crash_on_first_attempt(self, platform, tmp_path, monkeypatch):
+        campaign = Campaign(
+            platform, small_plan(**self.PLAN), checkpoint_dir=tmp_path / "ckpt"
+        )
+        check_run = campaign.injector.check_run
+
+        def crash_victim_once(*key, attempt=0):
+            if key == self.VICTIM and attempt == 0:
+                raise RunFailure("victim crashed on its first attempt")
+            check_run(*key, attempt=attempt)
+
+        monkeypatch.setattr(campaign.injector, "check_run", crash_victim_once)
+        sizes = self._block_sizes(monkeypatch)
+        result = campaign.run()
+        # Event set 0's block of 3, event set 1's block without the
+        # victim, then the victim's retry as a block of one.
+        assert sizes == [3, 2, 1]
+        monkeypatch.undo()
+        self._assert_isolated(platform, tmp_path, result, campaign, "run-crash")
+
+    def test_watchdog_failure_on_first_attempt(
+        self, platform, tmp_path, monkeypatch
+    ):
+        campaign = Campaign(
+            platform, small_plan(**self.PLAN), checkpoint_dir=tmp_path / "ckpt"
+        )
+        trace = ScorePTracer.trace
+        sizes = []
+
+        def dropout_in_first_block(tracer, runs):
+            # The victim's power samples read NaN the first time it is
+            # traced, inside a multi-run block.
+            sizes.append(len(runs))
+            block = trace(tracer, runs)
+            keys = [
+                (m["workload"], m["frequency_mhz"], m["threads"], m["run_index"])
+                for m in block.metas
+            ]
+            if len(runs) > 1 and self.VICTIM in keys:
+                r = keys.index(self.VICTIM)
+                row = [d.name for d in block.defs].index("power")
+                block.values[row, block.offsets[r] : block.offsets[r + 1]] = np.nan
+            return block
+
+        monkeypatch.setattr(ScorePTracer, "trace", dropout_in_first_block)
+        result = campaign.run()
+        assert sizes == [3, 3, 1]
+        monkeypatch.undo()
+        self._assert_isolated(
+            platform, tmp_path, result, campaign, "sensor-dropout"
+        )
 
 
 class TestGracefulDegradation:
     def test_partial_run_drops_low_coverage_counters(self, platform):
         # Kill only run 1 (second event set) of the compute experiment:
         # compute phases lack that set's programmable counters.
-        campaign = ResilientCampaign(
+        campaign = Campaign(
             platform,
             small_plan(),
             faults=FaultPlan(kill_cells=("compute:2400:8:1",)),
@@ -178,7 +325,7 @@ class TestGracefulDegradation:
         assert report.degraded_phases == 0
 
     def test_zero_threshold_drops_rows_instead(self, platform):
-        campaign = ResilientCampaign(
+        campaign = Campaign(
             platform,
             small_plan(),
             faults=FaultPlan(kill_cells=("compute:2400:8:1",)),
@@ -192,7 +339,7 @@ class TestGracefulDegradation:
         assert result.dataset.counter_names == EVENTS
 
     def test_total_loss_yields_none_with_explanation(self, platform):
-        campaign = ResilientCampaign(
+        campaign = Campaign(
             platform,
             small_plan(),
             faults=FaultPlan(kill_cells=("*",)),
@@ -207,14 +354,14 @@ class TestGracefulDegradation:
         )
 
     def test_clean_campaign_reports_clean(self, platform):
-        result = ResilientCampaign(platform, small_plan()).run()
+        result = Campaign(platform, small_plan()).run()
         assert result.report.clean
         assert "clean campaign" in result.report.summary()
 
 
 class TestCheckpointResume:
     def _campaign(self, platform, tmp_path, fault_seed, **kwargs):
-        return ResilientCampaign(
+        return Campaign(
             platform,
             small_plan(
                 workloads=(get_workload("compute"), get_workload("idle"),
@@ -229,7 +376,7 @@ class TestCheckpointResume:
     def test_interrupted_campaign_resumes_bit_identical(
         self, platform, tmp_path, fault_seed
     ):
-        uninterrupted = ResilientCampaign(
+        uninterrupted = Campaign(
             platform,
             small_plan(
                 workloads=(get_workload("compute"), get_workload("idle"),
@@ -291,7 +438,7 @@ class TestCheckpointResume:
         assert first.checkpoint.completed_cells()
         # Different fault plan ⇒ different fingerprint ⇒ stored cells
         # from the old configuration must not leak into this one.
-        different = ResilientCampaign(
+        different = Campaign(
             platform,
             small_plan(
                 workloads=(get_workload("compute"), get_workload("idle"),
@@ -312,7 +459,7 @@ class TestFaultDeterminism:
         faults = FaultPlan.chaos(0.3, fault_seed=fault_seed)
 
         def run_once():
-            return ResilientCampaign(platform, plan, faults=faults).run()
+            return Campaign(platform, plan, faults=faults).run()
 
         a, b = run_once(), run_once()
         assert datasets_equal(a.dataset, b.dataset)
@@ -328,12 +475,12 @@ class TestFaultDeterminism:
         # but whatever survives is drawn from the same simulated truth:
         # any (workload, phase) row present in both runs is identical.
         plan = small_plan()
-        a = ResilientCampaign(
+        a = Campaign(
             platform, plan,
             faults=FaultPlan(run_failure_rate=0.3, fault_seed=1),
             retry=RetryPolicy(max_attempts=8),
         ).run()
-        b = ResilientCampaign(
+        b = Campaign(
             platform, plan,
             faults=FaultPlan(run_failure_rate=0.3, fault_seed=2),
             retry=RetryPolicy(max_attempts=8),
@@ -354,7 +501,7 @@ class TestFaultDeterminism:
 
 class TestTiming:
     def test_acquisition_and_merge_stages_recorded(self, platform, fault_seed):
-        result = ResilientCampaign(
+        result = Campaign(
             platform,
             small_plan(),
             faults=FaultPlan(run_failure_rate=0.1, fault_seed=fault_seed),
@@ -375,7 +522,7 @@ class TestProgressHooks:
         def bad_observer(msg):
             raise RuntimeError("dashboard fell over")
 
-        campaign = ResilientCampaign(platform, small_plan())
+        campaign = Campaign(platform, small_plan())
         with pytest.warns(RuntimeWarning, match="progress hook raised"):
             result = campaign.run(progress=bad_observer)
         assert result.report.completed_cells == result.report.total_cells
@@ -389,7 +536,7 @@ class TestProgressHooks:
         def interrupting(msg):
             raise KeyboardInterrupt
 
-        campaign = ResilientCampaign(platform, small_plan())
+        campaign = Campaign(platform, small_plan())
         with pytest.raises(KeyboardInterrupt):
             campaign.run(progress=interrupting)
 
@@ -401,7 +548,7 @@ class TestProgressHooks:
                 calls.append(msg)
                 raise RuntimeError("only the first call crashes")
 
-        campaign = ResilientCampaign(platform, small_plan())
+        campaign = Campaign(platform, small_plan())
         with pytest.warns(RuntimeWarning):
             first = campaign.run(progress=flaky_once)
         assert first.report.hook_errors

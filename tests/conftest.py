@@ -7,6 +7,8 @@ experiment runner, so a warm test run costs seconds.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ from repro.workloads import get_workload
 def platform():
     """The default simulated Haswell-EP platform."""
     return Platform()
+
+
+@pytest.fixture(scope="session")
+def fault_seed() -> int:
+    """Fault-stream seed, ``REPRO_FAULT_SEED`` (default 0).
+
+    The CI ``chaos`` job re-runs every module that takes this fixture
+    under several seeds (distinct fault streams over the same physics),
+    so a test written against it must hold for *any* seed; only tests
+    that pin a specific scenario hard-code one.
+    """
+    return int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
 @pytest.fixture(scope="session")

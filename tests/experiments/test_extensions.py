@@ -226,7 +226,9 @@ class TestAcquisitionModes:
             for mode in ("multi-run", "time-division")
         }
         td = Campaign(Platform(), plans["time-division"])
-        td_ds = td.run()
+        td_result = td.run()
+        assert td_result.report.clean
+        td_ds = td_result.dataset
         td_selected = select_events(td_ds.filter(frequency_mhz=2400), 6).selected
         return {
             # The paper campaign is the multi-run campaign of this plan.

@@ -416,32 +416,43 @@ class TestCampaignBitIdentity:
 
     def test_small_campaign_dataset_identical(self):
         assert_datasets_identical(
-            Campaign(Platform(), self.PLAN).run(), _oracle_dataset(self.PLAN)
+            Campaign(Platform(), self.PLAN).run().dataset,
+            _oracle_dataset(self.PLAN),
+        )
+
+    def test_campaign_loop_on_oracle_identical(self):
+        # The whole campaign loop replayed on the swapped-in oracle,
+        # blocks included (stacked scalar traces, per-run profiles).
+        with scalar_acquisition():
+            oracle = Campaign(Platform(), self.PLAN).run()
+        assert oracle.report.clean
+        assert_datasets_identical(
+            Campaign(Platform(), self.PLAN).run().dataset, oracle.dataset
         )
 
     def test_time_division_campaign_identical(self):
         plan = dataclasses.replace(self.PLAN, multiplexing="time-division")
         assert_datasets_identical(
-            Campaign(Platform(), plan).run(), _oracle_dataset(plan)
+            Campaign(Platform(), plan).run().dataset, _oracle_dataset(plan)
         )
 
     @pytest.mark.parametrize("budget", [1, 250])
     def test_block_boundaries_invisible(self, monkeypatch, budget):
         # Budget 1 puts every run in a block of its own; 250 samples
         # cuts the plan into unevenly filled blocks.
-        reference = Campaign(Platform(), self.PLAN).run()
+        reference = Campaign(Platform(), self.PLAN).run().dataset
         assert campaign_module.BLOCK_SAMPLES > 250
         calls = []
         trace = ScorePTracer.trace
 
-        def counting_trace(tracer, runs, **kwargs):
+        def counting_trace(tracer, runs):
             calls.append(len(runs))
-            return trace(tracer, runs, **kwargs)
+            return trace(tracer, runs)
 
         monkeypatch.setattr(campaign_module, "BLOCK_SAMPLES", budget)
         monkeypatch.setattr(ScorePTracer, "trace", counting_trace)
         campaign = Campaign(Platform(), self.PLAN)
-        assert_datasets_identical(campaign.run(), reference)
+        assert_datasets_identical(campaign.run().dataset, reference)
         assert sum(calls) == len(campaign.cells())
         if budget == 1:
             assert set(calls) == {1}

@@ -28,13 +28,6 @@ WORKLOADS = ("compute", "memory_read", "memory_write", "idle")
 THREADS = (1, 8, 24)
 
 
-@pytest.fixture(scope="module")
-def fault_seed():
-    import os
-
-    return int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-
 def degraded_campaign(fault_seed, seed=20170529, **kwargs):
     return run_resilient_campaign(
         Platform(seed=seed),

@@ -11,24 +11,26 @@ one-phase-at-a-time implementation of each of those stages:
   :func:`~repro.hardware.power.compute_power` pair and a per-phase
   masked jitter multiply;
 * :func:`scalar_trace` — the per-phase, per-plugin recording loop with
-  a freshly derived RNG per stream;
+  a freshly derived RNG per stream (a block of runs is their traces
+  stacked by :func:`stack_traces`);
 * :data:`REFERENCE_SAMPLERS` — the four plugins' event-at-a-time
   sampling loops;
-* :func:`scalar_profile_trace` — per-stream ``window_mean`` extraction.
+* :func:`scalar_profile_trace` — per-stream ``window_mean`` extraction
+  (a block: each run's trace in turn).
 
 :func:`scalar_acquisition` swaps all of them in for the duration of a
-``with`` block, so single-run tracing and a resilient campaign, faulty
-or not, can be replayed on the oracle and compared byte for byte with
-production at the same seeds.  The strict campaign traces blocks of
-runs, which the one-run oracle does not model; its reference is the
-oracle's own per-cell loop (``TestCampaignBitIdentity``).
+``with`` block, so single-run tracing and a whole campaign, faulty or
+not, can be replayed on the oracle and compared byte for byte with
+production at the same seeds.  ``TestCampaignBitIdentity`` also keeps
+the oracle's own per-cell loop as a reference that shares no campaign
+code with production.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from repro.hardware.platform import (
 from repro.hardware.power import PowerBreakdown, compute_power
 from repro.seeding import derive_rng
 from repro.tracing import phases as phases_module
-from repro.tracing.otf2 import MetricStream, Trace
+from repro.tracing.otf2 import MetricStream, Trace, TraceBlock
 from repro.tracing.phases import PhaseProfile
 from repro.tracing.plugins import (
     ApapiPlugin,
@@ -58,8 +60,10 @@ __all__ = [
     "REFERENCE_SAMPLERS",
     "scalar_acquisition",
     "scalar_execute",
+    "scalar_profile_block",
     "scalar_profile_trace",
     "scalar_trace",
+    "stack_traces",
 ]
 
 
@@ -313,12 +317,38 @@ def _trace_scalar(self, run: RunExecution) -> Trace:
     return trace
 
 
-def scalar_trace(self, run: RunExecution, *, attempt: int = 0) -> Trace:
-    """Scalar ``ScorePTracer.trace``, fault injection included."""
-    trace = _trace_scalar(self, run)
-    if self.fault_injector is not None:
-        trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
-    return trace
+def stack_traces(traces: Sequence[Trace]) -> TraceBlock:
+    """The :class:`TraceBlock` of per-run traces whose metric streams
+    (same metrics, same order) share one sample grid per trace."""
+    names = list(traces[0].metrics)
+    times = tuple(trace.metrics[names[0]].times_s for trace in traces)
+    offsets = [0]
+    for grid in times:
+        offsets.append(offsets[-1] + grid.size)
+    return TraceBlock(
+        metas=tuple(dict(trace.meta) for trace in traces),
+        intervals=tuple(tuple(trace.phase_intervals()) for trace in traces),
+        defs=tuple(traces[0].metrics[name].definition for name in names),
+        values=np.concatenate(
+            [
+                np.stack([trace.metrics[name].values for name in names])
+                for trace in traces
+            ],
+            axis=1,
+        ),
+        times=times,
+        offsets=tuple(offsets),
+    )
+
+
+def scalar_trace(self, runs):
+    """Scalar ``ScorePTracer.trace``: one run's trace, or the block of
+    a sequence of runs, stacked from their scalar traces."""
+    if isinstance(runs, RunExecution):
+        return _trace_scalar(self, runs)
+    if not runs:
+        raise ValueError("need at least one run to trace")
+    return stack_traces([_trace_scalar(self, run) for run in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +406,19 @@ def scalar_profile_trace(
     return out
 
 
+def scalar_profile_block(
+    block: TraceBlock, *, min_duration_s: float = 0.5
+) -> List[PhaseProfile]:
+    """Scalar ``profile_block``: each run's trace profiled in turn."""
+    return [
+        profile
+        for r in range(len(block.metas))
+        for profile in scalar_profile_trace(
+            block.trace(r), min_duration_s=min_duration_s
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # swap-in
 # ---------------------------------------------------------------------------
@@ -385,14 +428,14 @@ def scalar_profile_trace(
 def scalar_acquisition():
     """Run acquisition on the scalar oracle inside the ``with`` block.
 
-    Patches ``Platform.execute`` (and so every subclass that delegates
-    to it, such as the fault-injecting platform), ``ScorePTracer.trace``
-    (single runs only) and the module-level ``profile_trace`` that both
-    phase-profile generators call on a trace.  Everything is restored
-    on exit.
+    Patches ``Platform.execute``, ``ScorePTracer.trace`` (single runs
+    and blocks) and the module-level ``profile_trace`` and
+    ``profile_block`` that both phase-profile generators call.
+    Everything is restored on exit.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Platform, "execute", scalar_execute)
         mp.setattr(ScorePTracer, "trace", scalar_trace)
         mp.setattr(phases_module, "profile_trace", scalar_profile_trace)
+        mp.setattr(phases_module, "profile_block", scalar_profile_block)
         yield

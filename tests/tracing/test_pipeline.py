@@ -4,7 +4,6 @@ exercised together because they form the acquisition data path."""
 import numpy as np
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import EventSet, FIXED_COUNTERS
 from repro.tracing import (
     ApapiPlugin,
@@ -190,14 +189,3 @@ class TestTraceBlock:
         tracer, _ = tracer_and_runs
         with pytest.raises(ValueError, match="at least one run"):
             tracer.trace([])
-
-    def test_fault_injecting_tracer_traces_single_runs(self, platform, tracer_and_runs):
-        _, runs = tracer_and_runs
-        tracer = ScorePTracer(
-            platform,
-            [PowerPlugin(platform), VoltagePlugin(platform)],
-            fault_injector=FaultInjector(FaultPlan(), platform.seed),
-        )
-        assert tracer.trace(runs[0]).meta["workload"] == "compute"
-        with pytest.raises(ValueError, match="one run at a time"):
-            tracer.trace(runs)
