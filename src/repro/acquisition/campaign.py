@@ -182,10 +182,6 @@ class CampaignCell:
             self.run_index,
         )
 
-    @property
-    def events(self) -> Tuple[str, ...]:
-        return self.event_set.events if self.event_set is not None else ()
-
     def describe(self) -> str:
         return (
             f"{self.workload.name}@{self.frequency_mhz}MHz/"

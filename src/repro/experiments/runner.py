@@ -43,8 +43,8 @@ EXPERIMENTS: Dict[str, Callable[[int], str]] = {
     "fig6": _runner("fig6"),
     "table4": _runner("table4"),
     # Not a paper artifact: fleet-serving chaos soak asserting healthy
-    # nodes stay bit-identical to the serial estimator while faults
-    # are quarantined and audited (see repro.serve).
+    # nodes match their single-node replay while faults are
+    # quarantined and audited (see repro.serve).
     "serve": _runner("serve_demo"),
 }
 

@@ -6,10 +6,11 @@ deployed as a :class:`~repro.serve.FleetService` over a simulated
 fleet; at each CI fault seed a quarter of the nodes emit corrupted
 telemetry (NaN/negative deltas, dead voltage rails, backwards
 timestamps, duplicates, bursts) for the whole session.  The demo
-verifies the blast radius: every *healthy* node's final estimator
-state must be bit-identical to a serial :class:`OnlineEstimator` fed
-the same stream, while the degradation the faults caused is graded by
-the AU013 audit rule.
+verifies the blast radius: every *healthy* node's final drift report
+must equal a single-node replay — an :class:`OnlineEstimator` fed
+only that node's stream — so neither its neighbours' faults nor
+batching, sharding or queueing changed its session, while the
+degradation the faults caused is graded by the AU013 audit rule.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class SeedOutcome:
     quarantined: int
     healthy: int
     verdict: str
-    healthy_bit_identical: bool
+    healthy_replay_identical: bool
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class ServeDemoResult:
     outcomes: Tuple[SeedOutcome, ...]
 
     @property
-    def all_bit_identical(self) -> bool:
-        return all(o.healthy_bit_identical for o in self.outcomes)
+    def all_replay_identical(self) -> bool:
+        return all(o.healthy_replay_identical for o in self.outcomes)
 
     def render(self) -> str:
         rows = [
@@ -70,7 +71,7 @@ class ServeDemoResult:
                 str(o.quarantined),
                 str(o.healthy),
                 o.verdict,
-                "yes" if o.healthy_bit_identical else "NO",
+                "yes" if o.healthy_replay_identical else "NO",
             )
             for o in self.outcomes
         ]
@@ -83,7 +84,7 @@ class ServeDemoResult:
                 "quarantined",
                 "healthy",
                 "audit",
-                "bit-identical",
+                "replay",
             ),
             rows,
             title=(
@@ -92,9 +93,9 @@ class ServeDemoResult:
             ),
         )
         verdict = (
-            "every healthy node bit-identical to its serial estimator"
-            if self.all_bit_identical
-            else "MISMATCH: a healthy node diverged from the serial path"
+            "every healthy node matches its single-node replay"
+            if self.all_replay_identical
+            else "MISMATCH: a healthy node diverged from its single-node replay"
         )
         return f"{table}\n{verdict}\n"
 
@@ -183,7 +184,7 @@ def run(seed: int = DEFAULT_SEED) -> ServeDemoResult:
                 quarantined=report.quarantined_nodes,
                 healthy=report.healthy_nodes,
                 verdict=audit_fleet(report).verdict,
-                healthy_bit_identical=identical,
+                healthy_replay_identical=identical,
             )
         )
     return ServeDemoResult(outcomes=tuple(outcomes))

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.faults.errors import RunFailure
 from repro.faults.plan import FaultPlan
-from repro.hardware.sensors import SensorFaults
 from repro.seeding import derive_rng
 from repro.tracing.otf2 import MetricStream, Trace
 from repro.tracing.plugins import ApapiPlugin, PowerPlugin
@@ -98,23 +97,6 @@ class FaultInjector:
             raise RunFailure(
                 f"run {tag} attempt {attempt}: transient crash injected"
             )
-
-    def sensor_faults(
-        self, *key: Union[str, int]
-    ) -> SensorFaults:
-        """Sensor-level fault state for one sampling context.
-
-        For callers driving :meth:`PowerSensor.sample` directly (the
-        plugin/trace path uses :meth:`corrupt_trace` instead, which
-        applies the same glitch classes to the recorded stream).
-        """
-        return SensorFaults(
-            dropout=self._event(
-                self.plan.sensor_dropout_rate, "sensor-dropout", *key
-            ),
-            stuck=self._event(self.plan.sensor_stuck_rate, "sensor-stuck", *key),
-            nan_rate=self.plan.nan_sample_rate,
-        )
 
     # ------------------------------------------------------------------
     # trace-level faults

@@ -37,10 +37,10 @@ class SensorFaults:
 
     Models the failure modes of a real shunt + ADC chain: dropped
     readings (link loss → NaN), a stuck-at glitch (the ADC repeats its
-    last conversion), and sporadic NaN readings.  Constructed by
-    :meth:`repro.faults.injector.FaultInjector.sensor_faults`; the
-    same glitches are applied to recorded traces by
-    :meth:`~repro.faults.injector.FaultInjector.corrupt_trace`.
+    last conversion), and sporadic NaN readings.  Passed to
+    :meth:`PowerSensor.sample` by callers that drive a sensor directly;
+    the trace path applies the same glitch classes to recorded streams
+    through :meth:`~repro.faults.injector.FaultInjector.corrupt_trace`.
     """
 
     dropout: bool = False

@@ -7,8 +7,9 @@ Layered like a backend app (DESIGN.md §15):
 * :mod:`repro.serve.middleware` — schema validation + duplicate audit;
 * :mod:`repro.serve.queue` — bounded ingestion with explicit
   backpressure policies;
-* :mod:`repro.serve.fleet` — vectorized per-node estimator state,
-  bit-identical to the serial :class:`~repro.core.online.OnlineEstimator`;
+* :mod:`repro.serve.fleet` — the online estimation kernel, vectorized
+  over nodes; :class:`~repro.core.online.OnlineEstimator` is its
+  one-node view and a serial oracle in the tests checks it;
 * :mod:`repro.serve.state` — sharded atomic snapshot/restore;
 * :mod:`repro.serve.breaker` — per-shard operation circuit breakers;
 * :mod:`repro.serve.report` — shard and fleet health roll-ups;

@@ -1,14 +1,13 @@
-"""Wire types of the fleet estimation service.
+"""Wire types of the online estimation kernel.
 
 A monitored node reports one :class:`NodeSample` per sampling interval;
-the service packs validated samples into column-major :class:`Batch`
-matrices (nodes × counters) that :class:`repro.serve.fleet.FleetEstimator`
-steps in one vectorized pass.  The batch layout preserves everything the
-single-node :meth:`~repro.core.online.OnlineEstimator.step` contract
-distinguishes — a *missing* counter (absent key), a *non-finite* delta
-and a *negative* delta are different degradations with different
-messages — so the vectorized path can reproduce the serial path bit for
-bit.
+samples are packed into column-major :class:`Batch` matrices (nodes ×
+counters) that :class:`repro.serve.fleet.FleetEstimator` steps in one
+vectorized pass — a fleet service's shard, or the single row of the
+one-node :class:`~repro.core.online.OnlineEstimator`.  The batch layout
+keeps apart everything the step contract distinguishes: a *missing*
+counter (absent key or ``None``), a *non-finite* delta and a *negative*
+delta are different degradations with different messages.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ class NodeSample:
     node_id: str
     counter_deltas: Dict[str, float]
     """Raw event counts accumulated over the interval.  Keys the model
-    needs but the node failed to report are simply absent."""
+    needs but the node failed to report are absent (or ``None``)."""
     interval_s: float
     voltage_v: float
     frequency_mhz: float
@@ -63,9 +62,8 @@ class Batch:
         return len(self.node_ids)
 
     def row_sample(self, i: int) -> NodeSample:
-        """Row *i* back as the :class:`NodeSample` the serial estimator
-        would have been fed — the identity tests step both paths from
-        the same rows."""
+        """Row *i* back as a :class:`NodeSample` — the identity tests
+        feed the same rows to the kernel and to a reference."""
         deltas = {
             counter: float(self.deltas[i, k])
             for k, counter in enumerate(self.counters)
@@ -86,9 +84,8 @@ def make_batch(
 ) -> Batch:
     """Pack samples into a :class:`Batch` over the model's counters.
 
-    Counters a sample carries beyond the model's set are ignored, like
-    the serial path ignores them; absent counters become
-    ``present=False`` holes.
+    Counters a sample carries beyond the model's set are ignored;
+    absent (or ``None``) counters become ``present=False`` holes.
     """
     counters = tuple(counters)
     n, k = len(samples), len(counters)
@@ -103,9 +100,10 @@ def make_batch(
     for i, sample in enumerate(samples):
         node_ids.append(sample.node_id)
         for j, counter in enumerate(counters):
-            if counter in sample.counter_deltas:
+            value = sample.counter_deltas.get(counter)
+            if value is not None:
                 present[i, j] = True
-                deltas[i, j] = float(sample.counter_deltas[counter])
+                deltas[i, j] = float(value)
         interval_s[i] = float(sample.interval_s)
         voltage_v[i] = float(sample.voltage_v)
         frequency_mhz[i] = float(sample.frequency_mhz)

@@ -28,20 +28,18 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.model import FittedPowerModel
 from repro.core.online import PowerEnvelope
 from repro.acquisition.checkpoint import shard_key
 from repro.seeding import DEFAULT_SEED
-from repro.serve.api import Batch, NodeSample, make_batch
+from repro.serve.api import NodeSample, make_batch
 from repro.serve.breaker import ShardBreaker
 from repro.serve.fleet import BatchResult, FleetEstimator
 from repro.serve.middleware import DuplicateAuditor, SchemaValidator
-from repro.serve.queue import BoundedIngestQueue, QueueStats
+from repro.serve.queue import BoundedIngestQueue
 from repro.serve.report import FleetReport, ShardReport
 from repro.serve.state import FleetStateStore, fleet_fingerprint
 
@@ -240,27 +238,14 @@ class FleetService:
         self, samples: Sequence[NodeSample]
     ) -> Tuple[Tuple[str, float], ...]:
         """PMC-free baseline estimates that touch no per-node state."""
-        out = []
-        for sample in samples:
-            power_w = self._baseline_power(
-                sample.voltage_v, sample.frequency_mhz
-            )
-            out.append((sample.node_id, power_w))
-        self._stateless_served += len(out)
-        return tuple(out)
-
-    def _baseline_power(self, voltage_v: float, frequency_mhz: float) -> float:
-        coeffs = self.fleet.model.coefficients
-        v2f = voltage_v * voltage_v * (frequency_mhz / 1000.0)
-        power_w = (
-            coeffs["beta:V2f"] * v2f
-            + coeffs["gamma:V"] * voltage_v
-            + coeffs["delta:Z"]
+        if not samples:
+            return ()
+        power_w = self.fleet.stateless_power(
+            [float(s.voltage_v) for s in samples],
+            [float(s.frequency_mhz) for s in samples],
         )
-        envelope = self.fleet.envelope
-        if envelope is not None:
-            return envelope.clip(float(power_w))
-        return float(power_w) if np.isfinite(power_w) else 0.0
+        self._stateless_served += len(samples)
+        return tuple(zip((s.node_id for s in samples), power_w.tolist()))
 
     # ------------------------------------------------------------------
     # Processing
@@ -339,38 +324,22 @@ class FleetService:
     # ------------------------------------------------------------------
     def report(self) -> FleetReport:
         """Roll up node health, shard breakers and queue pressure."""
-        n = self.fleet.n_nodes
-        per_shard_nodes: Dict[int, List[int]] = {}
-        for idx, node_id in enumerate(self.fleet.node_ids()):
-            per_shard_nodes.setdefault(self.shard_of(node_id), []).append(idx)
+        per_shard_nodes: Dict[int, List[str]] = {}
+        for node_id in self.fleet.node_ids():
+            per_shard_nodes.setdefault(self.shard_of(node_id), []).append(
+                node_id
+            )
         shards = []
         for shard in range(self.n_shards):
-            indices = np.asarray(
-                per_shard_nodes.get(shard, []), dtype=np.int64
-            )
-            quarantined = (
-                self.fleet._quarantined[indices] if indices.size else
-                np.zeros(0, dtype=bool)
-            )
-            degraded = (
-                (
-                    self.fleet._breaker_open[indices]
-                    | self.fleet._drift_detected[indices]
-                )
-                & ~quarantined
-                if indices.size
-                else np.zeros(0, dtype=bool)
-            )
-            n_quarantined = int(np.count_nonzero(quarantined))
-            n_degraded = int(np.count_nonzero(degraded))
+            counts = self.fleet.health_counts(per_shard_nodes.get(shard, []))
             breaker = self.breakers[shard]
             shards.append(
                 ShardReport(
                     shard=shard,
-                    n_nodes=int(indices.size),
-                    healthy=int(indices.size) - n_quarantined - n_degraded,
-                    degraded=n_degraded,
-                    quarantined=n_quarantined,
+                    n_nodes=counts["n_nodes"],
+                    healthy=counts["healthy"],
+                    degraded=counts["degraded"],
+                    quarantined=counts["quarantined"],
                     breaker_state=breaker.state,
                     breaker_trips=breaker.trips,
                     refused_operations=breaker.refused,
@@ -378,7 +347,7 @@ class FleetService:
             )
         counts = self.fleet.health_counts()
         return FleetReport(
-            n_nodes=n,
+            n_nodes=counts["n_nodes"],
             healthy_nodes=counts["healthy"],
             degraded_nodes=counts["degraded"],
             quarantined_nodes=counts["quarantined"],

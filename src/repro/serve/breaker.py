@@ -1,7 +1,8 @@
 """Per-shard circuit breakers for the fleet service.
 
-The *node-level* breaker inside :class:`~repro.core.online.OnlineEstimator`
-guards against one node's flapping counters.  :class:`ShardBreaker`
+The *node-level* breaker of the online step
+(:class:`~repro.serve.fleet.FleetEstimator`) guards against one node's
+flapping counters.  :class:`ShardBreaker`
 guards a different failure surface: the shard *operation* itself —
 stepping a shard's sub-batch, writing or restoring its snapshot.  When
 a shard keeps failing operationally, its breaker opens and the service

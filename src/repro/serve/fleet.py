@@ -1,41 +1,41 @@
-"""Vectorized fleet-wide online estimation over (nodes × counters).
+"""The online estimation kernel: per-node state over (nodes × counters).
 
-:class:`FleetEstimator` holds the state of millions of per-node
-:class:`~repro.core.online.OnlineEstimator` sessions in flat numpy
-arrays and advances a whole :class:`~repro.serve.api.Batch` per call.
+:class:`FleetEstimator` is the only implementation of the online
+step.  It holds every node's estimator state in flat numpy arrays and
+advances a whole :class:`~repro.serve.api.Batch` per call;
+:class:`~repro.core.online.OnlineEstimator` is a one-node view over a
+fleet of one, so a single node and a fleet of millions run the same
+code.
 
-Bit-identity contract
----------------------
-``step_batch`` is **bit-identical** to looping the single-node
-:meth:`OnlineEstimator.step` over the batch rows in order: every
-estimate (power, EWMA, timestamp), every ``source`` / ``flags``
-decision, every breaker transition, drift latch, counter tally and
-warning string matches the serial path exactly.  Three things make
-that possible:
+Semantics of ``step_batch``
+---------------------------
+Rows are applied in order, one interval per row, with the contract
+documented on :mod:`repro.core.online`: invalid context and
+non-monotonic timestamps skip the row, degraded counters fall back to
+the baseline, the node-level breaker and the envelope decide the
+source, and the drift window latches.  Branching is masking: each
+branch is a boolean mask, and warning/flag strings are built by sparse
+Python loops over ``np.nonzero`` of *incident* rows only, so the clean
+fast path stays loop-free.  Duplicate node ids inside one batch are
+processed in **waves** (first occurrence of every node, then second,
+…), so each node sees its samples in arrival order.
 
-* every arithmetic expression is evaluated in the *same operand
-  order* as the serial code — numpy elementwise float64 ops are
-  IEEE-identical to the scalar ops they replace;
-* branching becomes masking: each serial branch is a boolean mask,
-  and warning/flag strings are built by sparse Python loops over
-  ``np.nonzero`` of *incident* rows only, so the clean fast path
-  stays loop-free;
-* duplicate node ids inside one batch are processed in **waves**
-  (first occurrence of every node, then second, …), preserving each
-  node's per-sample order — exactly what the serial loop sees.
+The serial estimator the kernel was transliterated from is kept in the
+tests as an oracle (``tests/oracles/online.py``); estimates, flags,
+warnings, breaker transitions and drift reports are asserted equal to
+it with ``==`` on floats.
 
-The drift window is a fixed-size int8 ring buffer per node (the serial
-list-append-and-trim, without the allocation).  Quarantine is a
-fleet-level *reporting overlay* on top of the serial semantics: a node
-whose drift latch fires is quarantined (seeded probation via
+The drift window is a fixed-size int8 ring buffer per node.
+Quarantine is a fleet-level *reporting overlay*: a node whose drift
+latch fires is quarantined (seeded probation via
 :func:`repro.seeding.derive_rng`) so shard health statistics exclude
-it; its estimates are still produced bit-identically.
+it; its estimates are still produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.core.online import (
     ONLINE_STATE_FORMAT,
     DriftReport,
     OnlineEstimate,
-    OnlineEstimator,
     PowerEnvelope,
 )
 from repro.seeding import DEFAULT_SEED, derive_rng
@@ -57,10 +56,9 @@ __all__ = ["FleetEstimator", "BatchResult"]
 class BatchResult:
     """Row-aligned outcome of one ``step_batch`` call.
 
-    ``produced[i]`` is False where the serial path would have returned
-    ``None`` (skipped interval); ``power_w``/``smoothed_w``/``time_s``
-    are NaN there.  ``flags`` is sparse: only rows with at least one
-    flag appear.
+    ``produced[i]`` is False where the interval was skipped;
+    ``power_w``/``smoothed_w``/``time_s`` are NaN there.  ``flags`` is
+    sparse: only rows with at least one flag appear.
     """
 
     node_ids: Tuple[str, ...]
@@ -80,8 +78,8 @@ class BatchResult:
         return int(np.count_nonzero(self.produced))
 
     def estimate(self, i: int) -> Optional[OnlineEstimate]:
-        """Row *i* as the :class:`OnlineEstimate` the serial path
-        returns (``None`` for a skipped row)."""
+        """Row *i* as an :class:`OnlineEstimate` (``None`` for a
+        skipped row)."""
         if not self.produced[i]:
             return None
         return OnlineEstimate(
@@ -94,6 +92,96 @@ class BatchResult:
 
     def estimates(self) -> List[Optional[OnlineEstimate]]:
         return [self.estimate(i) for i in range(self.n_rows)]
+
+
+#: Integer tallies of a node snapshot; each is stored in the int64
+#: array of the same name with a leading underscore.
+_COUNT_KEYS = (
+    "n_intervals", "seen", "n_model", "n_baseline", "n_skipped",
+    "n_implausible", "n_clipped", "breaker_trips", "breaker_open_intervals",
+    "consecutive_bad", "consecutive_good",
+)
+_STATE_KEYS = _COUNT_KEYS + (
+    "smoothed", "last_time", "breaker_open", "drift_detected",
+    "implausible_window", "warnings",
+)
+_COUNT_MAX = int(np.iinfo(np.int64).max)
+
+
+def _finite_or_none(value: object, what: str) -> Optional[float]:
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"malformed estimator state: {what} is {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = float("inf")
+    if not np.isfinite(number):
+        raise ValueError(f"estimator state carries a non-finite {what}")
+    return number
+
+
+def _parse_state(state: object, drift_window: int) -> Dict[str, object]:
+    """A validated, normalised copy of a node snapshot.
+
+    Anything this kernel could not have written raises ``ValueError``,
+    and only ``ValueError``: a non-dict, an unknown ``format``, missing
+    keys, tallies that are not non-negative int64 integers, a
+    non-finite EWMA or timestamp, flags that are not booleans, a drift
+    window longer than ``drift_window``, warnings that are not strings.
+    """
+    if not isinstance(state, dict):
+        raise ValueError("estimator state must be a dict")
+    if state.get("format") != ONLINE_STATE_FORMAT:
+        raise ValueError(
+            f"unknown estimator state format {state.get('format')!r} "
+            f"(expected {ONLINE_STATE_FORMAT})"
+        )
+    missing = [key for key in _STATE_KEYS if key not in state]
+    if missing:
+        raise ValueError(f"malformed estimator state: missing {missing}")
+    out: Dict[str, object] = {}
+    for key in _COUNT_KEYS:
+        value = state[key]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(
+                f"malformed estimator state: {key} is {value!r}, "
+                f"not an integer"
+            )
+        if value < 0:
+            raise ValueError("estimator state counters must be non-negative")
+        if value > _COUNT_MAX:
+            raise ValueError(f"estimator state counter {key} out of range")
+        out[key] = int(value)
+    out["smoothed"] = _finite_or_none(state["smoothed"], "EWMA")
+    out["last_time"] = _finite_or_none(state["last_time"], "timestamp")
+    for key in ("breaker_open", "drift_detected"):
+        if not isinstance(state[key], (bool, np.bool_)):
+            raise ValueError(f"malformed estimator state: {key} not a bool")
+        out[key] = bool(state[key])
+    window = state["implausible_window"]
+    if not isinstance(window, (list, tuple)) or not all(
+        isinstance(b, (bool, np.bool_)) for b in window
+    ):
+        raise ValueError(
+            "malformed estimator state: implausible_window must be a "
+            "list of booleans"
+        )
+    if len(window) > drift_window:
+        raise ValueError("estimator state drift window longer than configured")
+    out["implausible_window"] = [bool(b) for b in window]
+    warnings = state["warnings"]
+    if not isinstance(warnings, (list, tuple)) or not all(
+        isinstance(w, str) for w in warnings
+    ):
+        raise ValueError(
+            "malformed estimator state: warnings must be a list of strings"
+        )
+    out["warnings"] = list(warnings)
+    return out
 
 
 class FleetEstimator:
@@ -113,18 +201,18 @@ class FleetEstimator:
         quarantine_probation: int = 50,
         capacity: int = 1024,
     ) -> None:
-        # The scratch estimator validates every config parameter with
-        # the serial rules and later validates node-state snapshots via
-        # its load_state — one validator, zero drift between paths.
-        self._scratch = OnlineEstimator(
-            model,
-            smoothing=smoothing,
-            envelope=envelope,
-            breaker_threshold=breaker_threshold,
-            recovery_threshold=recovery_threshold,
-            drift_window=drift_window,
-            drift_tolerance=drift_tolerance,
-        )
+        if not 0.0 < smoothing <= 1.0:
+            raise ValueError(f"smoothing must be in (0, 1], got {smoothing}")
+        if breaker_threshold < 1:
+            raise ValueError("breaker_threshold must be at least 1")
+        if recovery_threshold < 1:
+            raise ValueError("recovery_threshold must be at least 1")
+        if drift_window < 1:
+            raise ValueError("drift_window must be at least 1")
+        if not 0.0 < drift_tolerance <= 1.0:
+            raise ValueError(
+                f"drift_tolerance must be in (0, 1], got {drift_tolerance}"
+            )
         if quarantine_probation < 1:
             raise ValueError("quarantine_probation must be at least 1")
         if capacity < 1:
@@ -219,7 +307,7 @@ class FleetEstimator:
         return idx
 
     # ------------------------------------------------------------------
-    # Snapshot-safe per-node state (OnlineEstimator schema)
+    # Snapshot-safe per-node state (ONLINE_STATE_FORMAT schema)
     # ------------------------------------------------------------------
     def _window_list(self, idx: int) -> List[bool]:
         """The node's implausible window, oldest → newest."""
@@ -234,9 +322,10 @@ class FleetEstimator:
         return [bool(v) for v in raw]
 
     def node_state(self, node_id: str) -> Dict[str, object]:
-        """One node's state in the exact
-        :meth:`OnlineEstimator.state_dict` schema — a fleet snapshot
-        restores into a single-node estimator and vice versa."""
+        """One node's state as plain scalars and lists (JSON-safe,
+        ``ONLINE_STATE_FORMAT``); :meth:`load_node_state` restores it so
+        the node resumes bit-identically.  The single-node
+        :meth:`OnlineEstimator.state_dict` is this dict."""
         i = self._node_index(node_id)
         return {
             "format": ONLINE_STATE_FORMAT,
@@ -268,49 +357,78 @@ class FleetEstimator:
     def load_node_state(self, node_id: str, state: Dict[str, object]) -> int:
         """Restore one node from a snapshot (strict, validated).
 
-        Validation is delegated to :meth:`OnlineEstimator.load_state`
-        so the fleet accepts and rejects exactly what the serial
-        estimator would; malformed snapshots raise ``ValueError`` and
-        leave the node untouched.
+        A malformed snapshot raises ``ValueError`` (see
+        :func:`_parse_state`) before anything is written: an existing
+        node keeps its state and an unknown one stays unregistered.
         """
-        self._scratch.load_state(state)  # raises ValueError if malformed
-        src = self._scratch
+        parsed = _parse_state(state, self.drift_window)
         i = self.ensure_node(node_id)
-        sm = src._smoothed
-        self._smoothed[i] = np.nan if sm is None else float(sm)
+        sm = parsed["smoothed"]
+        self._smoothed[i] = np.nan if sm is None else sm
         self._smoothed_valid[i] = sm is not None
-        lt = src._last_time
-        self._last_time[i] = np.nan if lt is None else float(lt)
+        lt = parsed["last_time"]
+        self._last_time[i] = np.nan if lt is None else lt
         self._last_time_valid[i] = lt is not None
-        self._n_intervals[i] = src._n_intervals
-        self._seen[i] = src._seen
-        self._n_model[i] = src._n_model
-        self._n_baseline[i] = src._n_baseline
-        self._n_skipped[i] = src._n_skipped
-        self._n_implausible[i] = src._n_implausible
-        self._n_clipped[i] = src._n_clipped
-        self._breaker_open[i] = src._breaker_open
-        self._breaker_trips[i] = src._breaker_trips
-        self._breaker_open_intervals[i] = src._breaker_open_intervals
-        self._consecutive_bad[i] = src._consecutive_bad
-        self._consecutive_good[i] = src._consecutive_good
-        self._drift_detected[i] = src._drift_detected
-        window = src._implausible_window
+        for key in _COUNT_KEYS:
+            getattr(self, "_" + key)[i] = parsed[key]
+        self._breaker_open[i] = parsed["breaker_open"]
+        self._drift_detected[i] = parsed["drift_detected"]
+        window = parsed["implausible_window"]
         self._ring[i, :] = 0
         self._ring[i, : len(window)] = [int(b) for b in window]
         self._wlen[i] = len(window)
         self._wpos[i] = len(window) % self.drift_window
         self._wsum[i] = sum(window)
-        if src._warnings:
-            self._warnings[i] = list(src._warnings)
+        if parsed["warnings"]:
+            self._warnings[i] = parsed["warnings"]
         else:
             self._warnings.pop(i, None)
         # Quarantine is a live overlay, not snapshot state: a restored
         # node re-earns it if its window stays implausible.
         self._quarantined[i] = False
         self._quarantine_release[i] = 0
-        self._scratch.reset()
         return i
+
+    # ------------------------------------------------------------------
+    # Equation 1 baseline
+    # ------------------------------------------------------------------
+    def _baseline_terms(
+        self, voltage_v: np.ndarray, frequency_mhz: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``V²f`` and the PMC-free baseline ``βV²f + γV + δZ``."""
+        v2f = voltage_v * voltage_v * (frequency_mhz / 1000.0)
+        return v2f, self._beta * v2f + self._gamma * voltage_v + self._delta
+
+    def baseline_power(self, voltage_v, frequency_mhz) -> np.ndarray:
+        """The baseline ``βV²f + γV + δZ``, elementwise: what the model
+        says about an operating point when no counter can be trusted."""
+        return self._baseline_terms(
+            np.asarray(voltage_v, dtype=np.float64),
+            np.asarray(frequency_mhz, dtype=np.float64),
+        )[1]
+
+    def _clip_to_envelope(
+        self, power_w: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Baseline estimates clamped into the envelope (non-finite ones
+        land mid-range), and the mask of those that changed."""
+        lo, hi = self.envelope.lo_w, self.envelope.hi_w
+        nonfinite = ~np.isfinite(power_w)
+        clipped = np.minimum(np.maximum(power_w, lo), hi)
+        clipped[nonfinite] = 0.5 * (lo + hi)
+        changed = (clipped != power_w) | nonfinite  # replint: ignore[RL004] -- the clamp returns in-range input bit-exactly
+        return clipped, changed
+
+    def stateless_power(self, voltage_v, frequency_mhz) -> np.ndarray:
+        """Answers for samples served without per-node state: the
+        baseline, clamped into the envelope when there is one, with
+        non-finite values pinned to zero — the kernel's rules for a
+        baseline interval."""
+        power_w = self.baseline_power(voltage_v, frequency_mhz)
+        if self.envelope is not None:
+            power_w = self._clip_to_envelope(power_w)[0]
+        power_w[~np.isfinite(power_w)] = 0.0
+        return power_w
 
     # ------------------------------------------------------------------
     # Vectorized stepping
@@ -349,7 +467,7 @@ class FleetEstimator:
         self._dirty.update(int(v) for v in np.unique(nodes))
         if occurrence.any():
             # Duplicate reports: each node's k-th sample lands in wave
-            # k, so per-node ordering matches the serial loop.
+            # k, so each node's samples apply in arrival order.
             for wave in range(int(occurrence.max()) + 1):
                 sel = occurrence == wave
                 self._step_wave(batch, np.nonzero(sel)[0], nodes[sel], out)
@@ -468,9 +586,9 @@ class FleetEstimator:
         for j in np.nonzero(is_open)[0]:
             add_flag(int(rows[j]), "breaker-open")
 
-        # Equation 1, in the serial operand order.
-        v2f = voltage_v * voltage_v * (freq_mhz / 1000.0)
-        baseline = self._beta * v2f + self._gamma * voltage_v + self._delta
+        # Equation 1.  The operand order of every float expression
+        # below matches the serial oracle, which keeps them bit-equal.
+        v2f, baseline = self._baseline_terms(voltage_v, freq_mhz)
         power_w = baseline.copy()
         source_model = np.zeros(m, dtype=bool)
         implausible = np.zeros(m, dtype=bool)
@@ -503,15 +621,7 @@ class FleetEstimator:
         if self.envelope is not None:
             b = np.nonzero(~source_model)[0]
             if b.size:
-                p = power_w[b]
-                nonfin = ~np.isfinite(p)
-                clipped = np.minimum(
-                    np.maximum(p, self.envelope.lo_w), self.envelope.hi_w
-                )
-                clipped[nonfin] = 0.5 * (
-                    self.envelope.lo_w + self.envelope.hi_w
-                )
-                changed = (clipped != p) | nonfin
+                clipped, changed = self._clip_to_envelope(power_w[b])
                 hit = b[changed]
                 self._n_clipped[nd[hit]] += 1
                 for j in hit:
@@ -523,7 +633,7 @@ class FleetEstimator:
             self._warn(int(nd[j]), "non-finite estimate replaced by 0.0")
         power_w[zeroed] = 0.0
 
-        # Drift window: the serial append-and-trim as a ring buffer.
+        # Drift window: append-and-trim as a ring buffer.
         val = implausible.astype(np.int8)
         full = self._wlen[nd] == self.drift_window
         old = np.where(full, self._ring[nd, self._wpos[nd]], 0)
@@ -546,7 +656,7 @@ class FleetEstimator:
                 f"{self.drift_window} intervals implausible",
             )
 
-        # Record: EWMA, timeline, interval count (serial operand order).
+        # Record: EWMA, timeline, interval count (oracle operand order).
         sm_prev = self._smoothed[nd]
         smoothed = np.where(
             self._smoothed_valid[nd],
@@ -622,8 +732,7 @@ class FleetEstimator:
         return tuple(self._ids[int(i)] for i in hits)
 
     def drift_report(self, node_id: str) -> DriftReport:
-        """One node's session tally — identical to what the serial
-        estimator's :meth:`OnlineEstimator.drift_report` would say."""
+        """One node's session tally."""
         i = self._node_index(node_id)
         wlen = int(self._wlen[i])
         fraction = float(self._wsum[i]) / wlen if wlen else 0.0
@@ -649,21 +758,28 @@ class FleetEstimator:
         self._dirty.clear()
         return [self._ids[i] for i in dirty]
 
-    def health_counts(self) -> Dict[str, int]:
-        """Fleet-level health tally over all registered nodes."""
-        n = self.n_nodes
-        quarantined = self._quarantined[:n]
+    def health_counts(
+        self, node_ids: Optional[Sequence[str]] = None
+    ) -> Dict[str, int]:
+        """Health tally over ``node_ids`` (default: every registered
+        node).  A quarantined node counts as quarantined only; a node
+        with an open breaker or a latched drift detector is degraded."""
+        if node_ids is None:
+            idx = np.arange(self.n_nodes)
+        else:
+            idx = np.asarray(
+                [self._node_index(n) for n in node_ids], dtype=np.int64
+            )
+        quarantined = self._quarantined[idx]
         degraded = (
-            (self._breaker_open[:n] | self._drift_detected[:n])
+            (self._breaker_open[idx] | self._drift_detected[idx])
             & ~quarantined
         )
+        n_quarantined = int(np.count_nonzero(quarantined))
+        n_degraded = int(np.count_nonzero(degraded))
         return {
-            "n_nodes": n,
-            "quarantined": int(np.count_nonzero(quarantined)),
-            "degraded": int(np.count_nonzero(degraded)),
-            "healthy": int(
-                n
-                - np.count_nonzero(quarantined)
-                - np.count_nonzero(degraded)
-            ),
+            "n_nodes": int(idx.size),
+            "quarantined": n_quarantined,
+            "degraded": n_degraded,
+            "healthy": int(idx.size) - n_quarantined - n_degraded,
         }

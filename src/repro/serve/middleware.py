@@ -5,9 +5,9 @@ type, missing fields, empty node id, non-finite context *types*,
 NaN/infinite timestamps) are dropped **and counted** here — they never
 reach the estimator.  Degraded-but-well-formed samples (NaN deltas,
 non-positive voltage, backwards timestamps) pass through untouched:
-judging *values* is the estimator's job, and it must see them so the
-fleet path stays bit-identical to the serial
-:meth:`~repro.core.online.OnlineEstimator.step` contract.
+judging *values* is the estimator's job, and it must see them so a
+node served by the fleet gets the same session as its single-node
+:meth:`~repro.core.online.OnlineEstimator.step` replay.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Sharded persistence of per-node estimator state.
 
-:class:`FleetStateStore` stores :meth:`OnlineEstimator.state_dict`
-snapshots keyed by node id, on top of the generic
-:class:`~repro.acquisition.checkpoint.ShardedArchiveStore` — the same
-atomic-write / corrupt-archive-discard discipline as the campaign
-checkpoints, plus lazy per-shard reads.  A corrupt shard loses only its
-own nodes (they restart from the baseline model); restoring *k* nodes
-reads at most ``min(k, n_shards)`` shard files.
+:class:`FleetStateStore` stores per-node estimator snapshots
+(:meth:`FleetEstimator.node_state`, which is also the single-node
+:meth:`OnlineEstimator.state_dict`) keyed by node id, on top of the
+generic :class:`~repro.acquisition.checkpoint.ShardedArchiveStore` —
+the same atomic-write / corrupt-archive-discard discipline as the
+campaign checkpoints, plus lazy per-shard reads.  A corrupt shard
+loses only its own nodes (they restart from the baseline model);
+restoring *k* nodes reads at most ``min(k, n_shards)`` shard files.
 
 The store is fingerprinted by the model and estimator configuration
 (:func:`fleet_fingerprint`): state written for a different model or a

@@ -15,7 +15,6 @@ import pytest
 from repro.acquisition import run_campaign
 from repro.experiments import data as expdata
 from repro.hardware import Platform
-from repro.seeding import DEFAULT_SEED
 from repro.workloads import get_workload
 
 

@@ -25,7 +25,7 @@ class TestOnlineEstimator:
         model prediction for the same rates."""
         est = OnlineEstimator(fitted, smoothing=1.0)
         row = 10
-        out = est.update(
+        out = est.step(
             self._deltas(fitted, full_dataset, row, 0.5),
             interval_s=0.5,
             voltage_v=float(full_dataset.voltage_v[row]),
@@ -38,7 +38,7 @@ class TestOnlineEstimator:
         est = OnlineEstimator(fitted, smoothing=0.2)
         rows = [0, 0, 0, 50, 50, 50]
         outs = [
-            est.update(
+            est.step(
                 self._deltas(fitted, full_dataset, r, 0.5),
                 interval_s=0.5,
                 voltage_v=float(full_dataset.voltage_v[r]),
@@ -51,30 +51,32 @@ class TestOnlineEstimator:
         if jump_raw > 1.0:
             assert jump_smooth < jump_raw
 
-    def test_history_and_reset(self, fitted, full_dataset):
-        est = OnlineEstimator(fitted)
-        est.update(
-            self._deltas(fitted, full_dataset, 0, 1.0),
-            interval_s=1.0,
-            voltage_v=0.97,
-            frequency_mhz=2400,
-        )
-        assert len(est.history) == 1
-        est.reset()
-        assert est.history == ()
-
     def test_missing_counter_rejected(self, fitted):
+        """A missing counter never reaches Equation 1: the interval
+        falls back to the baseline and says which counter was missing."""
         est = OnlineEstimator(fitted)
-        with pytest.raises(KeyError, match="missing"):
-            est.update({}, interval_s=1.0, voltage_v=0.97, frequency_mhz=2400)
+        out = est.step({}, interval_s=1.0, voltage_v=0.97, frequency_mhz=2400)
+        assert out.source == "baseline"
+        assert out.power_w == est.baseline_power(
+            voltage_v=0.97, frequency_mhz=2400
+        )
+        assert any(
+            f"{fitted.counters[0]} missing" in flag for flag in out.flags
+        )
 
     def test_invalid_inputs(self, fitted, full_dataset):
+        """Invalid context is rejected: the interval is skipped and
+        counted, never estimated; invalid configuration raises."""
         est = OnlineEstimator(fitted)
         deltas = self._deltas(fitted, full_dataset, 0, 1.0)
-        with pytest.raises(ValueError):
-            est.update(deltas, interval_s=0.0, voltage_v=0.97, frequency_mhz=2400)
-        with pytest.raises(ValueError):
-            est.update(deltas, interval_s=1.0, voltage_v=-1.0, frequency_mhz=2400)
+        assert est.step(
+            deltas, interval_s=0.0, voltage_v=0.97, frequency_mhz=2400
+        ) is None
+        assert est.step(
+            deltas, interval_s=1.0, voltage_v=-1.0, frequency_mhz=2400
+        ) is None
+        report = est.drift_report()
+        assert report.n_skipped == 2 and report.n_intervals == 0
         with pytest.raises(ValueError):
             OnlineEstimator(fitted, smoothing=0.0)
 

@@ -119,19 +119,24 @@ class TestStepSkipsBadInput:
         assert out is not None
         assert out.source == "baseline"
         assert np.isfinite(out.smoothed_w)
+        # A counter reported as None is missing, not a crash.
+        out = est.step({c: None for c in fitted.counters}, **ctx)
+        assert out.source == "baseline"
+        assert any("missing" in f for f in out.flags)
 
     def test_smoothed_stays_finite_through_garbage(self, fitted, full_dataset):
         est = OnlineEstimator(fitted, smoothing=0.3)
         clean, ctx = row_inputs(fitted, full_dataset)
+        outs = []
         for i in range(20):
             deltas = dict(clean)
             if i % 3 == 0:
                 deltas[fitted.counters[0]] = float("nan")
             elif i % 3 == 1:
                 deltas[fitted.counters[0]] = -1.0
-            est.step(deltas, **ctx)
-        assert all(np.isfinite(h.smoothed_w) for h in est.history)
-        assert all(np.isfinite(h.power_w) for h in est.history)
+            outs.append(est.step(deltas, **ctx))
+        assert all(np.isfinite(h.smoothed_w) for h in outs)
+        assert all(np.isfinite(h.power_w) for h in outs)
 
 
 class TestCircuitBreaker:
@@ -235,7 +240,7 @@ class TestDegradedRunDriver:
 
     def test_matches_strict_driver_without_faults(self, platform, run, fitted):
         """With an inactive fault plan the degraded driver must produce
-        the exact timeline of the strict driver."""
+        the exact timeline of the plain driver."""
         base = estimate_run(platform, run, fitted, interval_s=0.5)
         timeline, report = estimate_run_degraded(
             platform, run, fitted, faults=CounterLossPlan(), interval_s=0.5

@@ -72,9 +72,10 @@ class TestRoundtrip:
             c: float(full_dataset.column(c)[0]) * cycles
             for c in restored.counters
         }
-        out = est.update(
+        out = est.step(
             deltas, interval_s=1.0, voltage_v=0.97, frequency_mhz=2400
         )
+        assert out.source == "model"
         assert out.power_w > 0
 
 

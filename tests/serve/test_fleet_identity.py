@@ -1,24 +1,26 @@
-"""Bit-identity of the vectorized fleet step against the serial loop.
+"""Bit-identity of the fleet kernel against the serial oracle.
 
 The contract under test is absolute: for any ingestion stream —
 including one mangled by seeded fault injection — ``step_batch`` must
 produce byte-for-byte the same estimates, flags, warnings, breaker
 transitions and drift decisions as feeding each node's samples one at
-a time through its own :class:`OnlineEstimator`.  Equality is ``==``
-on floats, not approx: the vectorized path mirrors the serial operand
-order exactly.
+a time through its own serial estimator, the oracle kept in
+``tests/oracles/online.py``.  Equality is ``==`` on floats, not approx.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineEstimator, PowerEnvelope
+from repro.core.online import PowerEnvelope
 from repro.faults import IngestFaultInjector, IngestFaultPlan
 from repro.serve import FleetEstimator, SchemaValidator, make_batch
+from tests.oracles.online import OnlineEstimator as SerialEstimator
 
-from .conftest import COUNTERS, make_fleet_samples, synthetic_model
+from .conftest import COUNTERS, make_fleet_samples
 
 ESTIMATOR_KW = dict(
     smoothing=0.5,
@@ -39,7 +41,7 @@ def run_identity_stream(
     injector = IngestFaultInjector(plan, fault_seed)
     validator = SchemaValidator()
     kw = dict(envelope=envelope, **ESTIMATOR_KW)
-    serial = {nid: OnlineEstimator(model, **kw) for nid in node_ids}
+    serial = {nid: SerialEstimator(model, **kw) for nid in node_ids}
     fleet = FleetEstimator(model, **kw)
 
     produced = 0
@@ -119,7 +121,7 @@ class TestFleetIdentity:
         rng = np.random.default_rng(11)
         node_ids = [f"node-{i}" for i in range(8)]
         kw = dict(envelope=tight, **ESTIMATOR_KW)
-        serial = {nid: OnlineEstimator(model, **kw) for nid in node_ids}
+        serial = {nid: SerialEstimator(model, **kw) for nid in node_ids}
         fleet = FleetEstimator(model, **kw)
         for tick in range(10):
             samples = make_fleet_samples(node_ids, tick, rng)
@@ -150,7 +152,7 @@ class TestFleetIdentity:
         row order, exactly like three serial step() calls."""
         rng = np.random.default_rng(5)
         kw = dict(envelope=envelope, **ESTIMATOR_KW)
-        serial = OnlineEstimator(model, **kw)
+        serial = SerialEstimator(model, **kw)
         fleet = FleetEstimator(model, **kw)
         samples = []
         for rep in range(3):
@@ -179,19 +181,29 @@ class TestFleetIdentity:
             fleet.step_batch(batch)
 
     def test_invalid_config_rejected_like_serial(self, model):
-        """The scratch estimator enforces OnlineEstimator's own config
-        validation."""
-        with pytest.raises(ValueError, match="smoothing"):
-            FleetEstimator(model, smoothing=0.0)
+        """The kernel rejects every configuration the serial oracle
+        rejects, with the same message."""
+        bad = [
+            dict(smoothing=0.0),
+            dict(breaker_threshold=0),
+            dict(recovery_threshold=0),
+            dict(drift_window=0),
+            dict(drift_tolerance=1.5),
+        ]
+        for kw in bad:
+            with pytest.raises(ValueError) as serial_error:
+                SerialEstimator(model, **kw)
+            with pytest.raises(ValueError, match=re.escape(str(serial_error.value))):
+                FleetEstimator(model, **kw)
 
     def test_state_roundtrip_through_fleet(self, model, envelope):
         """node_state()/load_node_state() must resume bit-identically,
-        matching a serial estimator resumed from the same snapshot."""
+        matching the serial oracle that never stopped."""
         rng = np.random.default_rng(9)
         node_ids = ["x", "y"]
         kw = dict(envelope=envelope, **ESTIMATOR_KW)
         fleet = FleetEstimator(model, **kw)
-        serial = {nid: OnlineEstimator(model, **kw) for nid in node_ids}
+        serial = {nid: SerialEstimator(model, **kw) for nid in node_ids}
         for tick in range(6):
             samples = make_fleet_samples(node_ids, tick, rng)
             batch = make_batch(samples, COUNTERS)

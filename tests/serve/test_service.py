@@ -4,8 +4,9 @@ These tests drive ``FleetService`` end to end — middleware, queue,
 sharded stepping, circuit breakers, snapshot worker, restore — under
 seeded ingestion faults and deliberate corruption, and assert the
 resilience contract: no escaping exception, blast radius bounded to
-the faulty shard/nodes, healthy nodes bit-identical to a clean serial
-run, and degradation graded by the AU013 audit rule.
+the faulty shard/nodes, healthy nodes bit-identical to the serial
+oracle (``tests/oracles/online.py``) fed their streams, and degradation
+graded by the AU013 audit rule.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.audit import audit_fleet
-from repro.core.online import OnlineEstimator
+from repro.core.online import PowerEnvelope
 from repro.faults import IngestFaultInjector, IngestFaultPlan
 from repro.serve import FleetService, NodeSample
+from tests.oracles.online import OnlineEstimator as SerialEstimator
 
 from .conftest import make_fleet_samples
 
@@ -40,8 +42,8 @@ class TestServiceSoak:
         self, model, envelope
     ):
         """≥10% faulty nodes for 30 ticks: the service keeps serving,
-        and every healthy node's final state is bit-identical to a
-        clean serial OnlineEstimator fed the same samples."""
+        and every healthy node's final state is bit-identical to the
+        serial oracle fed the same samples."""
         plan = IngestFaultPlan.chaos(
             0.6, faulty_node_fraction=0.25, fault_seed=2
         )
@@ -60,14 +62,14 @@ class TestServiceSoak:
             drift_window=20,
             drift_tolerance=0.5,
         )
-        reference = {n: OnlineEstimator(model, **kw) for n in NODES}
+        reference = {n: SerialEstimator(model, **kw) for n in NODES}
 
         rng = np.random.default_rng(3)
         for tick in range(30):
             clean = make_fleet_samples(NODES, tick, rng)
             corrupted = injector.corrupt(clean, tick)
             # Burst faults replay the whole tick, healthy nodes
-            # included, so the serial reference consumes the same
+            # included, so the oracle consumes the same
             # post-injection stream the service sees.
             for sample in corrupted:
                 if (
@@ -90,6 +92,9 @@ class TestServiceSoak:
             assert (
                 service.fleet.drift_report(node)
                 == reference[node].drift_report()
+            ), node
+            assert (
+                service.fleet.node_state(node) == reference[node].state_dict()
             ), node
 
         report = service.report()
@@ -143,6 +148,85 @@ class TestServiceSoak:
             e["kind"] == "corrupt-shard-discarded"
             for e in second.store.events()
         )
+
+    def test_tampered_state_is_discarded_not_raised(
+        self, model, envelope, tmp_path
+    ):
+        """Snapshots that are well-formed JSON but not a valid state
+        (an infinite tally, a list EWMA, a string or NaN timestamp)
+        are counted in ``discarded_states``; their nodes start fresh
+        and ``process()`` never raises."""
+        make = lambda: FleetService(
+            model,
+            envelope=envelope,
+            n_shards=4,
+            queue_capacity=4096,
+            snapshot_dir=str(tmp_path),
+            seed=7,
+        )
+        first = make()
+        drive(first, 3)
+        first.snapshot()
+        tampered = {
+            NODES[0]: {"n_intervals": float("inf")},
+            NODES[1]: {"smoothed": [1.0]},
+            NODES[2]: {"last_time": "abc"},
+            NODES[3]: {"last_time": float("nan")},
+        }
+        first.store.store_many(
+            {
+                node: {**first.fleet.node_state(node), **change}
+                for node, change in tampered.items()
+            }
+        )
+
+        second = make()
+        drive(second, 1, rng_seed=11)
+        assert second.discarded_states == len(tampered)
+        assert second.restored_nodes == len(NODES) - len(tampered)
+        for node in NODES:
+            expected = 1 if node in tampered else 4
+            assert second.fleet.node_state(node)["seen"] == expected
+
+    @pytest.mark.parametrize("with_envelope", [True, False])
+    def test_stateless_answers_match_scalar_baseline(
+        self, model, envelope, with_envelope
+    ):
+        """Diverted samples get the oracle's scalar baseline with the
+        clip and zero rules, bit for bit — non-finite and non-positive
+        operating points included."""
+        env = envelope if with_envelope else None
+        service = FleetService(
+            model,
+            envelope=env,
+            n_shards=2,
+            queue_capacity=1,
+            policy="degrade-to-baseline",
+            seed=7,
+        )
+        rng = np.random.default_rng(13)
+        samples = make_fleet_samples(NODES, 0, rng)
+        odd = [
+            (float("nan"), 2000.0), (float("inf"), 2000.0),
+            (1.0, float("-inf")), (-1.0, 2400.0), (1.0, 0.0), (40.0, 3e4),
+        ]
+        samples += [
+            NodeSample("odd", {}, 0.5, v, f, None) for v, f in odd
+        ]
+        answers = service.submit(samples)
+        oracle = SerialEstimator(model)
+        expected = []
+        for sample in samples[1:]:
+            power_w = oracle.baseline_power(
+                voltage_v=sample.voltage_v, frequency_mhz=sample.frequency_mhz
+            )
+            if env is not None:
+                power_w = env.clip(float(power_w))
+            elif not np.isfinite(power_w):
+                power_w = 0.0
+            expected.append((sample.node_id, float(power_w)))
+        assert answers == tuple(expected)
+        assert all(type(p) is float for _, p in answers)
 
     def test_shard_breaker_diverts_to_stateless_baseline(
         self, model, envelope
@@ -258,8 +342,6 @@ class TestServiceSoak:
     def test_audit_grades_forced_degradation(self, model):
         """Drive every node implausible (tight envelope) and check the
         roll-up fails the audit once nothing healthy remains."""
-        from repro.core.online import PowerEnvelope
-
         service = FleetService(
             model,
             envelope=PowerEnvelope(lo_w=5.0, hi_w=20.0),
