@@ -158,6 +158,9 @@ class AuditConfig:
     @classmethod
     def load(cls, start: Optional[Path] = None) -> "AuditConfig":
         """Config from the nearest pyproject at/above ``start`` (cwd)."""
-        from repro.lint.config import find_pyproject
-
-        return cls.from_pyproject(find_pyproject(start or Path.cwd()))
+        start = (start or Path.cwd()).resolve()
+        for directory in (start, *start.parents):
+            pyproject = directory / "pyproject.toml"
+            if pyproject.is_file():
+                return cls.from_pyproject(pyproject)
+        return cls()

@@ -1,16 +1,16 @@
 """Core abstractions of the ``repraudit`` statistical-rigor pass.
 
-Where :mod:`repro.lint` audits *source trees*, this pass audits
-*fitted artifacts*: the OLS fits, selection tables, cross-validation
-summaries, campaign reports and drift tallies the pipeline produces at
-scale.  The paper's headline claims — per-scenario R², MAPE, VIF
-trajectories, cross-validated errors — are statistical artifacts, and
-nothing about a number being computed makes it methodologically valid.
-Each validity condition is encoded as an :class:`AuditRule`; rules
-emit :class:`AuditFinding` objects graded on the Statistical Rigor QA
-verdict scale (``pass``/``minor``/``major``/``fail``), and an
-:class:`AuditReport` folds the findings of one audited result set into
-a single verdict that gates reporting and persistence.
+This pass audits *fitted artifacts*: the OLS fits, selection tables,
+cross-validation summaries, campaign reports and drift tallies the
+pipeline produces at scale.  The paper's headline claims — per-scenario
+R², MAPE, VIF trajectories, cross-validated errors — are statistical
+artifacts, and nothing about a number being computed makes it
+methodologically valid.  Each validity condition is encoded as an
+:class:`AuditRule`; rules emit :class:`AuditFinding` objects graded on
+the Statistical Rigor QA verdict scale (``pass``/``minor``/``major``/
+``fail``), and an :class:`AuditReport` folds the findings of one
+audited result set into a single verdict that gates reporting and
+persistence.
 
 Rules receive an :class:`AuditContext` — a uniform, duck-typed view of
 whatever artifact is under audit — and check only the fields they
@@ -21,17 +21,7 @@ campaigns and online sessions alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-from repro.reporting import (
-    SEVERITY_FAIL,
-    SEVERITY_MAJOR,
-    SEVERITY_MINOR,
-    SEVERITY_PASS,
-    BaseFinding,
-    severity_rank,
-    worst_severity,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "AuditFinding",
@@ -40,12 +30,39 @@ __all__ = [
     "AuditContext",
     "AuditGateError",
     "VERDICTS",
+    "severity_rank",
+    "worst_severity",
 ]
 
-#: Verdict scale, least to most severe (shared with
-#: :mod:`repro.reporting`; re-exported here because it is the audit
-#: layer's primary vocabulary).
+SEVERITY_PASS = "pass"
+SEVERITY_MINOR = "minor"
+SEVERITY_MAJOR = "major"
+SEVERITY_FAIL = "fail"
+
+#: Verdict scale, least to most severe.  ``pass`` is the verdict of an
+#: empty finding set; individual findings carry the other three.
 VERDICTS = (SEVERITY_PASS, SEVERITY_MINOR, SEVERITY_MAJOR, SEVERITY_FAIL)
+
+_RANK: Dict[str, int] = {s: i for i, s in enumerate(VERDICTS)}
+
+
+def severity_rank(severity: str) -> int:
+    """Position of a severity on the scale (``pass``=0 … ``fail``=3)."""
+    try:
+        return _RANK[severity]
+    except KeyError:
+        raise ValueError(
+            f"unknown severity {severity!r}; expected one of {VERDICTS}"
+        ) from None
+
+
+def worst_severity(severities: Sequence[str]) -> str:
+    """The report-level verdict: worst severity present, else ``pass``."""
+    worst = SEVERITY_PASS
+    for s in severities:
+        if severity_rank(s) > severity_rank(worst):
+            worst = s
+    return worst
 
 
 class AuditGateError(RuntimeError):
@@ -58,7 +75,7 @@ class AuditGateError(RuntimeError):
 
 
 @dataclass(frozen=True, order=True)
-class AuditFinding(BaseFinding):
+class AuditFinding:
     """One diagnostic: a rigor rule violated by a fitted artifact."""
 
     artifact: str

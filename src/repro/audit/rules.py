@@ -22,8 +22,14 @@ from typing import List, Optional
 import numpy as np
 
 from repro.audit.config import AuditConfig
-from repro.audit.framework import AuditContext, AuditFinding, AuditRule
-from repro.reporting import SEVERITY_FAIL, SEVERITY_MAJOR, SEVERITY_MINOR
+from repro.audit.framework import (
+    SEVERITY_FAIL,
+    SEVERITY_MAJOR,
+    SEVERITY_MINOR,
+    AuditContext,
+    AuditFinding,
+    AuditRule,
+)
 from repro.stats.errors import (
     DegenerateResidualsError,
     EstimationError,
@@ -333,7 +339,7 @@ class MissingCIRule(AuditRule):
                     "confidence intervals cannot be formed",
                 )
             ]
-        if np.all(bse == 0.0):  # replint: ignore[RL004] -- degenerate-SE detection needs exact zeros
+        if np.all(bse == 0.0):  # degenerate-SE detection needs exact zeros
             return [
                 self.finding(
                     ctx,

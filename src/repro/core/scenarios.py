@@ -144,7 +144,7 @@ def _cv_fold(
     fitted = model.fit(dataset.subset(train))
     test_ds = dataset.subset(test)
     p = fitted.predict(test_ds)
-    n_zero = int(np.sum(test_ds.power_w == 0.0))  # replint: ignore[RL004] -- exact-zero guard: MAPE division sentinel
+    n_zero = int(np.sum(test_ds.power_w == 0.0))  # exact-zero guard: MAPE division sentinel
     return (
         p,
         mape(test_ds.power_w, p, on_zero=on_zero),
@@ -203,7 +203,7 @@ def cv_out_of_fold_predictions(
                 continue
             p = solver.predict(fit, test)
             test_power_w = dataset.power_w[test]
-            n_zero = int(np.sum(test_power_w == 0.0))  # replint: ignore[RL004] -- exact-zero guard: MAPE division sentinel
+            n_zero = int(np.sum(test_power_w == 0.0))  # exact-zero guard: MAPE division sentinel
             outcomes.append(
                 (
                     p,

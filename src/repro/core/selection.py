@@ -332,7 +332,7 @@ def select_events(
         ties = [
             e
             for e, s in scores
-            if e != event and s == score  # replint: ignore[RL004] -- exact tie detection is intentional
+            if e != event and s == score  # exact tie detection is intentional
         ]
         if ties:
             step_warnings.append(

@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 #: Bump when the simulated platform or workload definitions change in a
-#: way that alters campaign output.  Lint rule RL005 enforces the bump
-#: whenever a diff touches the physics modules (hardware/, workloads/).
+#: way that alters campaign output.  It is pinned together with the
+#: Table-I dataset digest in tests/experiments/test_dataset_pin.py.
 DATA_VERSION = 8
 
 _MEMORY_CACHE: Dict[Tuple[int, Tuple[int, ...]], PowerDataset] = {}

@@ -64,7 +64,7 @@ def _flat_windows(power_w: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
     if n < STUCK_RUN_LENGTH:
         return out
     # NaN != NaN keeps dropout out of this check.
-    equal = power_w[1:] == power_w[:-1]  # replint: ignore[RL004] -- exact repeats are the signal
+    equal = power_w[1:] == power_w[:-1]  # exact repeats are the signal
     if not equal.any():  # live sensor noise: the usual case
         return out
     cuts = np.asarray(offsets[1:-1], dtype=np.int64) - 1
@@ -80,7 +80,7 @@ def _longest_flat_run(power_w: np.ndarray) -> int:
     """Length of the longest run of bit-identical consecutive samples."""
     if power_w.size < 2:
         return power_w.size
-    equal = power_w[1:] == power_w[:-1]  # replint: ignore[RL004] -- exact repeats are the signal
+    equal = power_w[1:] == power_w[:-1]  # exact repeats are the signal
     edges = np.flatnonzero(np.diff(np.concatenate(([0], equal, [0]))))
     return int((edges[1::2] - edges[::2]).max(initial=0)) + 1
 

@@ -155,15 +155,13 @@ class Platform:
         self.voltage = VoltageTelemetry(cfg)
         self.pmu = PMU(cfg)
         # Pre-jitter phase states, shared across the event-set runs of a
-        # campaign (see repro.hardware.fastsim).  Never pickled: worker
-        # processes rebuild their own memo on first use.
+        # campaign (see repro.hardware.fastsim).
         self._phase_memo = PhaseStateMemo()
         # Whole-run skeletons keyed (workload, frequency, threads) — the
         # run_index-independent part of execute().  Same lifecycle as
         # the phase memo.
         self._run_memo: dict = {}
-        # Pre-hashed head of the per-run jitter RNG key (holds a hash
-        # object, so it is rebuilt after pickling).
+        # Pre-hashed head of the per-run jitter RNG key.
         self._run_hasher = SeedHasher(seed, "run")
         # Pre-expanded RNG state words, filled by campaigns via
         # prime_rng_words and keyed (workload, frequency, threads,
@@ -171,26 +169,6 @@ class Platform:
         # cache: a hit yields the same generator stream a cold
         # default_rng construction would.  Same lifecycle as the memos.
         self._rng_words: dict = {}
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_phase_memo"] = None
-        state["_run_memo"] = None
-        state["_run_hasher"] = None
-        state["_rng_words"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.__dict__.get("_phase_memo") is None:
-            self._phase_memo = PhaseStateMemo()
-        if self.__dict__.get("_run_memo") is None:
-            self._run_memo = {}
-        if self.__dict__.get("_run_hasher") is None:
-            self._run_hasher = SeedHasher(self.seed, "run")
-        if self.__dict__.get("_rng_words") is None:
-            self._rng_words = {}
 
     # ------------------------------------------------------------------
     def execute(

@@ -13,8 +13,8 @@ the standard one:
 3. on any error, unlink the temp file so aborted writes leave no debris.
 
 This module is the **only** place allowed to call the raw write
-primitives; lint rule RL006 enforces that every other durable write
-routes through these helpers.
+primitives; ``tests/test_source_invariants.py`` enforces that every
+other durable write routes through these helpers.
 """
 
 from __future__ import annotations

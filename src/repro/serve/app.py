@@ -107,7 +107,7 @@ class SnapshotWorker:
                     for node_id in sorted(node_ids)
                 }
                 written += store.store_many(items)
-            except Exception:  # replint: ignore[RL007] -- breaker trip is the handling; the refusal shows up in ShardReport
+            except Exception:  # breaker trip is the handling; the refusal shows up in ShardReport
                 breaker.record_failure()
                 continue
             breaker.record_success()
@@ -299,7 +299,7 @@ class FleetService:
                 self._restore_missing(shard_rows)
                 batch = make_batch(shard_rows, self.fleet.counters)
                 results.append(self.fleet.step_batch(batch))
-            except Exception:  # replint: ignore[RL007] -- breaker trip is the handling; nodes get a counted stateless answer
+            except Exception:  # breaker trip is the handling; nodes get a counted stateless answer
                 breaker.record_failure()
                 stateless.extend(self._stateless_answers(shard_rows))
                 continue

@@ -416,7 +416,7 @@ class FleetEstimator:
         nonfinite = ~np.isfinite(power_w)
         clipped = np.minimum(np.maximum(power_w, lo), hi)
         clipped[nonfinite] = 0.5 * (lo + hi)
-        changed = (clipped != power_w) | nonfinite  # replint: ignore[RL004] -- the clamp returns in-range input bit-exactly
+        changed = (clipped != power_w) | nonfinite  # the clamp returns in-range input bit-exactly
         return clipped, changed
 
     def stateless_power(self, voltage_v, frequency_mhz) -> np.ndarray:

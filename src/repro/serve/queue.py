@@ -81,7 +81,7 @@ class BoundedIngestQueue:
         self.policy = policy
         # Bound enforced by explicit accounting below (shed/reject
         # decisions must be counted, which deque(maxlen=...) would
-        # swallow); serve is the RL013-approved home for this.
+        # swallow).
         self._pending: deque = deque()
         self._max_depth = 0
         self._accepted = 0

@@ -40,7 +40,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     da = a - a.mean()
     db = b - b.mean()
     denom = np.sqrt((da @ da) * (db @ db))
-    if denom == 0.0:  # replint: ignore[RL004] -- exact-zero guard: constant series
+    if denom == 0.0:  # exact-zero guard: constant series
         return 0.0
     return float(np.clip((da @ db) / denom, -1.0, 1.0))
 

@@ -267,7 +267,7 @@ def condition_number(exog: np.ndarray) -> float:
     """
     x = _validated_exog(exog, name="condition-number")
     norms = np.linalg.norm(x, axis=0)
-    norms[norms == 0.0] = 1.0  # replint: ignore[RL004] -- exact-zero guard: null column
+    norms[norms == 0.0] = 1.0  # exact-zero guard: null column
     scaled = x / norms
     sv = np.linalg.svd(scaled, compute_uv=False)
     smallest = sv[-1]

@@ -9,8 +9,8 @@ through a rank-revealing QR/pinv path instead of forming and inverting
 the normal equations.
 
 This module is the **only** place allowed to call the raw
-``numpy.linalg`` solvers (enforced by lint rule RL008): every other
-module goes through the guarded entry points here —
+``numpy.linalg`` solvers (``tests/test_source_invariants.py`` enforces
+it): every other module goes through the guarded entry points here —
 :func:`guarded_lstsq` for least squares with a deterministic
 ridge/pinv fallback chain and a :class:`GuardedSolution` record of what
 happened, and :func:`safe_solve` for square systems that degrade to a

@@ -42,7 +42,7 @@ def _ape_rows(
             f"on_zero must be 'raise' or 'skip', got {on_zero!r}"
         )
     a, p = _pair(actual, predicted)
-    zero = a == 0.0  # replint: ignore[RL004] -- exact-zero guard: APE division sentinel
+    zero = a == 0.0  # exact-zero guard: APE division sentinel
     if not np.any(zero):
         return a, p
     if on_zero == "raise":
@@ -113,6 +113,6 @@ def r2_score(actual: np.ndarray, predicted: np.ndarray) -> float:
     resid = a - p
     centered = a - a.mean()
     ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:  # replint: ignore[RL004] -- exact-zero guard: constant target
+    if ss_tot == 0.0:  # exact-zero guard: constant target
         return 0.0
     return float(1.0 - (resid @ resid) / ss_tot)

@@ -217,7 +217,7 @@ def _design_has_constant(design: np.ndarray, intercept: bool) -> bool:
     """statsmodels' k_constant detection (Equation 1 carries its
     constant as the delta*Z term)."""
     return intercept or any(
-        np.ptp(design[:, j]) == 0.0 and design[0, j] != 0.0  # replint: ignore[RL004] -- k_constant detection needs exact zeros
+        np.ptp(design[:, j]) == 0.0 and design[0, j] != 0.0  # k_constant detection needs exact zeros
         for j in range(design.shape[1])
     )
 

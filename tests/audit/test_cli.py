@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.audit.cli import main
+from repro.audit.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.core.model import FittedPowerModel
 from repro.core.persistence import save_model
-from repro.reporting import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE
 from repro.stats.ols import fit_ols
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.audit import AuditFinding, AuditReport
-from repro.reporting import severity_rank, worst_severity
+from repro.audit.framework import severity_rank, worst_severity
 
 
 def finding(severity, rule="AU004", artifact="model"):

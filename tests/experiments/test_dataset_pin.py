@@ -6,6 +6,11 @@ simulated platform, the tracer, the plugins, phase extraction or the
 merge that moves a single bit of the dataset fails here.  The build
 bypasses both the on-disk ``.repro-cache`` and the in-process memo, so
 a stale cache can never hide a change.
+
+The digest is pinned together with ``DATA_VERSION``, the stamp in every
+campaign cache key: a change that moves the digest must bump the
+version in the same commit, or every existing cache keeps serving the
+old campaign.  Re-record both halves of the pin together.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import numpy as np
 from repro.experiments import data as expdata
 from repro.seeding import DEFAULT_SEED
 
-#: SHA-256 of the default-seed campaign (see :func:`dataset_digest`).
+#: ``DATA_VERSION`` and the SHA-256 of its default-seed campaign (see
+#: :func:`dataset_digest`).
+TABLE1_DATA_VERSION = 8
 TABLE1_DATASET_SHA256 = (
     "43ea05e00e5b94dbaea12c15a2f4d7ebe705cf944810a2ea8bafbc9a3705a673"
 )
@@ -39,4 +46,14 @@ def dataset_digest(ds) -> str:
 def test_table1_dataset_is_byte_pinned(monkeypatch):
     monkeypatch.setattr(expdata, "_MEMORY_CACHE", {})
     ds = expdata.full_dataset(seed=DEFAULT_SEED, use_disk_cache=False)
-    assert dataset_digest(ds) == TABLE1_DATASET_SHA256
+    digest = dataset_digest(ds)
+    assert (expdata.DATA_VERSION, digest) == (
+        TABLE1_DATA_VERSION,
+        TABLE1_DATASET_SHA256,
+    ), (
+        f"the Table-I campaign is now DATA_VERSION {expdata.DATA_VERSION} "
+        f"with digest {digest}.  A change that moves the digest must bump "
+        "DATA_VERSION in repro/experiments/data.py, or cached campaigns of "
+        "the old physics keep being served; then re-record "
+        "TABLE1_DATA_VERSION and TABLE1_DATASET_SHA256 together."
+    )

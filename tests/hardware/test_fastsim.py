@@ -9,7 +9,6 @@ the scalar oracle in :mod:`tests.oracles.acquisition`."""
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -227,19 +226,6 @@ class TestPhaseStateMemo:
         with pytest.raises(ValueError):
             PhaseStateMemo(capacity=0)
 
-    def test_pickle_drops_memo(self):
-        platform = Platform()
-        wl = get_workload("compute")
-        platform.execute(wl, 2400, 8)
-        assert len(platform._phase_memo) > 0
-        restored = pickle.loads(pickle.dumps(platform))
-        assert len(restored._phase_memo) == 0
-        # And the restored platform still executes identically.
-        a = platform.execute(wl, 1200, 8)
-        b = restored.execute(wl, 1200, 8)
-        for pf, ps in zip(a.phases, b.phases):
-            assert_states_equal(pf.state, ps.state)
-
 
 class TestTracerBitIdentity:
     """The shared-grid tracer vs the scalar recording oracle."""
@@ -352,19 +338,6 @@ class TestRngWordsPriming:
             COUNTER_NAMES[:12],
         )
         self.assert_metrics_equal(warm, ref)
-
-    def test_priming_survives_pickling_as_empty_cache(self):
-        primed = Platform()
-        wl = get_workload("md")
-        primed.prime_rng_words(
-            [(wl, 2400, 24, 0)], ("PowerPlugin", "VoltagePlugin")
-        )
-        clone = pickle.loads(pickle.dumps(primed))
-        assert clone._rng_words == {}
-        run = clone.execute(wl, 2400, 24, run_index=0)
-        ref = Platform().execute(wl, 2400, 24, run_index=0)
-        for pf, ps in zip(run.phases, ref.phases):
-            assert pf.duration_s == ps.duration_s
 
 
 def _oracle_dataset(plan):

@@ -474,7 +474,7 @@ class OnlineEstimator:
 
         if source == "baseline" and self.envelope is not None:
             clipped = self.envelope.clip(power_w)
-            if clipped != power_w or not np.isfinite(power_w):  # replint: ignore[RL004] -- clip() returns the input bit-exactly when in range
+            if clipped != power_w or not np.isfinite(power_w):  # clip() returns the input bit-exactly when in range
                 flags.append("clipped-to-envelope")
                 self._n_clipped += 1
                 power_w = clipped

@@ -11,13 +11,15 @@ graded by the AU013 audit rule.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.audit import audit_fleet
 from repro.core.online import PowerEnvelope
 from repro.faults import IngestFaultInjector, IngestFaultPlan
-from repro.serve import FleetService, NodeSample
+from repro.serve import FleetService, NodeSample, SchemaValidator
 from tests.oracles.online import OnlineEstimator as SerialEstimator
 
 from .conftest import make_fleet_samples
@@ -338,6 +340,65 @@ class TestServiceSoak:
         report = service.report()
         assert report.dropped_malformed == 3
         assert report.n_nodes == 4
+
+    def test_non_numeric_delta_dropped_without_failing_its_shard(
+        self, model, envelope
+    ):
+        """One sample per tick whose delta ``float()`` rejects: it is
+        dropped and counted, its shard's healthy rows are stepped and no
+        breaker trips, tick after tick."""
+        service = FleetService(model, envelope=envelope, n_shards=2, seed=7)
+        rng = np.random.default_rng(9)
+        ticks = 4
+        for tick in range(ticks):
+            samples = make_fleet_samples(NODES, tick, rng)
+            samples[0] = replace(
+                samples[0],
+                counter_deltas={**samples[0].counter_deltas, "instructions": "abc"},
+            )
+            service.submit(samples)
+            service.process()
+        for node in NODES[1:]:
+            assert service.fleet.node_state(node)["n_intervals"] == ticks
+        assert all(b.state == "closed" and b.trips == 0 for b in service.breakers)
+        assert service.validator.dropped == {"non-numeric-delta": ticks}
+        report = service.report()
+        assert report.dropped_malformed == ticks
+        assert report.stateless_served == 0
+
+    def test_oversized_int_dropped_not_raised(self, model, envelope):
+        """An int past the float range in a delta, the context or the
+        timestamp is a counted drop; the rest of the submission lands."""
+        service = FleetService(model, envelope=envelope, seed=7)
+        rng = np.random.default_rng(9)
+        good = make_fleet_samples(NODES[:4], 0, rng)
+        huge = 10**400
+        service.submit(good + [
+            replace(good[0], node_id="x-delta", counter_deltas={"branches": huge}),
+            replace(good[0], node_id="x-interval", interval_s=huge),
+            replace(good[0], node_id="x-time", time_s=huge),
+        ])
+        service.process()
+        assert service.validator.dropped == {
+            "non-numeric-delta": 1,
+            "non-numeric-context": 1,
+            "bad-timestamp": 1,
+        }
+        assert service.report().n_nodes == 4
+
+    def test_nan_and_missing_deltas_pass_unchanged(self):
+        """Judging delta values is the estimator's job: NaN and None
+        deltas are well-formed and pass the validator untouched."""
+        sample = NodeSample(
+            node_id="n",
+            counter_deltas={"instructions": float("nan"), "branches": None},
+            interval_s=0.5,
+            voltage_v=1.0,
+            frequency_mhz=2400.0,
+        )
+        validator = SchemaValidator()
+        assert validator.validate([sample]) == [sample]
+        assert validator.dropped == {}
 
     def test_audit_grades_forced_degradation(self, model):
         """Drive every node implausible (tight envelope) and check the
