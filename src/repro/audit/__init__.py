@@ -1,33 +1,31 @@
 """repraudit — statistical-rigor audit over fitted artifacts.
 
 This package gates the *results*: every fitted model, cross-validation
-summary, scenario result, campaign report and online-drift tally can be
-run through a catalogue of methodological validity rules (AU001–AU013)
-and graded on the ``pass``/``minor``/``major``/``fail`` verdict scale.
-The verdict gates reporting and model persistence; CI audits the
-paper-reference workflows in strict mode.
+summary, scenario result, campaign report and fleet roll-up can be run
+through one fixed catalogue of methodological validity rules
+(AU002–AU011, AU013) and graded on the ``pass``/``minor``/``major``/
+``fail`` verdict scale.  The verdict gates reporting and model
+persistence; the tier-1 suite audits the paper-reference workflows in
+strict mode.
 
 Entry points
 ------------
 * :func:`audit_model` / :func:`audit_workflow` / :func:`audit_campaign`
-  / :func:`audit_drift` — one-call audits of the concrete result types;
+  / :func:`audit_fleet` — one-call audits of the concrete result types;
 * :func:`~repro.audit.reference.audit_reference` — the Table I–IV
   reference workflows;
-* ``repraudit`` / ``python -m repro.audit`` — the command line.
+* ``python -m repro.audit`` — the command line.
 
-Configuration lives in ``[tool.repro.audit]`` of ``pyproject.toml``
-(see :class:`~repro.audit.config.AuditConfig`).
+There is no configuration: each threshold is a constant in
+:mod:`repro.audit.rules`, next to the rule that reads it.
 """
 
-from repro.audit.config import AuditConfig, PERSISTENCE_MODES
 from repro.audit.engine import (
     audit_campaign,
-    audit_drift,
     audit_fleet,
     audit_model,
     audit_workflow,
     campaign_context,
-    drift_context,
     fleet_context,
     model_context,
     run_audit,
@@ -44,11 +42,9 @@ from repro.audit.framework import (
     AuditRule,
 )
 from repro.audit.reference import audit_reference, reference_contexts
-from repro.audit.rules import all_rules, rules_by_id
+from repro.audit.rules import all_rules
 
 __all__ = [
-    "AuditConfig",
-    "PERSISTENCE_MODES",
     "AuditContext",
     "AuditFinding",
     "AuditGateError",
@@ -59,7 +55,6 @@ __all__ = [
     "audit_model",
     "audit_workflow",
     "audit_campaign",
-    "audit_drift",
     "audit_fleet",
     "audit_reference",
     "reference_contexts",
@@ -67,9 +62,7 @@ __all__ = [
     "scenario_context",
     "selection_context",
     "campaign_context",
-    "drift_context",
     "fleet_context",
     "workflow_contexts",
     "all_rules",
-    "rules_by_id",
 ]

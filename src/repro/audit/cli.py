@@ -19,11 +19,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.audit.config import AuditConfig
 from repro.audit.engine import model_context, run_audit
 from repro.audit.framework import AuditReport
 from repro.audit.reference import reference_contexts
-from repro.audit.rules import all_rules
 from repro.seeding import DEFAULT_SEED
 
 __all__ = ["main", "build_parser", "EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_USAGE"]
@@ -66,18 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=DEFAULT_SEED,
         help="root seed for the reference workflows (default: %(default)s)",
     )
-    parser.add_argument(
-        "--select", metavar="IDS",
-        help="comma-separated rule ids to run exclusively (e.g. AU004,AU009)",
-    )
-    parser.add_argument(
-        "--disable", metavar="IDS",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the registered rules and exit",
-    )
     return parser
 
 
@@ -117,22 +103,6 @@ def _render(report: AuditReport, fmt: str) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.id}  {rule.name:28s} {rule.description}")
-        return EXIT_CLEAN
-
-    config = AuditConfig.load()
-    if args.select:
-        config.enable = {
-            s.strip().upper() for s in args.select.split(",") if s.strip()
-        }
-    if args.disable:
-        config.disable |= {
-            s.strip().upper() for s in args.disable.split(",") if s.strip()
-        }
-
     try:
         if args.models:
             from repro.core.persistence import load_model
@@ -150,7 +120,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repraudit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = run_audit(contexts, config)
+    report = run_audit(contexts)
     rendered = _render(report, args.format)
     print(rendered)
     if args.output:

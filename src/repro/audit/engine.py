@@ -9,12 +9,11 @@ reconstruct the design a model was fit on).  The core layers import
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.audit.config import AuditConfig
-from repro.audit.framework import AuditContext, AuditReport, AuditRule
+from repro.audit.framework import AuditContext, AuditReport
 from repro.audit.rules import all_rules
 
 __all__ = [
@@ -22,38 +21,28 @@ __all__ = [
     "audit_model",
     "audit_workflow",
     "audit_campaign",
-    "audit_drift",
     "audit_fleet",
     "model_context",
     "scenario_context",
     "selection_context",
     "campaign_context",
-    "drift_context",
     "fleet_context",
     "workflow_contexts",
 ]
 
 
-def run_audit(
-    contexts: Iterable[AuditContext],
-    config: Optional[AuditConfig] = None,
-    rules: Optional[Sequence[AuditRule]] = None,
-) -> AuditReport:
-    """Run the (enabled) rule catalogue over a set of artifact contexts."""
-    cfg = config or AuditConfig()
-    active = [
-        r for r in (rules if rules is not None else all_rules())
-        if cfg.rule_enabled(r.id)
-    ]
+def run_audit(contexts: Iterable[AuditContext]) -> AuditReport:
+    """Run the rule catalogue over a set of artifact contexts."""
+    rules = all_rules()
     contexts = list(contexts)
     findings = []
     for ctx in contexts:
-        for rule in active:
-            findings.extend(rule.check(ctx, cfg))
+        for rule in rules:
+            findings.extend(rule.check(ctx))
     return AuditReport(
         findings=tuple(sorted(set(findings))),
         artifacts=tuple(dict.fromkeys(c.artifact for c in contexts)),
-        rules_run=tuple(r.id for r in active),
+        rules_run=tuple(r.id for r in rules),
     )
 
 
@@ -87,7 +76,6 @@ def model_context(
         kind="model",
         ols=ols,
         exog=exog,
-        estimator=getattr(model, "estimator", "ols"),
         cov_type=getattr(model, "cov_type", getattr(ols, "cov_type", None)),
         r2=float(getattr(ols, "rsquared", float("nan"))),
         mape_pct=mape_pct,
@@ -103,7 +91,6 @@ def scenario_context(
     artifact: Optional[str] = None,
 ) -> AuditContext:
     """Context for a ``ScenarioResult`` (per-scenario validation)."""
-    fold_mapes = tuple(float(m) for m in getattr(scenario, "fold_mapes", ()))
     n_samples = int(getattr(scenario.validation, "n_samples", 0)) or None
     return AuditContext(
         artifact=artifact or f"scenario:{getattr(scenario, 'name', '?')}",
@@ -112,8 +99,7 @@ def scenario_context(
         mape_pct=float(scenario.mape),
         n_samples=n_samples,
         n_params=n_params,
-        n_splits=len(fold_mapes) or None,
-        fold_mapes=fold_mapes,
+        n_splits=len(getattr(scenario, "fold_mapes", ())) or None,
     )
 
 
@@ -127,11 +113,6 @@ def selection_context(selection, *, artifact: str = "selection") -> AuditContext
 def campaign_context(report, *, artifact: str = "campaign") -> AuditContext:
     """Context for a ``CampaignReport`` (acquisition provenance)."""
     return AuditContext(artifact=artifact, kind="campaign", campaign=report)
-
-
-def drift_context(report, *, artifact: str = "drift") -> AuditContext:
-    """Context for a ``DriftReport`` (online estimation session)."""
-    return AuditContext(artifact=artifact, kind="drift", drift=report)
 
 
 def fleet_context(report, *, artifact: str = "fleet") -> AuditContext:
@@ -164,34 +145,21 @@ def workflow_contexts(result) -> List[AuditContext]:
 # one-call audits
 
 
-def audit_model(
-    model,
-    dataset=None,
-    *,
-    config: Optional[AuditConfig] = None,
-    artifact: str = "model",
-) -> AuditReport:
+def audit_model(model, dataset=None, *, artifact: str = "model") -> AuditReport:
     """Audit one fitted model (the persistence-gate entry point)."""
-    return run_audit(
-        [model_context(model, dataset, artifact=artifact)], config
-    )
+    return run_audit([model_context(model, dataset, artifact=artifact)])
 
 
-def audit_workflow(result, *, config: Optional[AuditConfig] = None) -> AuditReport:
+def audit_workflow(result) -> AuditReport:
     """Audit everything a workflow run produced."""
-    return run_audit(workflow_contexts(result), config)
+    return run_audit(workflow_contexts(result))
 
 
-def audit_campaign(report, *, config: Optional[AuditConfig] = None) -> AuditReport:
+def audit_campaign(report) -> AuditReport:
     """Audit a campaign's acquisition provenance."""
-    return run_audit([campaign_context(report)], config)
+    return run_audit([campaign_context(report)])
 
 
-def audit_drift(report, *, config: Optional[AuditConfig] = None) -> AuditReport:
-    """Audit an online estimation session."""
-    return run_audit([drift_context(report)], config)
-
-
-def audit_fleet(report, *, config: Optional[AuditConfig] = None) -> AuditReport:
+def audit_fleet(report) -> AuditReport:
     """Audit a fleet service's health roll-up (AU013)."""
-    return run_audit([fleet_context(report)], config)
+    return run_audit([fleet_context(report)])

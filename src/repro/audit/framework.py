@@ -1,7 +1,7 @@
 """Core abstractions of the ``repraudit`` statistical-rigor pass.
 
 This pass audits *fitted artifacts*: the OLS fits, selection tables,
-cross-validation summaries, campaign reports and drift tallies the
+cross-validation summaries, campaign reports and fleet roll-ups the
 pipeline produces at scale.  The paper's headline claims — per-scenario
 R², MAPE, VIF trajectories, cross-validated errors — are statistical
 artifacts, and nothing about a number being computed makes it
@@ -15,7 +15,7 @@ persistence.
 Rules receive an :class:`AuditContext` — a uniform, duck-typed view of
 whatever artifact is under audit — and check only the fields they
 understand, so one catalogue serves models, CV runs, scenario results,
-campaigns and online sessions alike.
+campaigns and fleets alike.
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ class AuditReport:
     def clean(self) -> bool:
         return not self.findings
 
-    def findings_for(self, artifact: str) -> Tuple[AuditFinding, ...]:
-        return tuple(f for f in self.findings if f.artifact == artifact)
-
     def worst_at_least(self, severity: str) -> bool:
         """True when the verdict reaches the given severity."""
         return severity_rank(self.verdict) >= severity_rank(severity)
@@ -143,35 +140,6 @@ class AuditReport:
             return self.verdict == SEVERITY_PASS
         return not self.worst_at_least(SEVERITY_MAJOR)
 
-    def merged(self, other: "AuditReport") -> "AuditReport":
-        """Union of two passes (deduplicated, sorted)."""
-        return AuditReport(
-            findings=tuple(sorted(set(self.findings + other.findings))),
-            artifacts=tuple(dict.fromkeys(self.artifacts + other.artifacts)),
-            rules_run=tuple(dict.fromkeys(self.rules_run + other.rules_run)),
-        )
-
-    def summary(self) -> str:
-        """Human-readable multi-line account."""
-        lines = [
-            f"audit verdict: {self.verdict} "
-            f"({len(self.findings)} finding"
-            f"{'s' if len(self.findings) != 1 else ''} over "
-            f"{len(self.artifacts)} artifact"
-            f"{'s' if len(self.artifacts) != 1 else ''})"
-        ]
-        lines.extend(f"  {f.format()}" for f in self.findings)
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "verdict": self.verdict,
-            "artifacts": list(self.artifacts),
-            "rules_run": list(self.rules_run),
-            "findings": [f.to_dict() for f in self.findings],
-            "count": len(self.findings),
-        }
-
 
 @dataclass
 class AuditContext:
@@ -181,7 +149,7 @@ class AuditContext:
     understands and stays silent on artifacts that do not carry them.
     The builders in :mod:`repro.audit.engine` populate contexts from
     the concrete result types (``FittedPowerModel``, ``WorkflowResult``,
-    ``CampaignReport``, ``DriftReport``, …) without this module ever
+    ``CampaignReport``, ``FleetReport``) without this module ever
     importing them — the audit layer must not depend on the layers it
     audits.
     """
@@ -189,14 +157,13 @@ class AuditContext:
     artifact: str
     kind: str = "model"
     """``model`` / ``cv`` / ``scenario`` / ``selection`` / ``campaign``
-    / ``drift`` / ``fleet`` / ``workflow``."""
+    / ``fleet`` / ``workflow``."""
 
     # --- regression-fit view -------------------------------------------
     ols: Optional[object] = None
     """An ``OLSResult``-shaped object (params/bse/residuals/rsquared)."""
     exog: Optional[object] = None
     """Design matrix the fit ran on (needed for BP/leverage checks)."""
-    estimator: str = "ols"
     cov_type: Optional[str] = None
     r2: Optional[float] = None
     mape_pct: Optional[float] = None
@@ -205,33 +172,24 @@ class AuditContext:
     n_samples: Optional[int] = None
     n_params: Optional[int] = None
     n_splits: Optional[int] = None
-    fold_mapes: Tuple[float, ...] = ()
 
     # --- pipeline-artifact view ----------------------------------------
     selection: Optional[object] = None
     """A ``SelectionResult``-shaped object (steps with mean_vif)."""
     campaign: Optional[object] = None
     """A ``CampaignReport``-shaped object."""
-    drift: Optional[object] = None
-    """A ``DriftReport``-shaped object."""
     fleet: Optional[object] = None
     """A ``FleetReport``-shaped object (serving-layer health roll-up)."""
     warnings: Tuple[str, ...] = ()
     """Degraded-data provenance notes attached to the artifact."""
-    has_ci: Optional[bool] = None
-    """Whether the artifact reports interval estimates next to points;
-    ``None`` derives it from ``ols.bse`` when available."""
 
 
 class AuditRule:
-    """Base class: subclasses set ``id``, ``name``, ``description`` and
-    implement :meth:`check`."""
+    """Base class: subclasses set ``id`` and implement :meth:`check`."""
 
     id: str = ""
-    name: str = ""
-    description: str = ""
 
-    def check(self, ctx: AuditContext, config) -> List[AuditFinding]:  # pragma: no cover
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:  # pragma: no cover
         raise NotImplementedError
 
     # ------------------------------------------------------------------

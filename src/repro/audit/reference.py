@@ -4,17 +4,16 @@
 artifacts behind the paper's headline tables — the counter selection
 (Table I), the fitted Equation 1 model, and the four validation
 scenarios (Tables II–IV / Fig. 4) — all built from the shared cached
-campaign.  A clean checkout audits ``pass``; CI runs this in strict
-mode so any statistical-rigor regression fails the build.
+campaign.  A clean checkout audits ``pass``; the tier-1 suite asserts
+that in strict mode, so a statistical-rigor regression fails it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.audit.config import AuditConfig
 from repro.audit.engine import (
     model_context,
     run_audit,
@@ -27,17 +26,9 @@ from repro.seeding import DEFAULT_SEED
 __all__ = ["reference_contexts", "audit_reference"]
 
 
-def reference_contexts(
-    *,
-    seed: int = DEFAULT_SEED,
-    dataset=None,
-    counters=None,
-) -> List[AuditContext]:
-    """Contexts for the paper-reference artifacts.
-
-    ``dataset``/``counters`` are injectable for tests; by default the
-    shared cached campaign and its Algorithm 1 selection are used.
-    """
+def reference_contexts(*, seed: int = DEFAULT_SEED) -> List[AuditContext]:
+    """Contexts for the paper-reference artifacts, built from the shared
+    cached campaign and its Algorithm 1 selection."""
     from repro.core.model import PowerModel
     from repro.core.scenarios import run_all_scenarios
     from repro.experiments.data import (
@@ -45,18 +36,13 @@ def reference_contexts(
         selection_result,
     )
 
-    if dataset is None:
-        dataset = full_dataset(seed=seed)
-    selection = None
-    if counters is None:
-        selection = selection_result(seed=seed)
-        counters = selection.selected
+    dataset = full_dataset(seed=seed)
+    selection = selection_result(seed=seed)
+    counters = selection.selected
     model = PowerModel(counters).fit(dataset)
     n_params = int(np.asarray(model.ols.params).size)
 
-    contexts = [model_context(model, dataset)]
-    if selection is not None:
-        contexts.append(selection_context(selection))
+    contexts = [model_context(model, dataset), selection_context(selection)]
     scenarios = run_all_scenarios(dataset, counters, seed=seed)
     contexts.extend(
         scenario_context(res, n_params=n_params, artifact=f"scenario:{name}")
@@ -65,15 +51,6 @@ def reference_contexts(
     return contexts
 
 
-def audit_reference(
-    *,
-    seed: int = DEFAULT_SEED,
-    config: Optional[AuditConfig] = None,
-    dataset=None,
-    counters=None,
-) -> AuditReport:
+def audit_reference(*, seed: int = DEFAULT_SEED) -> AuditReport:
     """Audit the Table I–IV reference workflows."""
-    return run_audit(
-        reference_contexts(seed=seed, dataset=dataset, counters=counters),
-        config,
-    )
+    return run_audit(reference_contexts(seed=seed))

@@ -1,10 +1,10 @@
-"""The repraudit rule catalogue (AU001–AU011, AU013).
+"""The repraudit rule catalogue (AU002–AU011, AU013).
 
 Each rule encodes one methodological validity condition the paper's
-reporting implicitly relies on.  Thresholds come from
-:class:`~repro.audit.config.AuditConfig` and are calibrated so the
-repository's own reference workflows (Tables I–IV) audit ``pass``;
-they flag regressions of rigor, not the baseline.
+reporting implicitly relies on.  Thresholds are module constants next
+to the rule that reads them, fixed so the repository's own reference
+workflows (Tables I–IV) audit ``pass``; they flag regressions of
+rigor, not the baseline.
 
 Rules are duck-typed over :class:`~repro.audit.framework.AuditContext`
 fields and stay silent on artifacts that do not carry the fields they
@@ -21,7 +21,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.audit.config import AuditConfig
 from repro.audit.framework import (
     SEVERITY_FAIL,
     SEVERITY_MAJOR,
@@ -34,64 +33,17 @@ from repro.stats.errors import (
     DegenerateResidualsError,
     EstimationError,
 )
+from repro.stats.vif import VIF_PROBLEM_THRESHOLD
 
-__all__ = ["all_rules", "rules_by_id"]
+__all__ = ["all_rules"]
 
 
 def _finite(value: Optional[float]) -> bool:
     return value is not None and math.isfinite(value)
 
 
-class ResidualNormalityRule(AuditRule):
-    """AU001 — small-sample inference needs near-normal residuals.
-
-    On large samples the CLT covers non-normal errors, so the rule only
-    fires below ``normality_small_n`` observations, where a rejected
-    Jarque–Bera test means the quoted t/p statistics are not to be
-    trusted.
-    """
-
-    id = "AU001"
-    name = "residual-normality"
-    description = (
-        "Jarque–Bera rejects residual normality on a sample too small "
-        "for asymptotic inference"
-    )
-
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
-        if ctx.ols is None:
-            return []
-        resid = np.asarray(ctx.ols.residuals, dtype=np.float64)
-        if resid.size == 0:  # restored models do not persist residuals
-            return []
-        if resid.size >= config.normality_small_n:
-            return []
-        from repro.stats.diagnostics import jarque_bera
-
-        try:
-            test = jarque_bera(resid)
-        except DegenerateResidualsError:
-            return []  # a collapsed fit is AU009's finding, not ours
-        except EstimationError as exc:
-            return [
-                self.finding(
-                    ctx,
-                    SEVERITY_MINOR,
-                    f"residual normality untestable: {exc}",
-                )
-            ]
-        if not test.rejects_normality(config.alpha):
-            return []
-        return [
-            self.finding(
-                ctx,
-                SEVERITY_MINOR,
-                f"Jarque–Bera rejects residual normality "
-                f"(p={test.pvalue:.3g}) on only n={test.n} observations; "
-                "t/p statistics are unreliable below "
-                f"n={config.normality_small_n}",
-            )
-        ]
+#: Significance level of the Breusch–Pagan test.
+ALPHA = 0.05
 
 
 class HeteroscedasticityCovRule(AuditRule):
@@ -103,13 +55,8 @@ class HeteroscedasticityCovRule(AuditRule):
     """
 
     id = "AU002"
-    name = "heteroscedasticity-cov-mismatch"
-    description = (
-        "Breusch–Pagan rejects homoscedasticity but the fit quotes a "
-        "nonrobust covariance"
-    )
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         if ctx.ols is None or ctx.exog is None:
             return []
         cov = (ctx.cov_type or getattr(ctx.ols, "cov_type", "")).lower()
@@ -132,7 +79,7 @@ class HeteroscedasticityCovRule(AuditRule):
                     f"is untestable: {exc}",
                 )
             ]
-        if not test.rejects_homoscedasticity(config.alpha):
+        if not test.rejects_homoscedasticity(ALPHA):
             return []
         return [
             self.finding(
@@ -145,23 +92,28 @@ class HeteroscedasticityCovRule(AuditRule):
         ]
 
 
+#: Fewest held-out rows per CV fold before the fold statistics are too
+#: noisy to quote.
+MIN_FOLD_ROWS = 5
+#: Fewest training rows per model parameter a CV fold may fit on.
+MIN_TRAIN_PER_PARAM = 3.0
+
+
 class FoldAdequacyRule(AuditRule):
     """AU003 — cross-validation folds must be large enough to mean
     anything: every training fold needs rows to estimate the parameters
     and every held-out fold needs rows for its error statistic."""
 
     id = "AU003"
-    name = "cv-fold-adequacy"
-    description = "fold count is inadequate for the sample size"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         if ctx.n_splits is None or ctx.n_samples is None:
             return []
         findings: List[AuditFinding] = []
         n, k_folds = ctx.n_samples, ctx.n_splits
         train_rows = n - math.ceil(n / k_folds)
         if ctx.n_params is not None and ctx.n_params > 0:
-            needed = config.min_train_per_param * ctx.n_params
+            needed = MIN_TRAIN_PER_PARAM * ctx.n_params
             if train_rows < needed:
                 findings.append(
                     self.finding(
@@ -174,18 +126,24 @@ class FoldAdequacyRule(AuditRule):
                     )
                 )
         test_rows = n // k_folds
-        if test_rows < config.min_fold_rows:
+        if test_rows < MIN_FOLD_ROWS:
             findings.append(
                 self.finding(
                     ctx,
                     SEVERITY_MINOR,
                     f"{k_folds}-fold CV on n={n} holds out only "
                     f"~{test_rows} rows per fold (< "
-                    f"{config.min_fold_rows}); per-fold error statistics "
+                    f"{MIN_FOLD_ROWS}); per-fold error statistics "
                     "are noise",
                 )
             )
         return findings
+
+
+#: n/k below this rates a quoted R² ``minor`` (rule-of-thumb adequacy);
+#: below ``HARD_OBS_PER_PARAM`` it rates ``major``.
+MIN_OBS_PER_PARAM = 10.0
+HARD_OBS_PER_PARAM = 3.0
 
 
 class SampleAdequacyRule(AuditRule):
@@ -193,10 +151,8 @@ class SampleAdequacyRule(AuditRule):
     mostly a property of the parameter count, not the model."""
 
     id = "AU004"
-    name = "obs-per-param"
-    description = "too few observations per fitted parameter"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         n = ctx.n_samples
         k = ctx.n_params
         if (n is None or k is None) and ctx.ols is not None:
@@ -207,9 +163,9 @@ class SampleAdequacyRule(AuditRule):
         if not n or not k:
             return []
         ratio = n / k
-        if ratio < config.hard_obs_per_param:
+        if ratio < HARD_OBS_PER_PARAM:
             severity = SEVERITY_MAJOR
-        elif ratio < config.min_obs_per_param:
+        elif ratio < MIN_OBS_PER_PARAM:
             severity = SEVERITY_MINOR
         else:
             return []
@@ -220,9 +176,16 @@ class SampleAdequacyRule(AuditRule):
                 f"only {ratio:.1f} observations per parameter "
                 f"(n={n}, k={k}); quoted fit quality is not "
                 "generalizable below "
-                f"{config.min_obs_per_param:.0f} obs/param",
+                f"{MIN_OBS_PER_PARAM:.0f} obs/param",
             )
         ]
+
+
+#: Hat-diagonal above this: one row dominates its own prediction.
+LEVERAGE_MINOR = 0.5
+#: Hat-diagonal above this: the fit is pinned to the row; its residual
+#: is structurally ~0 and R² is partly self-fulfilling.
+LEVERAGE_MAJOR = 0.98
 
 
 class LeverageRule(AuditRule):
@@ -230,10 +193,8 @@ class LeverageRule(AuditRule):
     the R² earned on them is self-fulfilling."""
 
     id = "AU005"
-    name = "high-leverage"
-    description = "design rows with dominating leverage"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         if ctx.exog is None:
             return []
         from repro.stats.diagnostics import leverage_scores
@@ -247,18 +208,18 @@ class LeverageRule(AuditRule):
                 )
             ]
         h_max = float(h.max())
-        if h_max <= config.leverage_minor:
+        if h_max <= LEVERAGE_MINOR:
             return []
-        n_high = int(np.count_nonzero(h > config.leverage_minor))
+        n_high = int(np.count_nonzero(h > LEVERAGE_MINOR))
         severity = (
-            SEVERITY_MAJOR if h_max > config.leverage_major else SEVERITY_MINOR
+            SEVERITY_MAJOR if h_max > LEVERAGE_MAJOR else SEVERITY_MINOR
         )
         return [
             self.finding(
                 ctx,
                 severity,
                 f"max leverage h={h_max:.3f} ({n_high} row(s) above "
-                f"{config.leverage_minor}); the fit is pinned to these "
+                f"{LEVERAGE_MINOR}); the fit is pinned to these "
                 "rows and R² overstates what was learned",
             )
         ]
@@ -270,10 +231,8 @@ class VifEscalationRule(AuditRule):
     individual interpretation is void."""
 
     id = "AU006"
-    name = "vif-escalation"
-    description = "final selected counter set exceeds the VIF threshold"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         if ctx.selection is None:
             return []
         steps = getattr(ctx.selection, "steps", ())
@@ -293,14 +252,14 @@ class VifEscalationRule(AuditRule):
                     "linear combination of the others",
                 )
             ]
-        if v <= config.vif_threshold:
+        if v <= VIF_PROBLEM_THRESHOLD:
             return []
         return [
             self.finding(
                 ctx,
                 SEVERITY_MAJOR,
                 f"final mean VIF {v:.1f} exceeds the threshold "
-                f"{config.vif_threshold:.0f}; per-counter α coefficients "
+                f"{VIF_PROBLEM_THRESHOLD:.0f}; per-counter α coefficients "
                 "are not individually interpretable",
             )
         ]
@@ -308,37 +267,19 @@ class VifEscalationRule(AuditRule):
 
 class MissingCIRule(AuditRule):
     """AU007 — a point estimate without a usable interval is a bare
-    number; degenerate standard errors (all-zero or non-finite) mean no
-    uncertainty was actually quantified."""
+    number; all-zero standard errors (a perfect fit, or a model file
+    written without them) mean no uncertainty was actually quantified.
+    Non-finite ones never get here: ``fit_ols`` and ``model_from_dict``
+    reject them first."""
 
     id = "AU007"
-    name = "missing-ci"
-    description = "point estimates reported without usable intervals"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
-        if ctx.has_ci is False:
-            return [
-                self.finding(
-                    ctx,
-                    SEVERITY_MAJOR,
-                    "artifact reports bare point estimates with no "
-                    "interval estimates attached",
-                )
-            ]
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         if ctx.ols is None:
             return []
         bse = np.asarray(getattr(ctx.ols, "bse", ()), dtype=np.float64)
         if bse.size == 0:
             return []
-        if not np.all(np.isfinite(bse)):
-            return [
-                self.finding(
-                    ctx,
-                    SEVERITY_MAJOR,
-                    "coefficient standard errors are non-finite; "
-                    "confidence intervals cannot be formed",
-                )
-            ]
         if np.all(bse == 0.0):  # degenerate-SE detection needs exact zeros
             return [
                 self.finding(
@@ -352,21 +293,29 @@ class MissingCIRule(AuditRule):
         return []
 
 
+#: R² ≥ ``HIGH_R2`` with MAPE ≥ ``HIGH_MAPE_PCT`` disagree: the variance
+#: explained and the relative error tell different stories.
+HIGH_R2 = 0.95
+HIGH_MAPE_PCT = 20.0
+#: MAPE ≤ ``LOW_MAPE_PCT`` with R² ≤ ``LOW_R2`` is the mirror-image
+#: disagreement (tiny relative error, no variance explained).
+LOW_R2 = 0.5
+LOW_MAPE_PCT = 5.0
+
+
 class R2MapeDisagreementRule(AuditRule):
     """AU008 — R² and MAPE answer different questions; when they tell
     opposite stories the headline number is cherry-picked."""
 
     id = "AU008"
-    name = "r2-mape-disagreement"
-    description = "R² and MAPE tell contradictory stories"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         if not _finite(ctx.r2) or not _finite(ctx.mape_pct):
             return []
         r2, mape_pct = float(ctx.r2), float(ctx.mape_pct)
         if (
-            r2 >= config.r2_mape_high_r2
-            and mape_pct >= config.r2_mape_high_mape_pct
+            r2 >= HIGH_R2
+            and mape_pct >= HIGH_MAPE_PCT
         ):
             return [
                 self.finding(
@@ -378,8 +327,8 @@ class R2MapeDisagreementRule(AuditRule):
                 )
             ]
         if (
-            mape_pct <= config.r2_mape_low_mape_pct
-            and r2 <= config.r2_mape_low_r2
+            mape_pct <= LOW_MAPE_PCT
+            and r2 <= LOW_R2
         ):
             return [
                 self.finding(
@@ -394,6 +343,11 @@ class R2MapeDisagreementRule(AuditRule):
         return []
 
 
+#: R² at/above this is flagged as too good: duplicated rows, leakage or
+#: an identity fit are the usual culprits.
+R2_SUSPICIOUS = 0.999
+
+
 class SuspiciousPerfectionRule(AuditRule):
     """AU009 — fits too good to be true usually are: leakage,
     duplicated rows, or an identity between target and regressors.
@@ -401,27 +355,14 @@ class SuspiciousPerfectionRule(AuditRule):
     strict persistence."""
 
     id = "AU009"
-    name = "suspicious-perfection"
-    description = "fit quality is implausibly perfect"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         r2 = ctx.r2
         if r2 is None and ctx.ols is not None:
             r2 = float(getattr(ctx.ols, "rsquared", float("nan")))
         if r2 is None:
             return []
         r2 = float(r2)
-        if ctx.ols is not None:
-            params = np.asarray(ctx.ols.params, dtype=np.float64)
-            if not np.all(np.isfinite(params)):
-                return [
-                    self.finding(
-                        ctx,
-                        SEVERITY_FAIL,
-                        "fitted coefficients are non-finite; the model "
-                        "is unusable",
-                    )
-                ]
         if not math.isfinite(r2) or r2 > 1.0 + 1e-12:
             return [
                 self.finding(
@@ -441,13 +382,13 @@ class SuspiciousPerfectionRule(AuditRule):
                     "identity), not a measured relationship",
                 )
             ]
-        if r2 >= config.r2_suspicious:
+        if r2 >= R2_SUSPICIOUS:
             return [
                 self.finding(
                     ctx,
                     SEVERITY_MAJOR,
                     f"R²={r2:.6f} exceeds the plausibility bound "
-                    f"{config.r2_suspicious}; check for duplicated rows "
+                    f"{R2_SUSPICIOUS}; check for duplicated rows "
                     "or target leakage before quoting it",
                 )
             ]
@@ -456,18 +397,13 @@ class SuspiciousPerfectionRule(AuditRule):
 
 class DegradedProvenanceRule(AuditRule):
     """AU010 — results built from degraded data must say so.  The rule
-    surfaces campaign faults, quarantines, dropped counters, workflow
-    degradation warnings and online drift next to the numbers they
-    taint."""
+    surfaces campaign faults, quarantines, dropped counters and workflow
+    degradation warnings next to the numbers they taint."""
 
     id = "AU010"
-    name = "degraded-provenance"
-    description = "artifact was built from degraded data"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
-        findings: List[AuditFinding] = []
-        findings.extend(self._campaign_findings(ctx))
-        findings.extend(self._drift_findings(ctx, config))
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
+        findings = self._campaign_findings(ctx)
         for w in ctx.warnings:
             if w.startswith("fastfit:"):
                 continue  # AU011's signal, not a data-provenance note
@@ -535,52 +471,16 @@ class DegradedProvenanceRule(AuditRule):
             )
         return findings
 
-    def _drift_findings(
-        self, ctx: AuditContext, config: AuditConfig
-    ) -> List[AuditFinding]:
-        rep = ctx.drift
-        if rep is None:
-            return []
-        findings: List[AuditFinding] = []
-        if getattr(rep, "breaker_open", False) or getattr(
-            rep, "drift_detected", False
-        ):
-            what = []
-            if getattr(rep, "drift_detected", False):
-                frac = float(getattr(rep, "drift_fraction", 0.0))
-                what.append(f"drift detected ({frac:.0%} implausible)")
-            if getattr(rep, "breaker_open", False):
-                what.append("circuit breaker open at session end")
-            findings.append(
-                self.finding(
-                    ctx,
-                    SEVERITY_MAJOR,
-                    "; ".join(what)
-                    + " — the fitted model no longer describes the "
-                    "observed platform",
-                )
-            )
-        degraded_fraction = float(getattr(rep, "degraded_fraction", 0.0))
-        if (
-            not findings
-            and degraded_fraction > config.drift_degraded_fraction
-        ):
-            findings.append(
-                self.finding(
-                    ctx,
-                    SEVERITY_MINOR,
-                    f"{degraded_fraction:.0%} of online estimates came "
-                    "from the baseline fallback, not the model",
-                )
-            )
-        return findings
-
 
 #: Shape of the fold-fallback provenance note emitted by
 #: ``cross_validate`` and surfaced through workflow warnings.
 _FASTFIT_NOTE = re.compile(
     r"fastfit: (\d+)/(\d+) fold\(s\) fell back to the exact fit path"
 )
+#: Fast-path decline rate above this is an anomaly worth surfacing: the
+#: Gram kernels decline degraded or ill-conditioned fits, so a mostly
+#: declined run is a data-quality signal, not a perf detail.
+FASTFIT_FALLBACK_FRACTION = 0.5
 
 
 class FastfitFallbackRule(AuditRule):
@@ -589,10 +489,8 @@ class FastfitFallbackRule(AuditRule):
     data-quality anomaly wearing a performance costume."""
 
     id = "AU011"
-    name = "fastfit-fallback-rate"
-    description = "anomalous fraction of CV folds declined the fast path"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         findings: List[AuditFinding] = []
         for w in ctx.warnings:
             m = _FASTFIT_NOTE.search(w)
@@ -602,7 +500,7 @@ class FastfitFallbackRule(AuditRule):
             if total == 0:
                 continue
             fraction = declined / total
-            if fraction > config.fastfit_fallback_fraction:
+            if fraction > FASTFIT_FALLBACK_FRACTION:
                 findings.append(
                     self.finding(
                         ctx,
@@ -616,6 +514,13 @@ class FastfitFallbackRule(AuditRule):
         return findings
 
 
+#: Fleet services with more than this fraction of nodes quarantined or
+#: degraded grade minor; above the major fraction they grade major, and
+#: a fleet with no healthy node at all fails outright.
+FLEET_DEGRADED_MINOR_FRACTION = 0.05
+FLEET_DEGRADED_MAJOR_FRACTION = 0.20
+
+
 class FleetDegradationRule(AuditRule):
     """AU013 — a fleet service quietly answering a growing share of its
     nodes from quarantine or the baseline fallback is drifting away
@@ -623,10 +528,8 @@ class FleetDegradationRule(AuditRule):
     next to the estimates, never silently absorbed."""
 
     id = "AU013"
-    name = "fleet-degradation"
-    description = "too many fleet nodes quarantined or degraded"
 
-    def check(self, ctx: AuditContext, config: AuditConfig) -> List[AuditFinding]:
+    def check(self, ctx: AuditContext) -> List[AuditFinding]:
         fleet = ctx.fleet
         if fleet is None:
             return []
@@ -650,9 +553,9 @@ class FleetDegradationRule(AuditRule):
             )
             return findings
         fraction = (quarantined + degraded) / n_nodes
-        if fraction > config.fleet_degraded_major_fraction:
+        if fraction > FLEET_DEGRADED_MAJOR_FRACTION:
             severity = SEVERITY_MAJOR
-        elif fraction > config.fleet_degraded_minor_fraction:
+        elif fraction > FLEET_DEGRADED_MINOR_FRACTION:
             severity = SEVERITY_MINOR
         else:
             return findings
@@ -673,7 +576,6 @@ class FleetDegradationRule(AuditRule):
 def all_rules() -> List[AuditRule]:
     """Fresh instances of the full catalogue, in id order."""
     return [
-        ResidualNormalityRule(),
         HeteroscedasticityCovRule(),
         FoldAdequacyRule(),
         SampleAdequacyRule(),
@@ -686,7 +588,3 @@ def all_rules() -> List[AuditRule]:
         FastfitFallbackRule(),
         FleetDegradationRule(),
     ]
-
-
-def rules_by_id() -> dict:
-    return {r.id: r for r in all_rules()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import warnings as _warnings
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -138,41 +138,35 @@ def model_from_dict(payload: Dict) -> FittedPowerModel:
     return FittedPowerModel(counters=counters, ols=ols, cov_type=cov_type)
 
 
-def _audit_gate(
-    model: FittedPowerModel, audit, gate: Optional[str]
-) -> None:
+#: What :func:`save_model` does with a ``fail`` audit verdict: ignore
+#: it, warn about it, or refuse to persist.
+_GATES = ("off", "warn", "strict")
+
+
+def _audit_gate(model: FittedPowerModel, audit, gate: str) -> None:
     """Refuse (strict) or warn (warn) on persisting a fail-verdict model.
 
     A model whose audit verdict is ``fail`` — a numerically perfect or
     invalid fit — must not reach deployment silently: once serialized,
     the residuals and design that would reveal the problem are gone.
     """
-    from repro.audit import (
-        PERSISTENCE_MODES,
-        AuditConfig,
-        AuditGateError,
-        audit_model,
-    )
+    from repro.audit import AuditGateError, audit_model
 
-    config = AuditConfig.load()
-    mode = gate if gate is not None else config.persistence_mode
-    if mode not in PERSISTENCE_MODES:
-        raise ValueError(
-            f"gate must be one of {PERSISTENCE_MODES}, got {mode!r}"
-        )
-    if mode == "off":
+    if gate not in _GATES:
+        raise ValueError(f"gate must be one of {_GATES}, got {gate!r}")
+    if gate == "off":
         return
-    report = audit if audit is not None else audit_model(model, config=config)
+    report = audit if audit is not None else audit_model(model)
     if not report.worst_at_least("fail"):
         return
     detail = "; ".join(f.format() for f in report.findings)
     message = (
         f"model audit verdict is {report.verdict!r}: {detail}"
     )
-    if mode == "strict":
+    if gate == "strict":
         raise AuditGateError(message)
     _warnings.warn(
-        f"persisting a fail-verdict model anyway (gate={mode!r}): "
+        f"persisting a fail-verdict model anyway (gate={gate!r}): "
         f"{message}",
         stacklevel=3,
     )
@@ -183,17 +177,16 @@ def save_model(
     path: Union[str, Path],
     *,
     audit=None,
-    gate: Optional[str] = None,
+    gate: str = "warn",
 ) -> None:
     """Write the model to a JSON file (atomically: a crash mid-write
     must never leave a half-serialized model for deployment to load).
 
-    Persistence is audit-gated: ``gate`` (default: the
-    ``persistence-mode`` of ``[tool.repro.audit]``, ``warn`` when
-    unconfigured) decides what a ``fail`` audit verdict does — ``off``
-    ignores it, ``warn`` emits a warning, ``strict`` raises
-    :class:`~repro.audit.AuditGateError` and writes nothing.  Pass a
-    precomputed ``audit`` report to skip re-auditing.
+    Persistence is audit-gated: ``gate`` decides what a ``fail`` audit
+    verdict does — ``off`` ignores it, ``warn`` (the default) emits a
+    warning, ``strict`` raises :class:`~repro.audit.AuditGateError` and
+    writes nothing.  Pass a precomputed ``audit`` report to skip
+    re-auditing.
     """
     _audit_gate(model, audit, gate)
     atomic_write_text(Path(path), json.dumps(model_to_dict(model), indent=2) + "\n")

@@ -7,15 +7,12 @@ values, so a reproduction run reads like the evaluation section.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.audit.framework import AuditReport
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "render_table",
     "render_series",
     "render_counts",
-    "render_audit",
     "fmt",
 ]
 
@@ -75,23 +72,6 @@ def render_counts(
     if not body:
         body = "none"
     return f"{title}: {body}" if title else body
-
-
-def render_audit(report: AuditReport, *, title: str = "audit") -> str:
-    """Verdict block for a statistical-rigor audit report.
-
-    Printed next to the tables it gates, so a reader never sees an R²
-    or MAPE without the verdict that qualifies it.
-    """
-    lines = [
-        f"{title}: verdict {report.verdict} "
-        f"({len(report.findings)} finding"
-        f"{'s' if len(report.findings) != 1 else ''}, "
-        f"{len(report.artifacts)} artifact"
-        f"{'s' if len(report.artifacts) != 1 else ''})"
-    ]
-    lines.extend(f"  {f.format()}" for f in report.findings)
-    return "\n".join(lines)
 
 
 def render_series(

@@ -61,8 +61,8 @@ class WorkflowResult:
     output, so bit-identity comparisons must exclude it."""
     audit: Optional[AuditReport] = None
     """Statistical-rigor audit (:mod:`repro.audit`) of the model,
-    selection and validation artifacts; ``None`` only when the caller
-    opted out with ``audit=False``."""
+    selection and validation artifacts; :func:`run_workflow` always
+    attaches it."""
 
     @property
     def selected_counters(self) -> Tuple[str, ...]:
@@ -114,7 +114,6 @@ def run_workflow(
     dataset: Optional[PowerDataset] = None,
     robust: bool = False,
     fast: bool = True,
-    audit: bool = True,
 ) -> WorkflowResult:
     """Run the complete methodology of the paper.
 
@@ -145,10 +144,10 @@ def run_workflow(
         always uses the exact per-fit path.  Selected counters and warnings are
         identical either way, fit statistics agree within 1e-9
         relative tolerance.
-    audit:
-        Run the :mod:`repro.audit` statistical-rigor pass over the
-        produced artifacts and attach the report (default on; the pass
-        is read-only and costs milliseconds next to acquisition).
+
+    The :mod:`repro.audit` statistical-rigor pass always runs over the
+    produced artifacts and its report is attached as
+    :attr:`WorkflowResult.audit` (read-only).
     """
     platform = platform or Platform(seed=seed)
     if selection_frequency_mhz not in frequencies_mhz:
@@ -261,8 +260,6 @@ def run_workflow(
         warnings=tuple(run_warnings),
         timing=timer.report(),
     )
-    if audit:
-        from repro.audit.engine import audit_workflow
+    from repro.audit.engine import audit_workflow
 
-        result = replace(result, audit=audit_workflow(result))
-    return result
+    return replace(result, audit=audit_workflow(result))

@@ -18,8 +18,8 @@ vocabulary of the paper:
   :func:`~repro.stats.crossval.cross_validate` — the 10-fold CV of
   Section IV-B.
 * :mod:`~repro.stats.metrics` — MAPE and friends.
-* :mod:`~repro.stats.diagnostics` — Breusch–Pagan / White tests used to
-  justify the HCSE estimator.
+* :mod:`~repro.stats.diagnostics` — the Breusch–Pagan test used to
+  justify the HCSE estimator, and leverage scores.
 """
 
 from repro.stats.correlation import (
@@ -36,15 +36,8 @@ from repro.stats.crossval import (
 )
 from repro.stats.diagnostics import (
     HeteroscedasticityTest,
-    NormalityTest,
     breusch_pagan,
-    condition_number,
-    dagostino_k2,
-    jarque_bera,
     leverage_scores,
-    max_leverage,
-    residual_normality,
-    white_test,
 )
 from repro.stats.fastfit import FoldGramSolver, GramCache
 from repro.stats.errors import (
@@ -128,15 +121,8 @@ __all__ = [
     "max_ape",
     "bias",
     "breusch_pagan",
-    "white_test",
-    "condition_number",
     "HeteroscedasticityTest",
-    "NormalityTest",
-    "jarque_bera",
-    "dagostino_k2",
-    "residual_normality",
     "leverage_scores",
-    "max_leverage",
     "add_constant",
     "lstsq_via_qr",
     "safe_pinv",

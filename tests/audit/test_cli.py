@@ -106,27 +106,6 @@ class TestReporters:
         assert "1 artifacts" in capsys.readouterr().out
 
 
-class TestRuleSelection:
-    def test_disable_suppresses_rule(self, fail_model, capsys):
-        # AU009 is the only fail on this model; with it off the audit
-        # can at worst grade minor/major.
-        code = main([str(fail_model), "--disable", "AU009"])
-        out = capsys.readouterr().out
-        assert "AU009" not in out
-        assert code in (EXIT_CLEAN, EXIT_FINDINGS)
-
-    def test_select_runs_exclusively(self, fail_model, capsys):
-        main([str(fail_model), "--select", "AU004", "-f", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rules_run"] == ["AU004"]
-
-    def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == EXIT_CLEAN
-        out = capsys.readouterr().out
-        for i in range(1, 12):
-            assert f"AU{i:03d}" in out
-
-
 class TestStrictGate:
     def test_strict_demands_pass(self, tmp_path, capsys):
         # A sound-but-small model: n=14 on k=3 trips AU004 minor, which
@@ -152,17 +131,17 @@ class TestStrictGate:
 
 
 class TestEntryPoint:
-    def test_python_dash_m_invocation(self):
+    def test_python_dash_m_invocation(self, fail_model):
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.audit", "--list-rules"],
+            [sys.executable, "-m", "repro.audit", str(fail_model)],
             capture_output=True,
             text=True,
             env=env,
             timeout=120,
         )
-        assert proc.returncode == 0
-        assert "AU001" in proc.stdout
+        assert proc.returncode == EXIT_FINDINGS
+        assert "AU009" in proc.stdout

@@ -2,10 +2,7 @@
 
 import json
 
-import numpy as np
-
 from repro.audit import (
-    AuditConfig,
     audit_model,
     audit_reference,
     model_context,
@@ -15,6 +12,7 @@ from repro.audit import (
 )
 from repro.audit.cli import _render
 from repro.core.model import PowerModel
+from repro.core.scenarios import SCENARIO_NAMES
 from repro.core.workflow import run_workflow
 
 
@@ -62,21 +60,11 @@ class TestWorkflowWiring:
         assert "validation:cv" in result.audit.artifacts
         assert "audit verdict:" in result.summary()
 
-    def test_workflow_audit_opt_out(self, small_dataset):
-        result = run_workflow(
-            dataset=small_dataset,
-            n_events=2,
-            frequencies_mhz=(1200, 2400),
-            audit=False,
-        )
-        assert result.audit is None
-
     def test_workflow_contexts_carry_warnings(self, small_dataset):
         result = run_workflow(
             dataset=small_dataset,
             n_events=2,
             frequencies_mhz=(1200, 2400),
-            audit=False,
         )
         object.__setattr__(result, "warnings", ("degraded: something",))
         contexts = workflow_contexts(result)
@@ -94,24 +82,21 @@ class TestScenarioContext:
         ctx = scenario_context(res, n_params=5)
         assert ctx.n_splits == 5
         assert ctx.n_samples == small_dataset.n_samples
-        assert len(ctx.fold_mapes) == 5
 
 
 class TestReferenceAudit:
-    def test_reference_workflows_audit_pass(
-        self, full_dataset, selected_counters
-    ):
-        """The acceptance gate of the issue: `repraudit` over the four
-        paper-reference workflows yields verdict pass."""
-        report = audit_reference(
-            dataset=full_dataset, counters=selected_counters
-        )
+    def test_reference_workflows_audit_pass(self):
+        """`python -m repro.audit --strict` in-process: the counter
+        selection, the Table I model and the four Fig. 4 scenarios of
+        the default seed audit a strict pass."""
+        report = audit_reference()
         assert report.verdict == "pass"
         assert report.gate_passed(strict=True)
-        # model + the four Fig. 4 scenarios
-        assert len(report.artifacts) == 5
+        assert report.artifacts == ("model", "selection") + tuple(
+            f"scenario:{name}" for name in SCENARIO_NAMES
+        )
         assert set(report.rules_run) == {
-            f"AU{i:03d}" for i in range(1, 14) if i != 12
+            f"AU{i:03d}" for i in range(2, 14) if i != 12
         }
 
 
@@ -128,7 +113,7 @@ class TestGoldenReport:
                          n_splits=10, n_params=2),
             AuditContext(artifact="scenario:x", r2=0.97, mape_pct=35.0),
         ]
-        return run_audit(contexts, AuditConfig())
+        return run_audit(contexts)
 
     def test_json_report_matches_golden(self, pytestconfig):
         golden_path = (
@@ -143,9 +128,7 @@ class TestGoldenReport:
         assert text.strip().endswith("verdict: fail")
 
     def test_clean_text_report_shape(self):
-        report = run_audit(
-            [model_context_clean()], AuditConfig()
-        )
+        report = run_audit([model_context_clean()])
         text = _render(report, "text")
         assert "repraudit: clean (1 artifacts)" in text
         assert text.strip().endswith("verdict: pass")

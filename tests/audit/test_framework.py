@@ -59,40 +59,6 @@ class TestAuditReport:
         assert report.worst_at_least("fail")
         assert not report.gate_passed()
 
-    def test_merged_deduplicates_and_unions(self):
-        a = AuditReport(
-            findings=(finding("minor"),),
-            artifacts=("model",),
-            rules_run=("AU004",),
-        )
-        b = AuditReport(
-            findings=(finding("minor"), finding("major", rule="AU002")),
-            artifacts=("model", "campaign"),
-            rules_run=("AU002", "AU004"),
-        )
-        merged = a.merged(b)
-        assert len(merged.findings) == 2
-        assert merged.artifacts == ("model", "campaign")
-        assert merged.verdict == "major"
-
-    def test_findings_for_filters_by_artifact(self):
-        report = AuditReport(
-            findings=(
-                finding("minor", artifact="model"),
-                finding("major", artifact="campaign"),
-            )
-        )
-        assert len(report.findings_for("campaign")) == 1
-
-    def test_summary_and_dict_round_trip(self):
-        report = AuditReport(
-            findings=(finding("major"),), artifacts=("model",)
-        )
-        assert "audit verdict: major" in report.summary()
-        payload = report.to_dict()
-        assert payload["verdict"] == "major"
-        assert payload["findings"][0]["rule"] == "AU004"
-
     def test_finding_format_line(self):
         line = finding("major").format()
         assert line == "model: AU004 [major] m"

@@ -9,9 +9,8 @@ rule's test, and a rule that under-fires breaks its own.
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
-from repro.audit import AuditConfig, AuditContext, run_audit
+from repro.audit import AuditContext, run_audit
 from repro.stats.ols import fit_ols
 
 
@@ -19,8 +18,8 @@ def rule_ids(report):
     return {f.rule_id for f in report.findings}
 
 
-def audit_one(ctx, **config_kwargs):
-    return run_audit([ctx], AuditConfig(**config_kwargs))
+def audit_one(ctx):
+    return run_audit([ctx])
 
 
 # ---------------------------------------------------------------------------
@@ -52,37 +51,6 @@ class TestCleanFit:
 
 # ---------------------------------------------------------------------------
 # one fixture per rule
-
-
-class TestAU001ResidualNormality:
-    def test_skewed_small_sample_trips(self):
-        rng = np.random.default_rng(3)
-        x = rng.uniform(1.0, 10.0, size=(25, 1))
-        # Lognormal errors: heavily right-skewed, far from normal.
-        y = 2.0 + 3.0 * x[:, 0] + np.exp(rng.normal(size=25) * 1.5)
-        ols = fit_ols(y, x, cov_type="HC3")
-        report = audit_one(AuditContext(artifact="model", ols=ols))
-        assert rule_ids(report) == {"AU001"}
-        assert report.verdict == "minor"
-
-    def test_large_sample_is_exempt(self):
-        rng = np.random.default_rng(3)
-        x = rng.uniform(1.0, 10.0, size=(500, 1))
-        y = 2.0 + 3.0 * x[:, 0] + np.exp(rng.normal(size=500) * 1.5)
-        ols = fit_ols(y, x, cov_type="HC3")
-        report = audit_one(AuditContext(artifact="model", ols=ols))
-        assert "AU001" not in rule_ids(report)
-
-    def test_restored_model_without_residuals_is_silent(self):
-        ols = SimpleNamespace(
-            residuals=np.array([]),
-            bse=np.array([1.0, 2.0]),
-            params=np.array([1.0, 2.0]),
-            rsquared=0.9,
-            nobs=100,
-        )
-        report = audit_one(AuditContext(artifact="model", ols=ols))
-        assert "AU001" not in rule_ids(report)
 
 
 class TestAU002HeteroscedasticityCovMismatch:
@@ -209,12 +177,6 @@ class TestAU006VifEscalation:
 
 
 class TestAU007MissingCI:
-    def test_declared_bare_points_trip(self):
-        ctx = AuditContext(artifact="report", has_ci=False)
-        report = audit_one(ctx)
-        assert rule_ids(report) == {"AU007"}
-        assert report.verdict == "major"
-
     def test_all_zero_standard_errors_trip(self):
         ols = SimpleNamespace(
             residuals=np.array([]),
@@ -278,18 +240,6 @@ class TestAU009SuspiciousPerfection:
         assert rule_ids(report) == {"AU009"}
         assert report.verdict == "major"
 
-    def test_non_finite_params_rate_fail(self):
-        ols = SimpleNamespace(
-            residuals=np.array([]),
-            params=np.array([np.nan, 2.0]),
-            bse=np.array([0.1, 0.2]),
-            rsquared=0.9,
-            nobs=100,
-        )
-        report = audit_one(AuditContext(artifact="model", ols=ols))
-        assert "AU009" in rule_ids(report)
-        assert report.verdict == "fail"
-
     def test_paper_r2_is_silent(self):
         ctx = AuditContext(artifact="model", r2=0.954)
         assert audit_one(ctx).findings == ()
@@ -330,28 +280,6 @@ class TestAU010DegradedProvenance:
         assert rule_ids(report) == {"AU010"}
         assert report.verdict == "minor"
 
-    def test_drift_rates_major(self):
-        drift = SimpleNamespace(
-            breaker_open=True,
-            drift_detected=True,
-            drift_fraction=0.6,
-            degraded_fraction=0.8,
-        )
-        report = audit_one(AuditContext(artifact="drift", drift=drift))
-        assert rule_ids(report) == {"AU010"}
-        assert report.verdict == "major"
-
-    def test_baseline_heavy_session_rates_minor(self):
-        drift = SimpleNamespace(
-            breaker_open=False,
-            drift_detected=False,
-            drift_fraction=0.0,
-            degraded_fraction=0.4,
-        )
-        report = audit_one(AuditContext(artifact="drift", drift=drift))
-        assert rule_ids(report) == {"AU010"}
-        assert report.verdict == "minor"
-
     def test_clean_campaign_is_silent(self):
         campaign = SimpleNamespace(
             quarantined=(),
@@ -373,7 +301,7 @@ class TestAU011FastfitFallbackRate:
             kind="workflow",
             warnings=(self.WARNING.format(7, 10),),
         )
-        report = audit_one(ctx, disable={"AU010"})
+        report = audit_one(ctx)
         assert rule_ids(report) == {"AU011"}
         assert report.verdict == "minor"
 
@@ -383,64 +311,21 @@ class TestAU011FastfitFallbackRate:
             kind="workflow",
             warnings=(self.WARNING.format(2, 10),),
         )
-        assert rule_ids(audit_one(ctx, disable={"AU010"})) == set()
+        assert rule_ids(audit_one(ctx)) == set()
 
     def test_fastfit_note_is_not_double_counted_as_provenance(self):
-        # AU010 must leave the fastfit note to AU011.
+        # AU010 grades the other note and leaves the fastfit one to AU011.
         ctx = AuditContext(
             artifact="workflow",
             kind="workflow",
-            warnings=(self.WARNING.format(7, 10),),
-        )
-        assert rule_ids(audit_one(ctx)) == {"AU011"}
-
-
-# ---------------------------------------------------------------------------
-# configuration knobs
-
-
-class TestConfig:
-    def test_disable_silences_a_rule(self):
-        ctx = AuditContext(artifact="model", r2=1.0)
-        assert audit_one(ctx, disable={"AU009"}).findings == ()
-
-    def test_enable_restricts_to_listed_rules(self):
-        ctx = AuditContext(
-            artifact="model", r2=1.0, n_samples=10, n_params=5
+            warnings=(
+                self.WARNING.format(7, 10),
+                "clamping cross-validation to 8 folds",
+            ),
         )
         report = audit_one(ctx)
-        assert rule_ids(report) == {"AU004", "AU009"}
-        restricted = run_audit([ctx], AuditConfig(enable={"AU004"}))
-        assert rule_ids(restricted) == {"AU004"}
-
-    def test_thresholds_are_configurable(self):
-        ctx = AuditContext(artifact="model", r2=0.998)
-        assert audit_one(ctx).findings == ()
-        tightened = audit_one(ctx, r2_suspicious=0.99)
-        assert rule_ids(tightened) == {"AU009"}
-
-    def test_pyproject_persistence_mode_validated(self, tmp_path):
-        bad = tmp_path / "pyproject.toml"
-        bad.write_text(
-            "[tool.repro.audit]\npersistence-mode = \"paranoid\"\n"
-        )
-        with pytest.raises(ValueError, match="persistence-mode"):
-            AuditConfig.from_pyproject(bad)
-
-    def test_pyproject_round_trip(self, tmp_path):
-        toml = tmp_path / "pyproject.toml"
-        toml.write_text(
-            "[tool.repro.audit]\n"
-            "disable = [\"au001\"]\n"
-            "r2-suspicious = 0.99\n"
-            "persistence-mode = \"strict\"\n"
-        )
-        cfg = AuditConfig.from_pyproject(toml)
-        assert cfg.disable == {"AU001"}
-        assert cfg.r2_suspicious == 0.99
-        assert cfg.persistence_mode == "strict"
-        assert not cfg.rule_enabled("AU001")
-        assert cfg.rule_enabled("AU009")
+        assert rule_ids(report) == {"AU010", "AU011"}
+        assert [f.rule_id for f in report.findings].count("AU010") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +381,3 @@ class TestAU013FleetDegradation:
         fleet = self._fleet(n_nodes=0, healthy=0)
         ctx = AuditContext(artifact="fleet", kind="fleet", fleet=fleet)
         assert audit_one(ctx).findings == ()
-
-    def test_thresholds_configurable(self):
-        fleet = self._fleet(healthy=98, degraded=2, quarantined=0)
-        ctx = AuditContext(artifact="fleet", kind="fleet", fleet=fleet)
-        assert audit_one(ctx).findings == ()
-        tightened = audit_one(ctx, fleet_degraded_minor_fraction=0.01)
-        assert rule_ids(tightened) == {"AU013"}
-        assert tightened.verdict == "minor"
-
-    def test_pyproject_thresholds(self, tmp_path):
-        toml = tmp_path / "pyproject.toml"
-        toml.write_text(
-            "[tool.repro.audit]\n"
-            "fleet-degraded-minor-fraction = 0.02\n"
-            "fleet-degraded-major-fraction = 0.5\n"
-        )
-        cfg = AuditConfig.from_pyproject(toml)
-        assert cfg.fleet_degraded_minor_fraction == 0.02
-        assert cfg.fleet_degraded_major_fraction == 0.5
