@@ -60,6 +60,7 @@ from repro.seeding import derive_rng
 
 __all__ = [
     "ONLINE_STATE_FORMAT",
+    "WARNINGS_KEPT",
     "OnlineEstimate",
     "OnlineEstimator",
     "OnlineTimeline",
@@ -70,9 +71,15 @@ __all__ = [
 ]
 
 #: Version stamp of the :meth:`OnlineEstimator.state_dict` schema.
-#: Bump when the schema changes; stale snapshots are rejected, never
-#: misread.
-ONLINE_STATE_FORMAT = 1
+#: Bump when the schema changes; stale snapshots are migrated or
+#: rejected, never misread.  Format 2 bounds the warnings (format 1
+#: kept every one).
+ONLINE_STATE_FORMAT = 2
+
+#: Warning messages a node keeps: a ring of the most recent ones, next
+#: to the ``n_warnings`` count of all of them, so per-node state stays
+#: the same size however long the node misbehaves.
+WARNINGS_KEPT = 16
 
 
 @dataclass(frozen=True)
@@ -161,13 +168,9 @@ class DriftReport:
     drift_fraction: float
     """Implausible fraction over the most recent drift window."""
     warnings: Tuple[str, ...] = field(default=())
-
-    @property
-    def degraded_fraction(self) -> float:
-        """Share of produced estimates that needed the baseline."""
-        if self.n_intervals == 0:
-            return 0.0
-        return self.n_baseline / self.n_intervals
+    """The last :data:`WARNINGS_KEPT` warnings, oldest first."""
+    n_warnings: int = 0
+    """Every warning raised, including those the ring has dropped."""
 
     @property
     def clean(self) -> bool:
@@ -190,6 +193,7 @@ class DriftReport:
                 "clipped": self.n_clipped,
                 "breaker_trips": self.breaker_trips,
                 "breaker_open_intervals": self.breaker_open_intervals,
+                "warnings": self.n_warnings,
             },
             title="online estimation",
         )
@@ -258,10 +262,6 @@ class OnlineEstimator:
             capacity=1,
         )
         self._fleet.ensure_node(self._NODE)
-
-    @property
-    def warnings(self) -> Tuple[str, ...]:
-        return self._fleet.warnings(self._NODE)
 
     @property
     def breaker_open(self) -> bool:

@@ -69,8 +69,8 @@ def model_from_dict(payload: Dict) -> FittedPowerModel:
     The restored object predicts and attributes exactly; residual
     vectors of the original fit are not persisted (they belong to the
     calibration data, not the model).  A malformed payload — wrong
-    types, non-finite coefficients or standard errors, an unknown
-    ``cov_type`` — raises :class:`ValueError`.
+    types, non-finite coefficients or standard errors, a missing R², an
+    unknown ``cov_type`` — raises :class:`ValueError`.
     """
     if not isinstance(payload, dict):
         raise ValueError(
@@ -116,10 +116,10 @@ def model_from_dict(payload: Dict) -> FittedPowerModel:
     nobs = fit.get("nobs", len(params))
     if isinstance(nobs, bool) or not isinstance(nobs, int) or nobs < 1:
         raise ValueError(f"'nobs' must be a positive integer, got {nobs!r}")
-    r2, r2_adj = (
-        _number(fit[key], key) if key in fit else float("nan")
-        for key in ("rsquared", "rsquared_adj")
-    )
+    missing = [f"fit.{k}" for k in ("rsquared", "rsquared_adj") if k not in fit]
+    if missing:
+        raise ValueError(f"model file missing {missing}")
+    r2, r2_adj = (_number(fit[k], k) for k in ("rsquared", "rsquared_adj"))
     ols = OLSResult(
         params=params,
         bse=bse,

@@ -29,7 +29,7 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.model import FittedPowerModel
 from repro.core.online import PowerEnvelope
@@ -64,7 +64,9 @@ class SnapshotWorker:
     Invoked from ``process()`` every ``every_ticks`` ticks; writes at
     most ``max_shards_per_tick`` dirty shard files per invocation
     (0 = all), carrying the remainder to the next due tick so a huge
-    fleet never stalls one tick on persistence.
+    fleet never stalls one tick on persistence.  The budget goes round
+    robin, starting after the last shard tried, so under steady traffic
+    every pending shard is written within ``n_shards`` invocations.
     """
 
     def __init__(
@@ -78,6 +80,7 @@ class SnapshotWorker:
         self.max_shards_per_tick = int(max_shards_per_tick)
         self.pending: Dict[int, Set[str]] = {}
         self.writes = 0
+        self._next_shard = 0
 
     def due(self, tick: int) -> bool:
         return tick % self.every_ticks == 0
@@ -87,16 +90,22 @@ class SnapshotWorker:
         fleet: FleetEstimator,
         store: FleetStateStore,
         breakers: Sequence[ShardBreaker],
+        shard_of: Callable[[str], int],
     ) -> int:
-        """Persist dirty nodes, bounded per tick; returns shard writes."""
+        """Persist dirty nodes, bounded per tick; returns shard writes.
+
+        ``shard_of`` places a node id (the service's cached map)."""
         for node_id in fleet.take_dirty_nodes():
-            shard = store.shard_of(node_id)
-            self.pending.setdefault(shard, set()).add(node_id)
-        shards = sorted(self.pending)
+            self.pending.setdefault(shard_of(node_id), set()).add(node_id)
+        n_shards = len(breakers)
+        shards = sorted(
+            self.pending, key=lambda s: (s - self._next_shard) % n_shards
+        )
         if self.max_shards_per_tick:
             shards = shards[: self.max_shards_per_tick]
         written = 0
         for shard in shards:
+            self._next_shard = shard + 1
             breaker = breakers[shard]
             if not breaker.allow():
                 continue  # stays pending; retried after cooldown
@@ -304,8 +313,8 @@ class FleetService:
                 stateless.extend(self._stateless_answers(shard_rows))
                 continue
             breaker.record_success()
-        if self.store is not None and self.snapshot_worker.due(self._ticks):
-            self.snapshot_worker.run(self.fleet, self.store, self.breakers)
+        if self.snapshot_worker.due(self._ticks):
+            self.snapshot()
         return ProcessOutcome(
             results=tuple(results),
             stateless=tuple(stateless),
@@ -314,10 +323,13 @@ class FleetService:
         )
 
     def snapshot(self) -> int:
-        """Force-persist all dirty nodes now; returns shard writes."""
+        """Persist dirty nodes now, within the per-tick shard budget;
+        returns shard writes."""
         if self.store is None:
             return 0
-        return self.snapshot_worker.run(self.fleet, self.store, self.breakers)
+        return self.snapshot_worker.run(
+            self.fleet, self.store, self.breakers, self.shard_of
+        )
 
     # ------------------------------------------------------------------
     # Observability

@@ -25,7 +25,9 @@ tests as an oracle (``tests/oracles/online.py``); estimates, flags,
 warnings, breaker transitions and drift reports are asserted equal to
 it with ``==`` on floats.
 
-The drift window is a fixed-size int8 ring buffer per node.
+Per-node state is bounded: the drift window is a fixed-size int8 ring
+buffer, and the warnings are a ring of the last ``WARNINGS_KEPT``
+messages next to an ``n_warnings`` count of all of them.
 Quarantine is a fleet-level *reporting overlay*: a node whose drift
 latch fires is quarantined (seeded probation via
 :func:`repro.seeding.derive_rng`) so shard health statistics exclude
@@ -34,14 +36,16 @@ it; its estimates are still produced.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.model import FittedPowerModel
 from repro.core.online import (
     ONLINE_STATE_FORMAT,
+    WARNINGS_KEPT,
     DriftReport,
     OnlineEstimate,
     PowerEnvelope,
@@ -73,10 +77,6 @@ class BatchResult:
     def n_rows(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def n_produced(self) -> int:
-        return int(np.count_nonzero(self.produced))
-
     def estimate(self, i: int) -> Optional[OnlineEstimate]:
         """Row *i* as an :class:`OnlineEstimate` (``None`` for a
         skipped row)."""
@@ -90,16 +90,13 @@ class BatchResult:
             flags=self.flags.get(i, ()),
         )
 
-    def estimates(self) -> List[Optional[OnlineEstimate]]:
-        return [self.estimate(i) for i in range(self.n_rows)]
-
 
 #: Integer tallies of a node snapshot; each is stored in the int64
 #: array of the same name with a leading underscore.
 _COUNT_KEYS = (
     "n_intervals", "seen", "n_model", "n_baseline", "n_skipped",
     "n_implausible", "n_clipped", "breaker_trips", "breaker_open_intervals",
-    "consecutive_bad", "consecutive_good",
+    "consecutive_bad", "consecutive_good", "n_warnings",
 )
 _STATE_KEYS = _COUNT_KEYS + (
     "smoothed", "last_time", "breaker_open", "drift_detected",
@@ -131,11 +128,18 @@ def _parse_state(state: object, drift_window: int) -> Dict[str, object]:
     and only ``ValueError``: a non-dict, an unknown ``format``, missing
     keys, tallies that are not non-negative int64 integers, a
     non-finite EWMA or timestamp, flags that are not booleans, a drift
-    window longer than ``drift_window``, warnings that are not strings.
+    window longer than ``drift_window``, warnings that are not strings,
+    more than :data:`WARNINGS_KEPT` of them or more than ``n_warnings``.
+    A format-1 snapshot, which kept every warning, migrates: its last
+    :data:`WARNINGS_KEPT` warnings stay and ``n_warnings`` counts them
+    all.
     """
     if not isinstance(state, dict):
         raise ValueError("estimator state must be a dict")
-    if state.get("format") != ONLINE_STATE_FORMAT:
+    legacy = state.get("format") == 1
+    if legacy and isinstance(state.get("warnings"), (list, tuple)):
+        state = {**state, "n_warnings": len(state["warnings"])}
+    elif not legacy and state.get("format") != ONLINE_STATE_FORMAT:
         raise ValueError(
             f"unknown estimator state format {state.get('format')!r} "
             f"(expected {ONLINE_STATE_FORMAT})"
@@ -180,7 +184,13 @@ def _parse_state(state: object, drift_window: int) -> Dict[str, object]:
         raise ValueError(
             "malformed estimator state: warnings must be a list of strings"
         )
-    out["warnings"] = list(warnings)
+    if not legacy and len(warnings) > WARNINGS_KEPT:
+        raise ValueError(
+            f"estimator state keeps more than {WARNINGS_KEPT} warnings"
+        )
+    if len(warnings) > out["n_warnings"]:
+        raise ValueError("estimator state has more warnings than n_warnings")
+    out["warnings"] = list(warnings[-WARNINGS_KEPT:])
     return out
 
 
@@ -236,7 +246,7 @@ class FleetEstimator:
 
         self._index: Dict[str, int] = {}
         self._ids: List[str] = []
-        self._warnings: Dict[int, List[str]] = {}
+        self._warnings: Dict[int, Deque[str]] = {}
         self._dirty: set = set()
         self._allocate(int(capacity))
 
@@ -248,6 +258,7 @@ class FleetEstimator:
         "_n_implausible", "_n_clipped", "_breaker_trips",
         "_breaker_open_intervals", "_consecutive_bad", "_consecutive_good",
         "_wlen", "_wpos", "_wsum", "_quarantine_release", "_n_quarantines",
+        "_n_warnings",
     )
     _BOOL_FIELDS = (
         "_smoothed_valid", "_last_time_valid", "_breaker_open",
@@ -337,21 +348,11 @@ class FleetEstimator:
                 if self._last_time_valid[i]
                 else None
             ),
-            "n_intervals": int(self._n_intervals[i]),
-            "seen": int(self._seen[i]),
-            "n_model": int(self._n_model[i]),
-            "n_baseline": int(self._n_baseline[i]),
-            "n_skipped": int(self._n_skipped[i]),
-            "n_implausible": int(self._n_implausible[i]),
-            "n_clipped": int(self._n_clipped[i]),
+            **{key: int(getattr(self, "_" + key)[i]) for key in _COUNT_KEYS},
             "breaker_open": bool(self._breaker_open[i]),
-            "breaker_trips": int(self._breaker_trips[i]),
-            "breaker_open_intervals": int(self._breaker_open_intervals[i]),
-            "consecutive_bad": int(self._consecutive_bad[i]),
-            "consecutive_good": int(self._consecutive_good[i]),
             "implausible_window": self._window_list(i),
             "drift_detected": bool(self._drift_detected[i]),
-            "warnings": list(self._warnings.get(i, [])),
+            "warnings": list(self._warnings.get(i, ())),
         }
 
     def load_node_state(self, node_id: str, state: Dict[str, object]) -> int:
@@ -379,10 +380,7 @@ class FleetEstimator:
         self._wlen[i] = len(window)
         self._wpos[i] = len(window) % self.drift_window
         self._wsum[i] = sum(window)
-        if parsed["warnings"]:
-            self._warnings[i] = parsed["warnings"]
-        else:
-            self._warnings.pop(i, None)
+        self._warnings[i] = deque(parsed["warnings"], maxlen=WARNINGS_KEPT)
         # Quarantine is a live overlay, not snapshot state: a restored
         # node re-earns it if its window stays implausible.
         self._quarantined[i] = False
@@ -434,7 +432,8 @@ class FleetEstimator:
     # Vectorized stepping
     # ------------------------------------------------------------------
     def _warn(self, idx: int, message: str) -> None:
-        self._warnings.setdefault(idx, []).append(
+        self._n_warnings[idx] += 1
+        self._warnings.setdefault(idx, deque(maxlen=WARNINGS_KEPT)).append(
             f"interval {int(self._seen[idx])}: {message}"
         )
 
@@ -720,16 +719,8 @@ class FleetEstimator:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def warnings(self, node_id: str) -> Tuple[str, ...]:
-        return tuple(self._warnings.get(self._node_index(node_id), []))
-
     def is_quarantined(self, node_id: str) -> bool:
         return bool(self._quarantined[self._node_index(node_id)])
-
-    def quarantined_node_ids(self) -> Tuple[str, ...]:
-        n = self.n_nodes
-        hits = np.nonzero(self._quarantined[:n])[0]
-        return tuple(self._ids[int(i)] for i in hits)
 
     def drift_report(self, node_id: str) -> DriftReport:
         """One node's session tally."""
@@ -748,7 +739,8 @@ class FleetEstimator:
             breaker_open=bool(self._breaker_open[i]),
             drift_detected=bool(self._drift_detected[i]),
             drift_fraction=fraction,
-            warnings=tuple(self._warnings.get(i, [])),
+            warnings=tuple(self._warnings.get(i, ())),
+            n_warnings=int(self._n_warnings[i]),
         )
 
     def take_dirty_nodes(self) -> List[str]:

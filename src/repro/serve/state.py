@@ -31,7 +31,7 @@ __all__ = ["SERVE_STATE_FORMAT", "FleetStateStore", "fleet_fingerprint"]
 #: On-disk shard format of fleet state archives.  Independent of the
 #: campaign checkpoint's ``CHECKPOINT_FORMAT`` and of the per-node
 #: ``ONLINE_STATE_FORMAT`` carried inside each entry.
-SERVE_STATE_FORMAT = 1
+SERVE_STATE_FORMAT = 2
 
 
 def fleet_fingerprint(model: FittedPowerModel, **config) -> str:
@@ -57,8 +57,10 @@ def fleet_fingerprint(model: FittedPowerModel, **config) -> str:
 class FleetStateStore(ShardedArchiveStore):
     """Node id → estimator-state-dict archive, sharded and atomic.
 
-    Entries are JSON documents inside the ``npz`` shard (state dicts
-    are plain scalars/lists by contract); malformed JSON raises
+    A shard is one JSON object, node id → state dict (state dicts are
+    plain scalars/lists by contract), stored as its UTF-8 bytes in a
+    ``uint8`` array: the bytes a shard takes grow with the states in
+    it, not with its longest state.  Malformed JSON or UTF-8 raises
     ``ValueError``, which the base store treats as a corrupt shard —
     discarded whole, logged, never half-trusted.
     """
@@ -66,22 +68,13 @@ class FleetStateStore(ShardedArchiveStore):
     FORMAT = SERVE_STATE_FORMAT
 
     def _pack_shard(self, cells: Dict[str, object]) -> Dict[str, np.ndarray]:
-        node_ids = list(cells)
-        blobs = [json.dumps(cells[node_id]) for node_id in node_ids]
-        return {
-            "node_ids": np.array(node_ids, dtype=str),
-            "states": np.array(blobs, dtype=str),
-        }
+        blob = json.dumps(cells).encode()
+        return {"states": np.frombuffer(blob, dtype=np.uint8)}
 
     def _unpack_shard(self, data) -> Dict[str, object]:
-        node_ids = [str(v) for v in data["node_ids"]]
-        blobs = data["states"]
-        if len(blobs) != len(node_ids):
-            raise ValueError("shard node/state arrays disagree")
-        out: Dict[str, object] = {}
-        for node_id, blob in zip(node_ids, blobs):
-            state = json.loads(str(blob))  # ValueError if corrupt
-            if not isinstance(state, dict):
-                raise ValueError("node state entry is not an object")
-            out[node_id] = state
-        return out
+        cells = json.loads(data["states"].tobytes())  # ValueError if corrupt
+        if not isinstance(cells, dict) or not all(
+            isinstance(state, dict) for state in cells.values()
+        ):
+            raise ValueError("shard entries are not node-state objects")
+        return cells

@@ -85,6 +85,20 @@ class TestExitCodes:
         assert "repraudit: error:" in capsys.readouterr().err
 
 
+    def test_model_file_without_rsquared_exits_usage(
+        self, sound_model, capsys
+    ):
+        """A sound model whose file lost ``fit.rsquared`` is reported
+        as a malformed file, not graded AU009 fail on a NaN R²."""
+        payload = json.loads(sound_model.read_text())
+        del payload["fit"]["rsquared"]
+        sound_model.write_text(json.dumps(payload))
+        assert main([str(sound_model)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "fit.rsquared" in captured.err
+        assert "AU009" not in captured.out
+
+
 class TestReporters:
     def test_json_report_parses(self, fail_model, capsys):
         main([str(fail_model), "-f", "json"])

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.model import FittedPowerModel
 from repro.core.online import (
     ONLINE_STATE_FORMAT,
+    WARNINGS_KEPT,
     OnlineEstimator,
     PowerEnvelope,
 )
@@ -305,3 +306,84 @@ class TestStateValidation:
         assert json.loads(json.dumps(loaded)) == loaded
         fleet.load_node_state("n", loaded)
         assert fleet.node_state("n") == loaded
+
+
+def _format1(state, warnings):
+    """A format-1 snapshot: every warning kept, no ``n_warnings``."""
+    legacy = {k: v for k, v in state.items() if k != "n_warnings"}
+    return {**legacy, "format": 1, "warnings": warnings}
+
+
+_MESSAGES = st.lists(st.text(max_size=12), max_size=3 * WARNINGS_KEPT)
+
+
+class TestFormat1Migration:
+    """Format 1 kept every warning; format 2 keeps a ring of the last
+    ``WARNINGS_KEPT`` and counts them all in ``n_warnings``."""
+
+    def test_format1_snapshot_migrates(self):
+        warnings = [f"interval {i}: skipped" for i in range(40)]
+        fleet = FleetEstimator(synthetic_model(), **KW)
+        fleet.load_node_state("n", _format1(_snapshot(), warnings))
+        state = fleet.node_state("n")
+        assert state["format"] == ONLINE_STATE_FORMAT == 2
+        assert state["n_warnings"] == 40
+        assert state["warnings"] == warnings[-WARNINGS_KEPT:]
+        assert fleet.drift_report("n").n_warnings == 40
+
+    def test_format2_with_more_than_the_ring_rejected(self):
+        state = _snapshot()
+        state["warnings"] = ["w"] * (WARNINGS_KEPT + 1)
+        state["n_warnings"] = WARNINGS_KEPT + 1
+        _assert_rejected_untouched(_fleet_with_node(), state)
+
+    def test_more_warnings_than_counted_rejected(self):
+        state = _snapshot()
+        state["n_warnings"] = len(state["warnings"]) - 1
+        _assert_rejected_untouched(_fleet_with_node(), state)
+
+    @given(warnings=_MESSAGES, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_format1_migrates_or_raises_untouched(self, warnings, data):
+        """A format-1 snapshot with an arbitrary warning list and,
+        sometimes, one field replaced or deleted: it migrates to the
+        ring and the full count, or raises ValueError and changes
+        nothing."""
+        state = _format1(copy.deepcopy(_snapshot()), list(warnings))
+        if data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(state)))
+            if data.draw(st.booleans()):
+                del state[key]
+            else:
+                state[key] = data.draw(_JSON)
+        fleet = _fleet_with_node()
+        before = fleet.node_state("n")
+        try:
+            fleet.load_node_state("n", state)
+        except ValueError:
+            assert fleet.node_state("n") == before
+            return
+        loaded = fleet.node_state("n")
+        assert loaded["format"] == ONLINE_STATE_FORMAT
+        if state.get("format") == 1:
+            assert loaded["n_warnings"] == len(state["warnings"])
+            assert loaded["warnings"] == list(state["warnings"])[-WARNINGS_KEPT:]
+        fleet.load_node_state("n", json.loads(json.dumps(loaded)))
+        assert fleet.node_state("n") == loaded
+
+    @given(state=st.dictionaries(
+        st.sampled_from(sorted(_snapshot())) | st.text(max_size=8),
+        _JSON,
+        max_size=8,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_format1_dict_raises_value_error_untouched(self, state):
+        state = {**state, "format": 1}
+        fleet = _fleet_with_node()
+        before = fleet.node_state("n")
+        try:
+            fleet.load_node_state("n", state)
+        except ValueError:
+            assert fleet.node_state("n") == before
+            return
+        raise AssertionError(f"loaded an incomplete format-1 state: {state}")

@@ -110,6 +110,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="standard-error"):
             model_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["rsquared", "rsquared_adj"])
+    def test_missing_rsquared_rejected_by_name(self, fitted, key):
+        """A missing R² is a malformed file, not a NaN the audit would
+        grade as an invalid fit."""
+        payload = model_to_dict(fitted)
+        del payload["fit"][key]
+        with pytest.raises(ValueError, match=f"'fit.{key}'"):
+            model_from_dict(payload)
+
     @pytest.mark.parametrize(
         "mutate",
         [

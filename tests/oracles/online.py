@@ -14,13 +14,15 @@ state it writes must load into production and resume bit-identically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.model import FittedPowerModel
 from repro.core.online import (
     ONLINE_STATE_FORMAT,
+    WARNINGS_KEPT,
     DriftReport,
     OnlineEstimate,
     PowerEnvelope,
@@ -84,7 +86,8 @@ class OnlineEstimator:
         self.drift_tolerance = drift_tolerance
         self._smoothed: Optional[float] = None
         self._history: List[OnlineEstimate] = []
-        self._warnings: List[str] = []
+        self._warnings: Deque[str] = deque(maxlen=WARNINGS_KEPT)
+        self._n_warnings = 0
         self._last_time: Optional[float] = None
         self._n_intervals = 0
         self._seen = 0
@@ -117,6 +120,7 @@ class OnlineEstimator:
         self._smoothed = None
         self._history.clear()
         self._warnings.clear()
+        self._n_warnings = 0
         self._last_time = None
         self._n_intervals = 0
         self._seen = 0
@@ -167,6 +171,7 @@ class OnlineEstimator:
             "implausible_window": [bool(b) for b in self._implausible_window],
             "drift_detected": self._drift_detected,
             "warnings": list(self._warnings),
+            "n_warnings": self._n_warnings,
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -195,7 +200,7 @@ class OnlineEstimator:
                     "n_intervals", "seen", "n_model", "n_baseline",
                     "n_skipped", "n_implausible", "n_clipped",
                     "breaker_trips", "breaker_open_intervals",
-                    "consecutive_bad", "consecutive_good",
+                    "consecutive_bad", "consecutive_good", "n_warnings",
                 )
             }
             breaker_open = bool(state["breaker_open"])
@@ -227,7 +232,8 @@ class OnlineEstimator:
         self._breaker_open = breaker_open
         self._drift_detected = drift_detected
         self._implausible_window = [bool(b) for b in window]
-        self._warnings = warnings
+        self._warnings.extend(warnings)
+        self._n_warnings = ints["n_warnings"]
 
     # ------------------------------------------------------------------
     # Equation 1 pieces
@@ -342,6 +348,7 @@ class OnlineEstimator:
     # Hardened path
     # ------------------------------------------------------------------
     def _warn(self, message: str) -> None:
+        self._n_warnings += 1
         self._warnings.append(f"interval {self._seen}: {message}")
 
     def _update_breaker(self, interval_good: bool) -> None:
@@ -506,4 +513,5 @@ class OnlineEstimator:
             drift_detected=self._drift_detected,
             drift_fraction=self._drift_fraction(),
             warnings=tuple(self._warnings),
+            n_warnings=self._n_warnings,
         )

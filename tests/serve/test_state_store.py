@@ -8,9 +8,12 @@ escapes as an exception.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+import repro.serve.state as state_module
 from repro.core.online import OnlineEstimator
 from repro.serve import FleetStateStore, fleet_fingerprint
 
@@ -162,3 +165,41 @@ class TestFleetStateStore:
         survivors = [n for n in states if final.shard_of(n) != final.shard_of("a")]
         for nid in survivors:
             assert final.load(nid) == states[nid]
+
+    def test_format1_store_is_reset_not_adopted(
+        self, model, tmp_path, monkeypatch
+    ):
+        """A directory written before format 2 is reset at open, before
+        any shard is read: the meta's shard format is 1, and the
+        fingerprint covers ``ONLINE_STATE_FORMAT``, so even format-2
+        shards of format-1 node states are never adopted."""
+        with monkeypatch.context() as patch:
+            patch.setattr(state_module, "ONLINE_STATE_FORMAT", 1)
+            old_fp = fleet_fingerprint(model)
+        new_fp = fleet_fingerprint(model)
+        assert old_fp != new_fp
+        legacy = {
+            nid: {**{k: v for k, v in st.items() if k != "n_warnings"},
+                  "format": 1}
+            for nid, st in node_states(model, ["a", "b", "c"]).items()
+        }
+        # Format-1 layout: padded UCS-4 strings, one JSON per node.
+        (tmp_path / FleetStateStore.META).write_text(json.dumps(
+            {"format": 1, "fingerprint": old_fp, "n_shards": 2, "events": []}
+        ))
+        np.savez_compressed(
+            tmp_path / "shard_0000.npz",
+            format=np.array(1),
+            node_ids=np.array(list(legacy), dtype=str),
+            states=np.array([json.dumps(v) for v in legacy.values()], dtype=str),
+        )
+        fresh = FleetStateStore(tmp_path, new_fp, n_shards=2)
+        assert not list(tmp_path.glob("shard_*.npz"))
+        assert fresh.stored_keys() == [] and fresh.events() == []
+
+        # Format-2 shards holding format-1 states: the fingerprint differs.
+        FleetStateStore(tmp_path, old_fp, n_shards=2).store_many(legacy)
+        assert list(tmp_path.glob("shard_*.npz"))
+        fresh = FleetStateStore(tmp_path, new_fp, n_shards=2)
+        assert not list(tmp_path.glob("shard_*.npz"))
+        assert fresh.load("a") is None and fresh.stored_keys() == []
