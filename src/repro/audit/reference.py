@@ -3,9 +3,11 @@
 ``repraudit`` with no arguments runs the rule catalogue over the
 artifacts behind the paper's headline tables — the counter selection
 (Table I), the fitted Equation 1 model, and the four validation
-scenarios (Tables II–IV / Fig. 4) — all built from the shared cached
-campaign.  A clean checkout audits ``pass``; the tier-1 suite asserts
-that in strict mode, so a statistical-rigor regression fails it.
+scenarios (Tables II–IV / Fig. 4), plus the scenarios' warnings (fold
+fallbacks, skipped zero-power rows) when there are any — all built
+from the shared cached campaign.  A clean checkout audits ``pass``;
+the tier-1 suite asserts that in strict mode, so a statistical-rigor
+regression fails it.
 """
 
 from __future__ import annotations
@@ -43,11 +45,18 @@ def reference_contexts(*, seed: int = DEFAULT_SEED) -> List[AuditContext]:
     n_params = int(np.asarray(model.ols.params).size)
 
     contexts = [model_context(model, dataset), selection_context(selection)]
-    scenarios = run_all_scenarios(dataset, counters, seed=seed)
+    issues: List[str] = []
+    scenarios = run_all_scenarios(dataset, counters, seed=seed, issues=issues)
     contexts.extend(
         scenario_context(res, n_params=n_params, artifact=f"scenario:{name}")
         for name, res in scenarios.items()
     )
+    if issues:
+        contexts.append(
+            AuditContext(
+                artifact="workflow", kind="workflow", warnings=tuple(issues)
+            )
+        )
     return contexts
 
 

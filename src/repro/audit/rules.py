@@ -473,7 +473,7 @@ class DegradedProvenanceRule(AuditRule):
 
 
 #: Shape of the fold-fallback provenance note emitted by
-#: ``cross_validate`` and surfaced through workflow warnings.
+#: ``cv_out_of_fold_predictions`` and surfaced through workflow warnings.
 _FASTFIT_NOTE = re.compile(
     r"fastfit: (\d+)/(\d+) fold\(s\) fell back to the exact fit path"
 )

@@ -163,7 +163,6 @@ def cv_out_of_fold_predictions(
     estimator: str = "ols",
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    fast: bool = True,
 ) -> Tuple[np.ndarray, Tuple[float, ...], List[Dict[str, float]]]:
     """k-fold CV with random indexing: out-of-fold predictions.
 
@@ -171,63 +170,58 @@ def cv_out_of_fold_predictions(
     per-fold fit metrics [R², Adj.R²]).  ``estimator="huber"`` runs the
     robust per-fold fits.  ``on_zero="skip"`` lets degraded pipelines
     survive zero-power rows in a fold's MAPE; each occurrence is
-    recorded in the ``issues`` sink when one is given.  ``fast`` solves the
-    OLS folds from Gram downdates (:mod:`repro.stats.fastfit`) within 1e-9
-    relative tolerance of the per-fold refits; Huber folds and any fold
-    the solver declines take the exact path.
+    recorded in the ``issues`` sink when one is given.  OLS folds are
+    solved from Gram downdates (:mod:`repro.stats.fastfit`); a fold the
+    solver declines is refitted exactly, and the decline count is
+    recorded in ``issues``.
     """
     splits = list(
         KFold(n_splits, shuffle=True, seed=seed).split(dataset.n_samples)
     )
-    if estimator == "ols" and fast:
-        # Constructing the model validates the counter list (duplicate
-        # names) exactly as the per-fold fits would.
-        PowerModel(tuple(counters), cov_type=cov_type, estimator=estimator)
-        solver = FoldGramSolver(
-            dataset.power_w, design_matrix(dataset, list(counters))
-        )
-        outcomes = []
-        n_declined = 0
-        for train, test in splits:
-            fit = solver.solve_fold(train, test)
-            if fit is None:
-                # Not fast-eligible (degraded/degenerate fold): exact
-                # slow-path fit with its historical errors.
+    counters = tuple(counters)
+    # Constructing the model validates the counter list (duplicate
+    # names) exactly as the per-fold fits would.
+    PowerModel(counters, cov_type=cov_type, estimator=estimator)
+    solver = (
+        FoldGramSolver(dataset.power_w, design_matrix(dataset, list(counters)))
+        if estimator == "ols"
+        else None
+    )
+    outcomes = []
+    n_declined = 0
+    for train, test in splits:
+        fit = None if solver is None else solver.solve_fold(train, test)
+        if fit is None:
+            # Huber, or a fold the solver declines (degraded or
+            # degenerate train design): exact per-fold fit.
+            if solver is not None:
                 n_declined += 1
-                outcomes.append(
-                    _cv_fold(
-                        dataset, tuple(counters), cov_type, estimator,
-                        train, test, on_zero,
-                    )
-                )
-                continue
-            p = solver.predict(fit, test)
-            test_power_w = dataset.power_w[test]
-            n_zero = int(np.sum(test_power_w == 0.0))  # exact-zero guard: MAPE division sentinel
             outcomes.append(
-                (
-                    p,
-                    mape(test_power_w, p, on_zero=on_zero),
-                    {"r2": fit.rsquared, "adj_r2": fit.rsquared_adj},
-                    n_zero,
+                _cv_fold(
+                    dataset, counters, cov_type, estimator, train, test,
+                    on_zero,
                 )
             )
-        if n_declined and issues is not None:
-            # Declines mean borderline-degenerate fold designs — a
-            # data-quality signal the audit layer (AU011) grades, so it
-            # is recorded as provenance, not just lost to the fallback.
-            issues.append(
-                f"fastfit: {n_declined}/{len(splits)} fold(s) fell back "
-                "to the exact fit path"
+            continue
+        p = solver.predict(fit, test)
+        test_power_w = dataset.power_w[test]
+        n_zero = int(np.sum(test_power_w == 0.0))  # exact-zero guard: MAPE division sentinel
+        outcomes.append(
+            (
+                p,
+                mape(test_power_w, p, on_zero=on_zero),
+                {"r2": fit.rsquared, "adj_r2": fit.rsquared_adj},
+                n_zero,
             )
-    else:
-        outcomes = [
-            _cv_fold(
-                dataset, tuple(counters), cov_type, estimator, train, test,
-                on_zero,
-            )
-            for train, test in splits
-        ]
+        )
+    if n_declined and issues is not None:
+        # Declines mean borderline-degenerate fold designs — a
+        # data-quality signal the audit layer (AU011) grades, so it
+        # is recorded as provenance, not just lost to the fallback.
+        issues.append(
+            f"fastfit: {n_declined}/{len(splits)} fold(s) fell back "
+            "to the exact fit path"
+        )
     preds = np.full(dataset.n_samples, np.nan)
     fold_mapes: List[float] = []
     fold_fits: List[Dict[str, float]] = []
@@ -342,7 +336,6 @@ def scenario_cv_all(
     estimator: str = "ols",
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    fast: bool = True,
 ) -> ScenarioResult:
     """Scenario 3: 10-fold CV over all experiments (the Table II run)."""
     preds, fold_mapes, _ = cv_out_of_fold_predictions(
@@ -353,7 +346,6 @@ def scenario_cv_all(
         estimator=estimator,
         on_zero=on_zero,
         issues=issues,
-        fast=fast,
     )
     return ScenarioResult(
         name=SCENARIO_NAMES[2],
@@ -372,7 +364,6 @@ def scenario_cv_synthetic(
     estimator: str = "ols",
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    fast: bool = True,
 ) -> ScenarioResult:
     """Scenario 4: 10-fold CV over the roco2 experiments only."""
     synth = dataset.filter(suite="roco2")
@@ -386,7 +377,6 @@ def scenario_cv_synthetic(
         estimator=estimator,
         on_zero=on_zero,
         issues=issues,
-        fast=fast,
     )
     return ScenarioResult(
         name=SCENARIO_NAMES[3],
@@ -404,7 +394,6 @@ def run_all_scenarios(
     n_train_random: int = 4,
     on_zero: str = "raise",
     issues: Optional[List[str]] = None,
-    fast: bool = True,
 ) -> Dict[str, ScenarioResult]:
     """All four scenarios (Fig. 4), keyed by scenario name."""
     return {
@@ -418,7 +407,6 @@ def run_all_scenarios(
             seed=seed,
             on_zero=on_zero,
             issues=issues,
-            fast=fast,
         ),
         SCENARIO_NAMES[3]: scenario_cv_synthetic(
             dataset,
@@ -426,6 +414,5 @@ def run_all_scenarios(
             seed=seed,
             on_zero=on_zero,
             issues=issues,
-            fast=fast,
         ),
     }

@@ -189,7 +189,6 @@ def select_events(
     cov_type: str = "HC3",
     estimator: str = "ols",
     on_missing: str = "raise",
-    fast: bool = True,
 ) -> SelectionResult:
     """Run Algorithm 1 on a dataset.
 
@@ -218,14 +217,10 @@ def select_events(
         campaign may have dropped entire counters): ``"raise"`` keeps
         the strict historical ``KeyError``; ``"skip"`` drops them from
         the pool and records a selection-level warning.
-    fast:
-        Score candidates through the Gram-cache fast-fit kernel
-        (:mod:`repro.stats.fastfit`) instead of one full OLS refit per
-        candidate (default **on**; ``False`` forces the exact path).
-        Only the ``"ols"`` estimator has a fast kernel.  The selected sequence and all warnings are identical
-        to the slow path, scores agree within 1e-9 relative tolerance,
-        and any candidate the kernel cannot certify well-conditioned is
-        transparently re-evaluated on the exact slow path.
+
+    OLS candidates are scored through the Gram-cache kernel
+    (:mod:`repro.stats.fastfit`); a candidate it cannot certify
+    well-conditioned, and every Huber candidate, is fitted exactly.
 
     Determinism
     -----------
@@ -275,7 +270,7 @@ def select_events(
 
     cache: Optional[GramCache] = None
     pool_pos: dict = {}
-    if fast and estimator == "ols":
+    if estimator == "ols":
         cache = GramCache(
             dataset.power_w,
             design_matrix(dataset, pool),

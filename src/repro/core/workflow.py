@@ -113,7 +113,6 @@ def run_workflow(
     sampling_interval_s: float = 0.1,
     dataset: Optional[PowerDataset] = None,
     robust: bool = False,
-    fast: bool = True,
 ) -> WorkflowResult:
     """Run the complete methodology of the paper.
 
@@ -137,13 +136,6 @@ def run_workflow(
         ``warnings``.  Robust validation additionally scores fold MAPEs
         with ``on_zero="skip"``, recording skipped rows as warnings, so
         one corrupt sample cannot abort the whole evaluation.
-    fast:
-        Run selection and cross validation through the Gram-cache
-        fast-fit kernels (:mod:`repro.stats.fastfit`; default on,
-        ``False`` forces the exact path).  The robust (Huber) pipeline
-        always uses the exact per-fit path.  Selected counters and warnings are
-        identical either way, fit statistics agree within 1e-9
-        relative tolerance.
 
     The :mod:`repro.audit` statistical-rigor pass always runs over the
     produced artifacts and its report is attached as
@@ -216,7 +208,6 @@ def run_workflow(
             criterion=criterion,
             estimator=estimator,
             on_missing="skip" if robust else "raise",
-            fast=fast,
         )
     run_warnings.extend(selection.warnings)
     if not selection.selected:
@@ -248,7 +239,6 @@ def run_workflow(
             estimator=estimator,
             on_zero="skip" if robust else "raise",
             issues=cv_issues,
-            fast=fast,
         )
     run_warnings.extend(cv_issues)
     result = WorkflowResult(

@@ -11,13 +11,11 @@ vocabulary of the paper:
 * :func:`~repro.stats.ols.fit_ols` / :class:`~repro.stats.ols.OLSResult`
   — ordinary least squares with :math:`R^2`, adjusted :math:`R^2`, and
   HC0–HC3 covariance estimators (the paper uses HC3).
-* :func:`~repro.stats.vif.variance_inflation_factor` /
-  :func:`~repro.stats.vif.mean_vif` — multicollinearity quantification.
+* :func:`~repro.stats.vif.mean_vif` — multicollinearity quantification.
 * :func:`~repro.stats.correlation.pearson` — the PCC of Section V.
-* :class:`~repro.stats.crossval.KFold` and
-  :func:`~repro.stats.crossval.cross_validate` — the 10-fold CV of
+* :class:`~repro.stats.crossval.KFold` — the folds of the 10-fold CV of
   Section IV-B.
-* :mod:`~repro.stats.metrics` — MAPE and friends.
+* :mod:`~repro.stats.metrics` — MAPE, out-of-sample :math:`R^2`, bias.
 * :mod:`~repro.stats.diagnostics` — the Breusch–Pagan test used to
   justify the HCSE estimator, and leverage scores.
 """
@@ -26,14 +24,8 @@ from repro.stats.correlation import (
     correlation_matrix,
     pearson,
     pearson_with_target,
-    spearman,
 )
-from repro.stats.crossval import (
-    KFold,
-    LeaveOneGroupOut,
-    CrossValidationResult,
-    cross_validate,
-)
+from repro.stats.crossval import KFold
 from repro.stats.diagnostics import (
     HeteroscedasticityTest,
     breusch_pagan,
@@ -41,7 +33,6 @@ from repro.stats.diagnostics import (
 )
 from repro.stats.fastfit import FoldGramSolver, GramCache
 from repro.stats.errors import (
-    DegenerateDesignError,
     DegenerateResidualsError,
     EstimationError,
     NonFiniteInputError,
@@ -54,18 +45,9 @@ from repro.stats.linalg import (
     GuardedSolution,
     add_constant,
     guarded_lstsq,
-    lstsq_via_qr,
     safe_pinv,
-    safe_solve,
 )
-from repro.stats.metrics import (
-    bias,
-    mae,
-    mape,
-    max_ape,
-    r2_score,
-    rmse,
-)
+from repro.stats.metrics import bias, mape, r2_score
 from repro.stats.ols import OLSResult, fit_ols
 from repro.stats.robust import HUBER_C, fit_robust, huber_weights
 from repro.stats.selection_criteria import (
@@ -74,13 +56,7 @@ from repro.stats.selection_criteria import (
     bic,
     criterion_value,
 )
-from repro.stats.vif import (
-    collinear_columns,
-    mean_vif,
-    variance_inflation_factor,
-    vif_table,
-    vifs_from_correlation,
-)
+from repro.stats.vif import mean_vif, vifs_from_correlation
 
 __all__ = [
     "OLSResult",
@@ -91,40 +67,27 @@ __all__ = [
     "FitDiagnostics",
     "GuardedSolution",
     "guarded_lstsq",
-    "safe_solve",
     "CONDITION_FALLBACK_THRESHOLD",
     "EstimationError",
     "NonFiniteInputError",
     "UnderdeterminedFitError",
-    "DegenerateDesignError",
     "DegenerateResidualsError",
     "RobustFitError",
-    "variance_inflation_factor",
     "mean_vif",
-    "vif_table",
     "vifs_from_correlation",
-    "collinear_columns",
     "GramCache",
     "FoldGramSolver",
     "pearson",
     "pearson_with_target",
-    "spearman",
     "correlation_matrix",
     "KFold",
-    "LeaveOneGroupOut",
-    "CrossValidationResult",
-    "cross_validate",
     "mape",
-    "mae",
-    "rmse",
     "r2_score",
-    "max_ape",
     "bias",
     "breusch_pagan",
     "HeteroscedasticityTest",
     "leverage_scores",
     "add_constant",
-    "lstsq_via_qr",
     "safe_pinv",
     "aic",
     "bic",

@@ -2,8 +2,7 @@
 
 The Pearson Correlation Coefficient (Equation 2 of the paper) is used
 to quantify the significance of the selected performance counters with
-respect to power (Table III, Fig. 6).  Spearman's rank correlation is
-provided as a robustness companion for the analysis extensions.
+respect to power (Table III, Fig. 6).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.stats.linalg import as_2d
 
 __all__ = [
     "pearson",
-    "spearman",
     "correlation_matrix",
     "pearson_with_target",
 ]
@@ -43,30 +41,6 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     if denom == 0.0:  # exact-zero guard: constant series
         return 0.0
     return float(np.clip((da @ db) / denom, -1.0, 1.0))
-
-
-def _rankdata(values: np.ndarray) -> np.ndarray:
-    """Average ranks (ties share the mean rank), 1-based."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    order = np.argsort(arr, kind="mergesort")
-    ranks = np.empty_like(arr)
-    ranks[order] = np.arange(1, arr.size + 1, dtype=np.float64)
-    # Average ranks within tie groups.
-    sorted_vals = arr[order]
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = ranks[order[i : j + 1]].mean()
-        i = j + 1
-    return ranks
-
-
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation — Pearson on average ranks."""
-    return pearson(_rankdata(np.asarray(x)), _rankdata(np.asarray(y)))
 
 
 def correlation_matrix(data: np.ndarray) -> np.ndarray:

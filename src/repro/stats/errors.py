@@ -16,7 +16,6 @@ __all__ = [
     "EstimationError",
     "NonFiniteInputError",
     "UnderdeterminedFitError",
-    "DegenerateDesignError",
     "DegenerateResidualsError",
     "RobustFitError",
 ]
@@ -40,15 +39,6 @@ class UnderdeterminedFitError(EstimationError):
 
     No fallback can conjure the missing information; the caller must
     either shrink the model (fewer counters) or gather more rows.
-    """
-
-
-class DegenerateDesignError(EstimationError):
-    """The design matrix defeated the entire fallback chain.
-
-    Raised only when direct solve, ridge and pseudo-inverse all fail to
-    produce finite coefficients — in practice an all-zero or otherwise
-    pathological design.
     """
 
 

@@ -21,10 +21,10 @@ the cached Gram matrix:
   downdate instead of an O(n·k²) refit), and only the final residual /
   prediction passes touch raw rows.
 
-Numerical contract (``fast=False`` at any call site runs the exact
-path to verify it): the selected counter sequence and every step warning are
-identical to the slow path, and R²/VIF/MAPE agree within 1e-9 relative
-tolerance.  Solving through a Gram matrix squares the design's
+Numerical contract (the tests verify it against the exact path, reached
+by declining every fit): the selected counter sequence and every step
+warning are identical to the slow path, and R²/VIF/MAPE agree within
+1e-9 relative tolerance.  Solving through a Gram matrix squares the design's
 condition number, so that contract is *not* taken on faith — it is
 engineered and then certified per fit:
 

@@ -13,8 +13,8 @@ This module is the **only** place allowed to call the raw
 it): every other module goes through the guarded entry points here —
 :func:`guarded_lstsq` for least squares with a deterministic
 ridge/pinv fallback chain and a :class:`GuardedSolution` record of what
-happened, and :func:`safe_solve` for square systems that degrade to a
-pseudo-inverse instead of raising ``LinAlgError``.
+happened, :func:`safe_pinv`, and the Cholesky helpers of the fast-fit
+kernels.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ import numpy as np
 
 __all__ = [
     "add_constant",
-    "lstsq_via_qr",
     "safe_pinv",
-    "safe_solve",
     "as_2d",
     "guarded_lstsq",
     "try_cholesky",
@@ -146,24 +144,6 @@ def add_constant(x: np.ndarray, prepend: bool = True) -> np.ndarray:
     return np.hstack(parts)
 
 
-def lstsq_via_qr(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Solve ``min ||design @ beta - target||_2`` robustly.
-
-    Uses :func:`numpy.linalg.lstsq` (LAPACK gelsd — SVD based, rank
-    revealing) so that rank-deficient designs produced by perfectly
-    collinear counters return the minimum-norm solution instead of
-    raising.  Returns the coefficient vector ``beta``.
-    """
-    design = as_2d(design)
-    target = np.asarray(target, dtype=np.float64).ravel()
-    if design.shape[0] != target.shape[0]:
-        raise ValueError(
-            f"design has {design.shape[0]} rows but target has {target.shape[0]}"
-        )
-    beta, _residuals, _rank, _sv = np.linalg.lstsq(design, target, rcond=None)
-    return beta
-
-
 def safe_pinv(matrix: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     """Moore–Penrose pseudo-inverse with a conservative cutoff.
 
@@ -172,29 +152,6 @@ def safe_pinv(matrix: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     VIF stress experiments.
     """
     return np.linalg.pinv(np.asarray(matrix, dtype=np.float64), rcond=rcond)
-
-
-def safe_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the square system ``matrix @ x = rhs`` without ever raising
-    ``LinAlgError``.
-
-    The direct LAPACK solve is attempted first; a singular (or otherwise
-    un-factorable) matrix degrades to the minimum-norm pseudo-inverse
-    solution.  Non-finite solutions (overflow through a nearly singular
-    factor) take the same fallback, so the caller always receives finite
-    coefficients for finite inputs.
-    """
-    a = np.asarray(matrix, dtype=np.float64)
-    b = np.asarray(rhs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return safe_pinv(a) @ b
-    if not np.all(np.isfinite(x)):
-        return safe_pinv(a) @ b
-    return x
 
 
 def try_cholesky(matrix: np.ndarray) -> Optional[np.ndarray]:
@@ -270,7 +227,7 @@ def guarded_lstsq(
     """Least squares with rank/conditioning detection and a
     deterministic fallback chain.
 
-    1. **Direct SVD solve** (:func:`lstsq_via_qr` path) — used verbatim
+    1. **Direct SVD solve** (LAPACK ``gelsd``) — used verbatim
        when the design has full rank and its column-scaled condition
        number stays below ``condition_threshold``.
     2. **Ridge fallback** — rank-deficient or severely ill-conditioned

@@ -25,14 +25,12 @@ A *perfectly* collinear column (``R²_j == 1`` to within float64) has an
 infinite VIF, and these functions report it as exactly ``float("inf")``
 — not a large finite sentinel, not a ``ZeroDivisionError``, and never a
 runtime warning.  ``inf`` propagates correctly through comparisons
-(``inf > 10`` is true, so threshold checks flag it), ``mean_vif`` of a
-set containing one degenerate column is ``inf`` (the set *is* unusable),
-and :func:`collinear_columns` lists the offenders by name.
+(``inf > 10`` is true, so threshold checks flag it), and ``mean_vif``
+of a set containing one degenerate column is ``inf`` (the set *is*
+unusable).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +39,8 @@ from repro.stats.errors import NonFiniteInputError
 from repro.stats.linalg import as_2d, safe_pinv, triangular_solve, try_cholesky
 
 __all__ = [
-    "variance_inflation_factor",
     "mean_vif",
-    "vif_table",
     "vifs_from_correlation",
-    "collinear_columns",
     "VIF_PROBLEM_THRESHOLD",
 ]
 
@@ -120,90 +115,26 @@ def vifs_from_correlation(corr: np.ndarray) -> np.ndarray:
     return vifs
 
 
-def _vif_values(x: np.ndarray) -> np.ndarray:
-    """All per-column VIFs of a regressor matrix.
-
-    The single computational entry point behind every public function
-    here: validate, shortcut constant columns to 1.0, and read the rest
-    off one shared correlation-matrix factorization.
-    """
-    k = x.shape[1]
-    vifs = np.ones(k)
-    if k < 2:
-        return vifs
-    n_bad = int(np.count_nonzero(~np.isfinite(x)))
-    if n_bad:
-        raise nonfinite_exog_error(n_bad)
-    active = np.flatnonzero(~constant_column_mask(x))
-    if active.size >= 2:
-        vifs[active] = vifs_from_correlation(correlation_matrix(x[:, active]))
-    return vifs
-
-
-def variance_inflation_factor(exog: np.ndarray, column: int) -> float:
-    """VIF of ``exog[:, column]`` given the other columns.
-
-    With only one column there is nothing to regress on and the VIF is
-    1 by convention (no correlation possible).  A perfectly collinear
-    column returns ``float("inf")`` (see module docstring).
-    """
-    x = as_2d(exog)
-    n_cols = x.shape[1]
-    if not 0 <= column < n_cols:
-        raise IndexError(f"column {column} out of range for {n_cols} columns")
-    if n_cols == 1:
-        return 1.0
-    if np.allclose(x[:, column], x[0, column]):
-        # A constant column carries no variance to inflate.
-        return 1.0
-    return float(_vif_values(x)[column])
-
-
 def mean_vif(exog: np.ndarray) -> float:
     """Mean VIF over all columns — the stability score of Table I/IV.
 
     For a single column (first selection step) the paper reports "n/a";
-    we return ``nan`` so callers can render it that way.  If any column
-    is perfectly collinear the mean is ``inf`` — the set as a whole has
-    unidentifiable coefficients, which is exactly what an infinite
-    stability score should say.
+    we return ``nan`` so callers can render it that way.  A constant
+    column counts as VIF 1.0 and is left out of the other columns'
+    regressors; the rest are read off one shared correlation-matrix
+    factorization.  If any column is perfectly collinear the mean is
+    ``inf`` — the set as a whole has unidentifiable coefficients, which
+    is exactly what an infinite stability score should say.
     """
     x = as_2d(exog)
-    if x.shape[1] < 2:
+    k = x.shape[1]
+    if k < 2:
         return float("nan")
-    return float(np.mean(_vif_values(x)))
-
-
-def vif_table(
-    exog: np.ndarray, names: Optional[Sequence[str]] = None
-) -> Dict[str, float]:
-    """Per-column VIFs keyed by regressor name.
-
-    Perfectly collinear columns appear with value ``float("inf")`` so a
-    rendered table makes the degeneracy impossible to miss; use
-    :func:`collinear_columns` to get just the offending names.
-    """
-    x = as_2d(exog)
-    if names is None:
-        names = [f"x{j}" for j in range(x.shape[1])]
-    if len(names) != x.shape[1]:
-        raise ValueError(
-            f"{len(names)} names supplied for {x.shape[1]} columns"
-        )
-    values = _vif_values(x)
-    return {str(name): float(values[j]) for j, name in enumerate(names)}
-
-
-def collinear_columns(
-    exog: np.ndarray, names: Optional[Sequence[str]] = None
-) -> Tuple[str, ...]:
-    """Names of the columns whose VIF is infinite (perfect collinearity).
-
-    Convenience for degraded-data reporting: a campaign whose fault
-    injection zeroed two counters into identical columns can name them
-    in its report instead of surfacing a bare ``inf`` mean VIF.
-    """
-    table = vif_table(exog, names)
-    return tuple(
-        name for name, value in table.items() if np.isinf(value)
-    )
+    n_bad = int(np.count_nonzero(~np.isfinite(x)))
+    if n_bad:
+        raise nonfinite_exog_error(n_bad)
+    vifs = np.ones(k)
+    active = np.flatnonzero(~constant_column_mask(x))
+    if active.size >= 2:
+        vifs[active] = vifs_from_correlation(correlation_matrix(x[:, active]))
+    return float(np.mean(vifs))

@@ -1,12 +1,6 @@
 """Tracing substrate: OTF2-like traces, Score-P-like tracer with metric
 plugins, and phase-profile extraction."""
 
-from repro.tracing.analysis import (
-    MetricStats,
-    RegionStats,
-    TraceStatistics,
-    trace_statistics,
-)
 from repro.tracing.otf2 import (
     MetricDef,
     MetricStream,
@@ -46,8 +40,4 @@ __all__ = [
     "profile_block",
     "haecsim_profiles",
     "postprocess_profiles",
-    "trace_statistics",
-    "TraceStatistics",
-    "RegionStats",
-    "MetricStats",
 ]

@@ -10,22 +10,16 @@ events + per-metric sample streams — but store each metric stream as a
 pair of numpy arrays (timestamps, values).  That is both closer to how
 OTF2 encodes metric classes than per-sample Python objects would be,
 and orders of magnitude cheaper for the multi-minute SPEC traces.
-
-Traces serialize to a JSON-lines file (one definition/event record per
-line) so the post-processing tools can be exercised on real files, and
-round-trip losslessly.
+Traces live in memory only: the tracer hands them straight to phase
+profile extraction.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-
-from repro.io.atomic import atomic_open
 
 __all__ = ["MetricDef", "RegionEvent", "MetricStream", "Trace", "TraceBlock"]
 
@@ -187,94 +181,6 @@ class Trace:
     @property
     def duration_s(self) -> float:
         return self._last_time
-
-    # ------------------------------------------------------------------
-    # Serialization (JSONL: one record per line, defs first).
-    # ------------------------------------------------------------------
-    def write(self, path: Union[str, Path]) -> None:
-        """Write the trace to a JSON-lines file."""
-        path = Path(path)
-        with atomic_open(path, "w") as fh:
-            fh.write(json.dumps({"record": "meta", **self.meta}) + "\n")
-            for m in self.metrics.values():
-                fh.write(
-                    json.dumps(
-                        {
-                            "record": "metric_def",
-                            "name": m.definition.name,
-                            "unit": m.definition.unit,
-                            "mode": m.definition.mode,
-                        }
-                    )
-                    + "\n"
-                )
-            for ev in self.events:
-                fh.write(
-                    json.dumps(
-                        {
-                            "record": "event",
-                            "kind": ev.kind,
-                            "region": ev.region,
-                            "time_s": ev.time_s,
-                            "active_threads": ev.active_threads,
-                        }
-                    )
-                    + "\n"
-                )
-            for m in self.metrics.values():
-                fh.write(
-                    json.dumps(
-                        {
-                            "record": "metric_samples",
-                            "name": m.definition.name,
-                            "times_s": m.times_s.tolist(),
-                            "values": m.values.tolist(),
-                        }
-                    )
-                    + "\n"
-                )
-
-    @staticmethod
-    def read(path: Union[str, Path]) -> "Trace":
-        """Read a trace written by :meth:`write`."""
-        path = Path(path)
-        trace: Optional[Trace] = None
-        defs: Dict[str, MetricDef] = {}
-        pending_events: List[dict] = []
-        with path.open() as fh:
-            for line in fh:
-                rec = json.loads(line)
-                kind = rec.pop("record")
-                if kind == "meta":
-                    trace = Trace(meta=rec)
-                elif kind == "metric_def":
-                    defs[rec["name"]] = MetricDef(**rec)
-                elif kind == "event":
-                    pending_events.append(rec)
-                elif kind == "metric_samples":
-                    if trace is None:
-                        raise ValueError("metric samples before meta record")
-                    name = rec["name"]
-                    if name not in defs:
-                        raise ValueError(f"samples for undefined metric {name!r}")
-                    trace.add_metric_stream(
-                        MetricStream(
-                            definition=defs[name],
-                            times_s=np.asarray(rec["times_s"]),
-                            values=np.asarray(rec["values"]),
-                        )
-                    )
-                else:
-                    raise ValueError(f"unknown record type {kind!r}")
-        if trace is None:
-            raise ValueError(f"{path}: missing meta record")
-        for rec in pending_events:
-            if rec["kind"] == "enter":
-                trace.record_enter(rec["region"], rec["time_s"], rec["active_threads"])
-            else:
-                trace.record_leave(rec["region"], rec["time_s"], rec["active_threads"])
-        return trace
-
 
 
 @dataclass(frozen=True, eq=False)

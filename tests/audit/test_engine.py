@@ -99,6 +99,25 @@ class TestReferenceAudit:
             f"AU{i:03d}" for i in range(2, 14) if i != 12
         }
 
+    def test_fold_fallbacks_grade_au011(self, monkeypatch):
+        """The scenarios' CV warnings reach the reference audit: with
+        every fold declined by the Gram solver, AU011 grades minor."""
+        from repro.stats.fastfit import FoldGramSolver
+
+        monkeypatch.setattr(
+            FoldGramSolver, "solve_fold", lambda self, train, test: None
+        )
+        report = audit_reference()
+        assert report.verdict == "minor"
+        assert not report.gate_passed(strict=True)
+        assert report.artifacts[-1] == "workflow"
+        # Scenarios 3 and 4 each decline all ten folds; the two equal
+        # findings merge into one.
+        assert [
+            (f.artifact, f.rule_id, f.severity) for f in report.findings
+        ] == [("workflow", "AU011", "minor")]
+        assert "10/10 CV folds" in report.findings[0].message
+
 
 class TestGoldenReport:
     """The JSON report shape is pinned: downstream CI consumers parse it."""

@@ -2,12 +2,14 @@
 
 The fast-fit contract (DESIGN.md §12) is behavioural, not structural:
 for *any* dataset — collinear, NaN-ridden, scale-skewed, duplicated,
-constant, underdetermined — ``select_events``/``cross_validate`` must
-produce the identical selected sequence and warnings with ``fast=True``
-and ``fast=False``, with fit statistics within 1e-9 relative
-tolerance.  These tests sweep ~50 seeded random datasets with
-adversarial injections and assert exactly that, so any future guard or
-kernel change that silently shifts a selection fails loudly here.
+constant, underdetermined — ``select_events`` and
+``cv_out_of_fold_predictions`` must produce the identical selected
+sequence and warnings as the exact path (every Gram-cache fit declined,
+:func:`tests.oracles.exact_fit.exact_fits`), with fit statistics within
+1e-9 relative tolerance.  These tests sweep ~50 seeded random datasets
+with adversarial injections and assert exactly that, so any future
+guard or kernel change that silently shifts a selection fails loudly
+here.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 import pytest
 
 from repro.acquisition.dataset import PowerDataset
-from repro.core.features import design_matrix
 from repro.core.scenarios import cv_out_of_fold_predictions
 from repro.core.selection import select_events
-from repro.stats.crossval import cross_validate
+from repro.stats.vif import mean_vif
+from tests.oracles.exact_fit import exact_fits
 
 SEEDS = list(range(50))
 
@@ -75,18 +77,22 @@ def make_chaos_dataset(seed: int) -> PowerDataset:
     )
 
 
+def _outcome(fn, *args, **kwargs):
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - equivalence contract
+        return ("err", (type(exc), str(exc)))
+
+
 def run_both(dataset, **kwargs):
-    """(outcome, payload) of select_events under both paths."""
-    results = []
-    for fast in (False, True):
-        try:
-            results.append(("ok", select_events(dataset, fast=fast, **kwargs)))
-        except Exception as exc:  # noqa: BLE001 - equivalence contract
-            results.append(("err", (type(exc), str(exc))))
-    return results
+    """(outcome, payload) of select_events on the exact path, then in
+    production."""
+    with exact_fits():
+        slow = _outcome(select_events, dataset, **kwargs)
+    return slow, _outcome(select_events, dataset, **kwargs)
 
 
-def assert_selection_equivalent(slow, fast):
+def assert_selection_equivalent(slow, fast, dataset):
     assert slow[0] == fast[0], (slow, fast)
     if slow[0] == "err":
         assert slow[1] == fast[1]
@@ -95,7 +101,7 @@ def assert_selection_equivalent(slow, fast):
     assert rs.selected == rf.selected
     assert rs.warnings == rf.warnings
     assert len(rs.steps) == len(rf.steps)
-    for a, b in zip(rs.steps, rf.steps):
+    for i, (a, b) in enumerate(zip(rs.steps, rf.steps)):
         assert a.counter == b.counter
         assert a.warnings == b.warnings
         np.testing.assert_allclose(
@@ -105,10 +111,10 @@ def assert_selection_equivalent(slow, fast):
         np.testing.assert_allclose(
             a.rsquared_adj, b.rsquared_adj, rtol=1e-9
         )
-        if np.isnan(a.mean_vif) or np.isnan(b.mean_vif):
-            assert np.isnan(a.mean_vif) and np.isnan(b.mean_vif)
-        else:
-            assert a.mean_vif == b.mean_vif
+        # The cache's memoized VIF is bitwise the direct computation
+        # (NaN for the one-counter step compares equal here).
+        direct = mean_vif(dataset.counter_matrix(list(rs.selected[: i + 1])))
+        np.testing.assert_array_equal([a.mean_vif, b.mean_vif], [direct] * 2)
 
 
 class TestSelectionEquivalence:
@@ -124,7 +130,8 @@ class TestSelectionEquivalence:
         if seed % 3 == 0:
             kwargs["max_vif"] = float(rng.uniform(2.0, 50.0))
         slow, fast = run_both(ds, **kwargs)
-        assert_selection_equivalent(slow, fast)
+        assert_selection_equivalent(slow, fast, ds)
+
 
 class TestCrossValidationEquivalence:
     @pytest.mark.parametrize("seed", SEEDS[::5])
@@ -137,21 +144,28 @@ class TestCrossValidationEquivalence:
         ][:4]
         if len(finite) < 2:
             pytest.skip("dataset degraded every candidate")
-        x = design_matrix(ds, finite)[:, :-1]  # constant re-added by CV
-        n_splits = min(5, ds.n_samples)
-        slow = cross_validate(
-            ds.power_w, x, n_splits=n_splits, fast=False
+        kwargs = dict(n_splits=min(5, ds.n_samples))
+        with exact_fits():
+            slow = _outcome(cv_out_of_fold_predictions, ds, finite, **kwargs)
+        fast = _outcome(cv_out_of_fold_predictions, ds, finite, **kwargs)
+        assert_cv_equivalent(slow, fast)
+
+
+def assert_cv_equivalent(slow, fast):
+    assert slow[0] == fast[0], (slow, fast)
+    if slow[0] == "err":
+        assert slow[1] == fast[1]
+        return
+    (p_slow, mapes_slow, fits_slow), (p_fast, mapes_fast, fits_fast) = (
+        slow[1],
+        fast[1],
+    )
+    np.testing.assert_allclose(p_slow, p_fast, rtol=1e-9)
+    np.testing.assert_allclose(mapes_slow, mapes_fast, rtol=1e-9)
+    for a, b in zip(fits_slow, fits_fast):
+        np.testing.assert_allclose(
+            [a["r2"], a["adj_r2"]], [b["r2"], b["adj_r2"]], rtol=1e-9
         )
-        fast = cross_validate(
-            ds.power_w, x, n_splits=n_splits, fast=True
-        )
-        for a, b in zip(slow.folds, fast.folds):
-            np.testing.assert_allclose(
-                [a.rsquared, a.rsquared_adj, a.mape, a.r2_oos],
-                [b.rsquared, b.rsquared_adj, b.mape, b.r2_oos],
-                rtol=1e-9,
-            )
-            assert (a.n_train, a.n_test) == (b.n_train, b.n_test)
 
 
 class TestRealDatasetEquivalence:
@@ -162,18 +176,18 @@ class TestRealDatasetEquivalence:
             slow, fast = run_both(
                 selection_dataset, n_events=6, criterion=criterion
             )
-            assert_selection_equivalent(slow, fast)
+            assert_selection_equivalent(slow, fast, selection_dataset)
 
     def test_selection_dataset_vif_guarded(self, selection_dataset):
         slow, fast = run_both(selection_dataset, n_events=6, max_vif=5.0)
-        assert_selection_equivalent(slow, fast)
+        assert_selection_equivalent(slow, fast, selection_dataset)
 
     def test_table2_cv_predictions(self, full_dataset, selected_counters):
-        slow = cv_out_of_fold_predictions(
-            full_dataset, selected_counters, fast=False
+        with exact_fits():
+            slow = _outcome(
+                cv_out_of_fold_predictions, full_dataset, selected_counters
+            )
+        fast = _outcome(
+            cv_out_of_fold_predictions, full_dataset, selected_counters
         )
-        fast = cv_out_of_fold_predictions(
-            full_dataset, selected_counters, fast=True
-        )
-        np.testing.assert_allclose(slow[0], fast[0], rtol=1e-9)
-        np.testing.assert_allclose(slow[1], fast[1], rtol=1e-9)
+        assert_cv_equivalent(slow, fast)

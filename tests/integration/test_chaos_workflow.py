@@ -8,6 +8,8 @@ result for any fault stream, not just the default one.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS
 from repro.hardware.platform import Platform
 from repro.workloads import get_workload
 from tests.oracles.acquisition import scalar_acquisition
+from tests.oracles.exact_fit import exact_fits
 
 #: Small event list keeps the campaign to 2 PMU event sets.
 PROG = tuple(c for c in COUNTER_NAMES if c not in FIXED_COUNTERS)[:8]
@@ -166,17 +169,18 @@ class TestChaosAudit:
 
 
 class TestFastFitChaos:
-    """ISSUE-5 gate on the chaos path: the Gram-cache fast fit must be
-    equivalent to the exact path on degraded campaign data too, for
-    any CI fault seed."""
+    """The Gram-cache fast fit must be equivalent to the exact path
+    (:func:`tests.oracles.exact_fit.exact_fits`) on degraded campaign
+    data too, for any CI fault seed."""
 
     def test_selection_fast_equals_slow_on_degraded_dataset(self, campaign):
         from repro.core.selection import select_events
 
         assert campaign.dataset is not None
         kwargs = dict(n_events=3, on_missing="skip")
-        slow = select_events(campaign.dataset, fast=False, **kwargs)
-        fast = select_events(campaign.dataset, fast=True, **kwargs)
+        with exact_fits():
+            slow = select_events(campaign.dataset, **kwargs)
+        fast = select_events(campaign.dataset, **kwargs)
         assert slow.selected == fast.selected
         assert slow.warnings == fast.warnings
         for a, b in zip(slow.steps, fast.steps):
@@ -194,11 +198,12 @@ class TestFastFitChaos:
             frequencies_mhz=FREQUENCIES,
         )
         outcomes = []
-        for fast in (False, True):
-            try:
-                outcomes.append(("ok", run_workflow(fast=fast, **kwargs)))
-            except Exception as exc:  # noqa: BLE001 - equivalence gate
-                outcomes.append(("err", (type(exc), str(exc))))
+        for exact in (True, False):
+            with exact_fits() if exact else contextlib.nullcontext():
+                try:
+                    outcomes.append(("ok", run_workflow(**kwargs)))
+                except Exception as exc:  # noqa: BLE001 - equivalence gate
+                    outcomes.append(("err", (type(exc), str(exc))))
         slow, fast_res = outcomes
         assert slow[0] == fast_res[0]
         if slow[0] == "err":

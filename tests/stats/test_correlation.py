@@ -1,10 +1,10 @@
-"""Unit tests for Pearson / Spearman correlation (Equation 2)."""
+"""Unit tests for the Pearson correlation (Equation 2)."""
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.stats import correlation_matrix, pearson, pearson_with_target, spearman
+from repro.stats import correlation_matrix, pearson, pearson_with_target
 
 
 class TestPearson:
@@ -41,24 +41,6 @@ class TestPearson:
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
             pearson(np.array([1.0]), np.array([2.0]))
-
-
-class TestSpearman:
-    def test_monotone_nonlinear_is_one(self):
-        x = np.linspace(0.1, 5.0, 50)
-        assert spearman(x, np.exp(x)) == pytest.approx(1.0)
-
-    def test_matches_scipy(self, rng):
-        x = rng.normal(size=300)
-        y = x**3 + rng.normal(size=300)
-        expected = scipy_stats.spearmanr(x, y).statistic
-        assert spearman(x, y) == pytest.approx(expected, abs=1e-10)
-
-    def test_handles_ties(self):
-        x = np.array([1.0, 1.0, 2.0, 2.0, 3.0])
-        y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        expected = scipy_stats.spearmanr(x, y).statistic
-        assert spearman(x, y) == pytest.approx(expected, abs=1e-10)
 
 
 class TestMatrixAndTarget:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.stats import KFold, LeaveOneGroupOut, cross_validate
+from repro.acquisition.dataset import PowerDataset
+from repro.core.scenarios import cv_out_of_fold_predictions
+from repro.stats import KFold
 
 
 class TestKFold:
@@ -46,49 +48,56 @@ class TestKFold:
             KFold(1)
 
 
-class TestLeaveOneGroupOut:
-    def test_holds_out_each_group(self):
-        groups = ["a", "a", "b", "b", "c"]
-        held = []
-        for train, test, g in LeaveOneGroupOut().split(groups):
-            held.append(g)
-            assert all(groups[i] == g for i in test)
-            assert all(groups[i] != g for i in train)
-        assert held == ["a", "b", "c"]
-
-    def test_single_group_raises(self):
-        with pytest.raises(ValueError):
-            list(LeaveOneGroupOut().split(["x", "x"]))
+def _dataset(rng, n=300, noise=0.5):
+    """A clean linear Equation 1 dataset over two counters."""
+    counters = rng.uniform(0.1, 2.0, size=(n, 2))
+    voltage_v = rng.uniform(0.9, 1.2, size=n)
+    frequency_mhz = rng.choice([1200.0, 2400.0], size=n)
+    v2f = voltage_v**2 * frequency_mhz / 1000.0
+    power_w = (
+        40.0
+        + (counters @ np.array([20.0, 12.0])) * v2f
+        + 15.0 * v2f
+        + rng.normal(scale=noise, size=n)
+    )
+    labels = tuple(f"w{i % 5}" for i in range(n))
+    return PowerDataset(
+        counters=counters,
+        power_w=power_w,
+        voltage_v=voltage_v,
+        frequency_mhz=frequency_mhz,
+        threads=np.full(n, 8),
+        workloads=labels,
+        suites=("roco2",) * n,
+        phase_names=labels,
+        counter_names=("A", "B"),
+    )
 
 
 class TestCrossValidate:
-    def test_summary_shape(self, rng):
-        x = rng.normal(size=(200, 3))
-        y = 50 + x @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=200)
-        result = cross_validate(y, x, n_splits=10)
-        assert len(result.folds) == 10
-        rows = result.summary_rows()
-        assert [r[0] for r in rows] == ["R2", "Adj.R2", "MAPE"]
-        for _, mn, mx, mean in rows:
-            assert mn <= mean <= mx
+    """The Table II CV: ``cv_out_of_fold_predictions`` over KFold."""
 
     def test_good_model_scores_well(self, rng):
-        x = rng.normal(size=(300, 2))
-        y = 100 + x @ np.array([5.0, -3.0]) + rng.normal(scale=0.5, size=300)
-        result = cross_validate(y, x, n_splits=5)
-        assert result.rsquared["mean"] > 0.95
-        assert result.mape["mean"] < 2.0
+        ds = _dataset(rng)
+        _, fold_mapes, fold_fits = cv_out_of_fold_predictions(
+            ds, ("A", "B"), n_splits=5
+        )
+        assert len(fold_mapes) == 5
+        assert np.mean([f["r2"] for f in fold_fits]) > 0.95
+        assert np.mean(fold_mapes) < 2.0
 
     def test_deterministic_given_seed(self, rng):
-        x = rng.normal(size=(100, 2))
-        y = 10 + x[:, 0] + rng.normal(size=100)
-        a = cross_validate(y, x, seed=3)
-        b = cross_validate(y, x, seed=3)
-        assert a.mape == b.mape
-
-    def test_row_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            cross_validate(rng.normal(size=10), rng.normal(size=(11, 2)))
+        ds = _dataset(rng, n=100)
+        for estimator in ("ols", "huber"):
+            runs = [
+                cv_out_of_fold_predictions(
+                    ds, ("A", "B"), seed=seed, estimator=estimator
+                )
+                for seed in (3, 3, 4)
+            ]
+            assert np.array_equal(runs[0][0], runs[1][0])
+            assert runs[0][1:] == runs[1][1:]
+            assert runs[2][1] != runs[0][1]
 
 
 class TestParallelCrossValidate:
@@ -99,13 +108,19 @@ class TestParallelCrossValidate:
     """
 
     def test_on_zero_forwarded_to_folds(self, rng):
-        x = rng.normal(size=(40, 2))
-        y = np.abs(rng.normal(size=40)) + 1.0
-        y[7] = 0.0
+        ds = _dataset(rng, n=40)
+        # PowerDataset rejects zero power at construction; a row zeroed
+        # afterwards stands in for a corrupt sample.
+        ds.power_w[7] = 0.0
         with pytest.raises(ValueError, match="MAPE undefined"):
-            cross_validate(y, x, n_splits=4)
-        result = cross_validate(y, x, n_splits=4, on_zero="skip")
-        assert len(result.folds) == 4
+            cv_out_of_fold_predictions(ds, ("A", "B"), n_splits=4)
+        issues = []
+        _, fold_mapes, _ = cv_out_of_fold_predictions(
+            ds, ("A", "B"), n_splits=4, on_zero="skip", issues=issues
+        )
+        assert len(fold_mapes) == 4 and np.all(np.isfinite(fold_mapes))
+        assert len(issues) == 1
+        assert "skipped 1 zero-power row(s) in MAPE" in issues[0]
 
 
 class TestKFoldSeedGuard:

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.stats import (
+    correlation_matrix,
     fit_ols,
     mape,
     mean_vif,
     pearson,
     r2_score,
-    rmse,
-    variance_inflation_factor,
+    vifs_from_correlation,
 )
 
 # Well-conditioned float strategies.
@@ -107,8 +107,9 @@ class TestVIFProperties:
     @settings(max_examples=60, deadline=None)
     def test_vif_at_least_one(self, x):
         assume(all(np.ptp(x[:, j]) > 1e-6 for j in range(x.shape[1])))
-        for j in range(x.shape[1]):
-            assert variance_inflation_factor(x, j) >= 1.0 - 1e-9
+        vifs = vifs_from_correlation(correlation_matrix(x))
+        assert np.all(vifs >= 1.0 - 1e-9)
+        assert mean_vif(x) >= 1.0 - 1e-9
 
     @given(
         hnp.arrays(
@@ -123,8 +124,8 @@ class TestVIFProperties:
         assume(all(np.ptp(x[:, j]) > 1e-6 for j in range(x.shape[1])))
         scaled = x.copy()
         scaled[:, 0] *= c
-        v1 = variance_inflation_factor(x, 0)
-        v2 = variance_inflation_factor(scaled, 0)
+        v1 = mean_vif(x)
+        v2 = mean_vif(scaled)
         assume(v1 < 1e9)  # skip near-singular cases
         assert v2 == pytest.approx(v1, rel=1e-4)
 
@@ -180,4 +181,3 @@ class TestMetricProperties:
     def test_r2_score_of_exact_prediction(self, a):
         assume(np.ptp(a) > 1e-9)
         assert r2_score(a, a) == pytest.approx(1.0)
-        assert rmse(a, a) == 0.0

@@ -40,7 +40,6 @@ EXEMPT: Dict[Tuple[str, str], Tuple[str, ...]] = {
     ("src/repro/io/atomic.py", "atomic_open"): ("raw-write",),
     ("src/repro/io/atomic.py", "atomic_savez"): ("raw-write",),
     # The guarded layer itself: it catches LinAlgError and degrades.
-    ("src/repro/stats/linalg.py", "safe_solve"): ("raw-linalg",),
     ("src/repro/stats/linalg.py", "try_cholesky"): ("raw-linalg",),
     # A failing shard write or step trips the shard's breaker: the
     # refusal shows up in ShardReport, the rows get a counted

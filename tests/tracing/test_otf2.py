@@ -78,43 +78,3 @@ class TestTraceEvents:
         t.add_metric_stream(_stream())
         with pytest.raises(ValueError, match="duplicate"):
             t.add_metric_stream(_stream())
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        t = Trace(meta={"workload": "x", "frequency_mhz": 2400})
-        t.record_enter("p0", 0.0, 2)
-        t.record_leave("p0", 2.0, 2)
-        t.add_metric_stream(_stream())
-        path = tmp_path / "trace.jsonl"
-        t.write(path)
-
-        back = Trace.read(path)
-        assert back.meta["workload"] == "x"
-        assert back.meta["frequency_mhz"] == 2400
-        assert back.phase_intervals() == t.phase_intervals()
-        s = back.metrics["power"]
-        assert np.array_equal(s.times_s, np.array([0.5, 1.5, 2.5]))
-        assert np.array_equal(s.values, np.array([1.0, 2.0, 3.0]))
-        assert s.definition.unit == "W"
-
-    def test_read_missing_meta(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"record": "event", "kind": "enter", "region": "a", "time_s": 0, "active_threads": 1}\n')
-        with pytest.raises(ValueError, match="meta"):
-            Trace.read(path)
-
-    def test_read_samples_for_undefined_metric(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"record": "meta"}\n'
-            '{"record": "metric_samples", "name": "ghost", "times_s": [], "values": []}\n'
-        )
-        with pytest.raises(ValueError, match="undefined metric"):
-            Trace.read(path)
-
-    def test_unknown_record_type(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"record": "meta"}\n{"record": "wat"}\n')
-        with pytest.raises(ValueError, match="unknown record"):
-            Trace.read(path)
