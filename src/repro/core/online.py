@@ -248,6 +248,7 @@ class OnlineEstimator:
         drift_window: int = 20,
         drift_tolerance: float = 0.5,
     ):
+        from repro.serve.api import RowPacker
         from repro.serve.fleet import FleetEstimator
 
         self.model = model
@@ -262,6 +263,7 @@ class OnlineEstimator:
             capacity=1,
         )
         self._fleet.ensure_node(self._NODE)
+        self._row = RowPacker(self._NODE, self._fleet.counters)
 
     @property
     def breaker_open(self) -> bool:
@@ -314,13 +316,9 @@ class OnlineEstimator:
         ``source``/``flags`` say how it was produced.  All incidents
         are tallied for :meth:`drift_report`.
         """
-        from repro.serve.api import NodeSample, make_batch
-
-        sample = NodeSample(
-            self._NODE, counter_deltas, interval_s, voltage_v,
-            frequency_mhz, time_s,
+        batch = self._row.pack(
+            counter_deltas, interval_s, voltage_v, frequency_mhz, time_s
         )
-        batch = make_batch([sample], self._fleet.counters)
         return self._fleet.step_batch(batch).estimate(0)
 
     def drift_report(self) -> DriftReport:

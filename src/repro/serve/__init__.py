@@ -3,10 +3,11 @@
 Layered like a backend app (DESIGN.md §15):
 
 * :mod:`repro.serve.api` — wire types (:class:`NodeSample`,
-  :class:`Batch`);
-* :mod:`repro.serve.middleware` — schema validation + duplicate audit;
-* :mod:`repro.serve.queue` — bounded ingestion with explicit
-  backpressure policies;
+  :class:`Batch`) and the one-pass column packer :func:`make_batch`;
+* :mod:`repro.serve.middleware` — schema validation (through the
+  packer) + duplicate audit;
+* :mod:`repro.serve.queue` — bounded ingestion of column chunks with
+  explicit backpressure policies;
 * :mod:`repro.serve.fleet` — the online estimation kernel, vectorized
   over nodes; :class:`~repro.core.online.OnlineEstimator` is its
   one-node view and a serial oracle in the tests checks it;
@@ -16,7 +17,7 @@ Layered like a backend app (DESIGN.md §15):
 * :mod:`repro.serve.app` — :class:`FleetService` tying it together.
 """
 
-from repro.serve.api import Batch, NodeSample, make_batch
+from repro.serve.api import Batch, NodeSample, concat_batches, make_batch
 from repro.serve.app import FleetService, ProcessOutcome, SnapshotWorker
 from repro.serve.breaker import BREAKER_STATES, ShardBreaker
 from repro.serve.fleet import BatchResult, FleetEstimator
@@ -54,6 +55,7 @@ __all__ = [
     "ShardBreaker",
     "ShardReport",
     "SnapshotWorker",
+    "concat_batches",
     "fleet_fingerprint",
     "make_batch",
 ]

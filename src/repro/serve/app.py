@@ -3,12 +3,17 @@
 :class:`FleetService` wires the layers together the way a backend app
 composes middleware, API handlers, state stores and background tasks:
 
-* **middleware** (:mod:`repro.serve.middleware`) validates submissions
-  and audits duplicates before anything queues;
-* the **bounded queue** (:mod:`repro.serve.queue`) makes overload a
-  graded policy decision instead of memory growth;
-* ``process()`` drains the queue once per service **tick**, groups rows
-  by state shard, and steps each shard's sub-batch through the
+* **middleware** (:mod:`repro.serve.middleware`) validates each
+  submission and packs the survivors into one column
+  :class:`~repro.serve.api.Batch` in a single pass, and audits
+  duplicates, before anything queues;
+* the **bounded queue** (:mod:`repro.serve.queue`) holds those column
+  chunks and makes overload a graded policy decision instead of memory
+  growth;
+* ``process()`` drains the queue once per service **tick**, orders the
+  rows by state shard with a stable argsort (arrival order holds within
+  a shard), gathers each shard's sub-batch with
+  :meth:`~repro.serve.api.Batch.take` and steps it through the
   vectorized :class:`~repro.serve.fleet.FleetEstimator` under that
   shard's :class:`~repro.serve.breaker.ShardBreaker` — a shard whose
   operations keep failing is answered from the stateless baseline
@@ -31,11 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.model import FittedPowerModel
 from repro.core.online import PowerEnvelope
 from repro.acquisition.checkpoint import shard_key
 from repro.seeding import DEFAULT_SEED
-from repro.serve.api import NodeSample, make_batch
+from repro.serve.api import Batch, concat_batches
 from repro.serve.breaker import ShardBreaker
 from repro.serve.fleet import BatchResult, FleetEstimator
 from repro.serve.middleware import DuplicateAuditor, SchemaValidator
@@ -193,7 +200,7 @@ class FleetService:
             max_shards_per_tick=max_snapshot_shards_per_tick,
         )
         self._step_hook = step_hook
-        """Test/chaos hook called as ``hook(shard, rows)`` before each
+        """Test/chaos hook called as ``hook(shard, batch)`` before each
         shard sub-batch steps; an exception it raises is handled like
         any shard-operation failure (breaker + stateless fallback)."""
         self._node_shard: Dict[str, int] = {}
@@ -237,36 +244,35 @@ class FleetService:
         policies).  Malformed submissions are dropped and counted by
         the middleware; rejected/shed samples are counted by the queue.
         """
-        samples = self.validator.validate(submissions)
-        self.duplicates.observe(samples)
-        outcome = self.queue.offer(samples)
-        stateless = self._stateless_answers(outcome.diverted)
-        return stateless
+        batch = self.validator.pack(submissions, self.fleet.counters)
+        self.duplicates.observe(batch.node_ids)
+        outcome = self.queue.offer(batch)
+        return self._stateless_answers(outcome.diverted)
 
     def _stateless_answers(
-        self, samples: Sequence[NodeSample]
+        self, batch: Optional[Batch]
     ) -> Tuple[Tuple[str, float], ...]:
         """PMC-free baseline estimates that touch no per-node state."""
-        if not samples:
+        if batch is None or not batch.n_rows:
             return ()
-        power_w = self.fleet.stateless_power(
-            [float(s.voltage_v) for s in samples],
-            [float(s.frequency_mhz) for s in samples],
-        )
-        self._stateless_served += len(samples)
-        return tuple(zip((s.node_id for s in samples), power_w.tolist()))
+        power_w = self.fleet.stateless_power(batch.voltage_v, batch.frequency_mhz)
+        self._stateless_served += batch.n_rows
+        return tuple(zip(batch.node_ids, power_w.tolist()))
 
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-    def _restore_missing(self, samples: Sequence[NodeSample]) -> None:
+    def _restore_missing(self, node_ids: Sequence[str]) -> None:
         """Lazily restore first-seen nodes from the state store."""
         if self.store is None:
             return
-        for sample in samples:
-            node_id = sample.node_id
-            if node_id in self._restore_attempted:
+        fresh = set(node_ids).difference(self._restore_attempted)
+        if not fresh:
+            return
+        for node_id in node_ids:  # first sight, in arrival order
+            if node_id not in fresh:
                 continue
+            fresh.discard(node_id)
             self._restore_attempted.add(node_id)
             if self.fleet.has_node(node_id):
                 continue
@@ -286,31 +292,25 @@ class FleetService:
         self._ticks += 1
         for breaker in self.breakers:
             breaker.tick()
-        rows = self.queue.drain(max_rows)
-        by_shard: Dict[int, List[NodeSample]] = {}
-        for sample in rows:
-            by_shard.setdefault(self.shard_of(sample.node_id), []).append(
-                sample
-            )
+        batch = concat_batches(self.queue.drain(max_rows), self.fleet.counters)
         results: List[BatchResult] = []
         stateless: List[Tuple[str, float]] = []
         refused = 0
-        for shard in sorted(by_shard):
-            shard_rows = by_shard[shard]
+        for shard, rows in self._shard_rows(batch.node_ids):
+            shard_batch = batch.take(rows)
             breaker = self.breakers[shard]
             if not breaker.allow():
-                stateless.extend(self._stateless_answers(shard_rows))
+                stateless.extend(self._stateless_answers(shard_batch))
                 refused += 1
                 continue
             try:
                 if self._step_hook is not None:
-                    self._step_hook(shard, shard_rows)
-                self._restore_missing(shard_rows)
-                batch = make_batch(shard_rows, self.fleet.counters)
-                results.append(self.fleet.step_batch(batch))
+                    self._step_hook(shard, shard_batch)
+                self._restore_missing(shard_batch.node_ids)
+                results.append(self.fleet.step_batch(shard_batch))
             except Exception:  # breaker trip is the handling; nodes get a counted stateless answer
                 breaker.record_failure()
-                stateless.extend(self._stateless_answers(shard_rows))
+                stateless.extend(self._stateless_answers(shard_batch))
                 continue
             breaker.record_success()
         if self.snapshot_worker.due(self._ticks):
@@ -321,6 +321,24 @@ class FleetService:
             processed_rows=sum(r.n_rows for r in results),
             refused_shards=refused,
         )
+
+    def _shard_rows(
+        self, node_ids: Sequence[str]
+    ) -> List[Tuple[int, np.ndarray]]:
+        """``(shard, row indices)`` per shard, shards ascending and each
+        shard's rows in arrival order."""
+        if not node_ids:
+            return []
+        shard_of = self._node_shard.get
+        shards = [shard_of(node_id) for node_id in node_ids]
+        if None in shards:
+            shards = [self.shard_of(node_id) for node_id in node_ids]
+        keys = np.array(shards, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        cuts = np.flatnonzero(np.diff(keys[order])) + 1
+        return [
+            (int(keys[rows[0]]), rows) for rows in np.split(order, cuts)
+        ]
 
     def snapshot(self) -> int:
         """Persist dirty nodes now, within the per-tick shard budget;

@@ -28,10 +28,12 @@ it with ``==`` on floats.
 Per-node state is bounded: the drift window is a fixed-size int8 ring
 buffer, and the warnings are a ring of the last ``WARNINGS_KEPT``
 messages next to an ``n_warnings`` count of all of them.
-Quarantine is a fleet-level *reporting overlay*: a node whose drift
-latch fires is quarantined (seeded probation via
-:func:`repro.seeding.derive_rng`) so shard health statistics exclude
-it; its estimates are still produced.
+Quarantine is a fleet-level *reporting overlay*: a node whose full drift
+window is over the tolerance is quarantined (seeded probation via
+:func:`repro.seeding.derive_rng`, keyed by its entry count) so shard
+health statistics exclude it; its estimates are still produced.  The
+first entry coincides with the drift latch firing; a released node is
+re-armed and enters again once its window drifts again.
 """
 
 from __future__ import annotations
@@ -239,7 +241,9 @@ class FleetEstimator:
         self.quarantine_probation = int(quarantine_probation)
 
         coeffs = model.coefficients
-        self._alphas = [coeffs[f"alpha:{c}"] for c in self.counters]
+        self._alpha_row = np.array(
+            [coeffs[f"alpha:{c}"] for c in self.counters], dtype=np.float64
+        )
         self._beta = coeffs["beta:V2f"]
         self._gamma = coeffs["gamma:V"]
         self._delta = coeffs["delta:Z"]
@@ -455,18 +459,22 @@ class FleetEstimator:
         )
         if n == 0:
             return out
-        nodes = np.empty(n, dtype=np.int64)
-        occurrence = np.zeros(n, dtype=np.int64)
-        occ_count: Dict[str, int] = {}
-        for i, node_id in enumerate(batch.node_ids):
-            nodes[i] = self.ensure_node(node_id)
-            c = occ_count.get(node_id, 0)
-            occurrence[i] = c
-            occ_count[node_id] = c + 1
-        self._dirty.update(int(v) for v in np.unique(nodes))
-        if occurrence.any():
+        index = self._index.get
+        known = [index(node_id) for node_id in batch.node_ids]
+        if None in known:
+            known = [self.ensure_node(node_id) for node_id in batch.node_ids]
+        nodes = np.array(known, dtype=np.int64)
+        distinct = set(known)
+        self._dirty.update(distinct)
+        if len(distinct) < n:
             # Duplicate reports: each node's k-th sample lands in wave
             # k, so each node's samples apply in arrival order.
+            occurrence = np.empty(n, dtype=np.int64)
+            occ_count: Dict[int, int] = {}
+            for i, node in enumerate(known):
+                c = occ_count.get(node, 0)
+                occurrence[i] = c
+                occ_count[node] = c + 1
             for wave in range(int(occurrence.max()) + 1):
                 sel = occurrence == wave
                 self._step_wave(batch, np.nonzero(sel)[0], nodes[sel], out)
@@ -498,7 +506,7 @@ class FleetEstimator:
             & np.isfinite(voltage_v) & (voltage_v > 0)
             & np.isfinite(freq_mhz) & (freq_mhz > 0)
         )
-        for j in np.nonzero(~ctx_ok)[0]:
+        for j in (~ctx_ok).nonzero()[0]:
             self._n_skipped[nd[j]] += 1
             self._warn(
                 int(nd[j]),
@@ -507,83 +515,90 @@ class FleetEstimator:
                 f"frequency={float(freq_mhz[j])})",
             )
         t_valid = batch.time_valid[rows]
-        lt_valid = self._last_time_valid[nd]
         t_in = batch.time_s[rows]
-        nonmono = (
-            ctx_ok & t_valid & lt_valid & (t_in <= self._last_time[nd])
-        )
-        for j in np.nonzero(nonmono)[0]:
+        lt_valid = self._last_time_valid[nd]
+        last_time = self._last_time[nd]
+        nonmono = ctx_ok & t_valid & lt_valid & (t_in <= last_time)
+        for j in nonmono.nonzero()[0]:
             self._n_skipped[nd[j]] += 1
             self._warn(
                 int(nd[j]),
                 f"skipped: non-monotonic timestamp {float(t_in[j])} "
-                f"after {float(self._last_time[nd[j]])}",
+                f"after {float(last_time[j])}",
             )
         live = ctx_ok & ~nonmono
-        if not live.any():
-            return
-        rows, nd = rows[live], nd[live]
-        interval, voltage_v, freq_mhz = (
-            interval[live], voltage_v[live], freq_mhz[live],
-        )
-        t_valid, t_in = t_valid[live], t_in[live]
+        if not live.all():
+            if not live.any():
+                return
+            rows, nd = rows[live], nd[live]
+            interval, voltage_v, freq_mhz = (
+                interval[live], voltage_v[live], freq_mhz[live],
+            )
+            t_valid, t_in = t_valid[live], t_in[live]
+            lt_valid, last_time = lt_valid[live], last_time[live]
         m = len(rows)
 
+        # Degraded counters: missing, non-finite or negative.  ``deltas
+        # >= 0`` is False for NaN and ``< inf`` for +inf, so ``clean``
+        # is exactly "present, finite and non-negative".
         deltas = batch.deltas[rows]
         present = batch.present[rows]
-        finite = np.isfinite(deltas)
-        missing = ~present
-        nonfinite = present & ~finite
-        negative = present & finite & (deltas < 0)
-        any_bad = missing | nonfinite | negative
-        bad_rows = any_bad.any(axis=1)
-        for j in np.nonzero(bad_rows)[0]:
-            parts = []
-            for k, counter in enumerate(self.counters):
-                if missing[j, k]:
-                    parts.append(f"{counter} missing")
-                elif nonfinite[j, k]:
-                    parts.append(f"{counter} non-finite")
-                elif negative[j, k]:
-                    parts.append(f"{counter} negative")
-            joined = "; ".join(parts)
-            add_flag(int(rows[j]), "degraded-counters: " + joined)
-            self._warn(int(nd[j]), "degraded counters: " + joined)
+        clean = present & (deltas >= 0) & (deltas < np.inf)
+        bad_rows = ~clean.all(axis=1)
+        any_bad_row = bad_rows.any()
+        if any_bad_row:
+            finite = np.isfinite(deltas)
+            for j in bad_rows.nonzero()[0]:
+                parts = []
+                for k, counter in enumerate(self.counters):
+                    if not present[j, k]:
+                        parts.append(f"{counter} missing")
+                    elif not finite[j, k]:
+                        parts.append(f"{counter} non-finite")
+                    elif not clean[j, k]:
+                        parts.append(f"{counter} negative")
+                joined = "; ".join(parts)
+                add_flag(int(rows[j]), "degraded-counters: " + joined)
+                self._warn(int(nd[j]), "degraded counters: " + joined)
 
         # Breaker transitions (same thresholds, same warning text).
-        good_nodes = nd[~bad_rows]
+        good_nodes = nd[~bad_rows] if any_bad_row else nd
         self._consecutive_good[good_nodes] += 1
         self._consecutive_bad[good_nodes] = 0
         closing = good_nodes[
             self._breaker_open[good_nodes]
             & (self._consecutive_good[good_nodes] >= self.recovery_threshold)
         ]
-        self._breaker_open[closing] = False
-        for node in closing:
-            self._warn(
-                int(node),
-                f"circuit breaker closed after "
-                f"{int(self._consecutive_good[node])} clean intervals",
-            )
-        bad_nodes = nd[bad_rows]
-        self._consecutive_bad[bad_nodes] += 1
-        self._consecutive_good[bad_nodes] = 0
-        opening = bad_nodes[
-            ~self._breaker_open[bad_nodes]
-            & (self._consecutive_bad[bad_nodes] >= self.breaker_threshold)
-        ]
-        self._breaker_open[opening] = True
-        self._breaker_trips[opening] += 1
-        for node in opening:
-            self._warn(
-                int(node),
-                f"circuit breaker opened after "
-                f"{int(self._consecutive_bad[node])} degraded intervals",
-            )
+        if closing.size:
+            self._breaker_open[closing] = False
+            for node in closing:
+                self._warn(
+                    int(node),
+                    f"circuit breaker closed after "
+                    f"{int(self._consecutive_good[node])} clean intervals",
+                )
+        if any_bad_row:
+            bad_nodes = nd[bad_rows]
+            self._consecutive_bad[bad_nodes] += 1
+            self._consecutive_good[bad_nodes] = 0
+            opening = bad_nodes[
+                ~self._breaker_open[bad_nodes]
+                & (self._consecutive_bad[bad_nodes] >= self.breaker_threshold)
+            ]
+            self._breaker_open[opening] = True
+            self._breaker_trips[opening] += 1
+            for node in opening:
+                self._warn(
+                    int(node),
+                    f"circuit breaker opened after "
+                    f"{int(self._consecutive_bad[node])} degraded intervals",
+                )
         is_open = self._breaker_open[nd]
-        self._breaker_open_intervals[nd[is_open]] += 1
-        for j in np.nonzero(is_open)[0]:
-            add_flag(int(rows[j]), "breaker-open")
+        any_open = is_open.any()
+        if any_open:
+            self._breaker_open_intervals[nd[is_open]] += 1
+            for j in is_open.nonzero()[0]:
+                add_flag(int(rows[j]), "breaker-open")
 
         # Equation 1.  The operand order of every float expression
         # below matches the serial oracle, which keeps them bit-equal.
@@ -591,16 +606,21 @@ class FleetEstimator:
         power_w = baseline.copy()
         source_model = np.zeros(m, dtype=bool)
         implausible = np.zeros(m, dtype=bool)
-        eligible = np.nonzero(~bad_rows & ~is_open)[0]
+        if any_bad_row or any_open:
+            eligible = (~bad_rows & ~is_open).nonzero()[0]
+        else:
+            eligible = np.arange(m)
         if eligible.size:
             cycles = freq_mhz[eligible] * 1e6 * interval[eligible]
             v2fe = v2f[eligible]
-            model_power_w = baseline[eligible].copy()
-            de = deltas[eligible]
-            for k, alpha in enumerate(self._alphas):
-                model_power_w = (
-                    model_power_w + alpha * (de[:, k] / cycles) * v2fe
-                )
+            # Each term is alpha * (delta / cycles) * V²f, summed onto
+            # the baseline one counter at a time, as the oracle does.
+            terms = (self._alpha_row * (deltas[eligible] / cycles[:, None])) * v2fe[
+                :, None
+            ]
+            model_power_w = baseline[eligible]
+            for term in terms.T:
+                model_power_w = model_power_w + term
             plausible = np.isfinite(model_power_w)
             if self.envelope is not None:
                 plausible &= (model_power_w >= self.envelope.lo_w) & (
@@ -610,56 +630,57 @@ class FleetEstimator:
             power_w[ok] = model_power_w[plausible]
             source_model[ok] = True
             self._n_model[nd[ok]] += 1
-            bad_est = eligible[~plausible]
-            implausible[bad_est] = True
-            self._n_implausible[nd[bad_est]] += 1
-            for j in bad_est:
-                add_flag(int(rows[j]), "implausible-model-estimate")
-        self._n_baseline[nd[~source_model]] += 1
-
-        if self.envelope is not None:
-            b = np.nonzero(~source_model)[0]
-            if b.size:
-                clipped, changed = self._clip_to_envelope(power_w[b])
-                hit = b[changed]
+            if not plausible.all():
+                bad_est = eligible[~plausible]
+                implausible[bad_est] = True
+                self._n_implausible[nd[bad_est]] += 1
+                for j in bad_est:
+                    add_flag(int(rows[j]), "implausible-model-estimate")
+        baseline_rows = (~source_model).nonzero()[0]
+        if baseline_rows.size:
+            self._n_baseline[nd[baseline_rows]] += 1
+            if self.envelope is not None:
+                clipped, changed = self._clip_to_envelope(power_w[baseline_rows])
+                hit = baseline_rows[changed]
                 self._n_clipped[nd[hit]] += 1
                 for j in hit:
                     add_flag(int(rows[j]), "clipped-to-envelope")
                 power_w[hit] = clipped[changed]
-        zeroed = np.nonzero(~np.isfinite(power_w))[0]
-        for j in zeroed:
-            add_flag(int(rows[j]), "non-finite-estimate-zeroed")
-            self._warn(int(nd[j]), "non-finite estimate replaced by 0.0")
-        power_w[zeroed] = 0.0
+        if not np.isfinite(power_w).all():
+            zeroed = (~np.isfinite(power_w)).nonzero()[0]
+            for j in zeroed:
+                add_flag(int(rows[j]), "non-finite-estimate-zeroed")
+                self._warn(int(nd[j]), "non-finite estimate replaced by 0.0")
+            power_w[zeroed] = 0.0
 
         # Drift window: append-and-trim as a ring buffer.
+        window = self.drift_window
         val = implausible.astype(np.int8)
-        full = self._wlen[nd] == self.drift_window
-        old = np.where(full, self._ring[nd, self._wpos[nd]], 0)
-        self._wsum[nd] += val - old
-        self._ring[nd, self._wpos[nd]] = val
-        self._wpos[nd] = (self._wpos[nd] + 1) % self.drift_window
-        self._wlen[nd] = np.minimum(self._wlen[nd] + 1, self.drift_window)
-        fraction = self._wsum[nd] / self._wlen[nd]
-        detect = (
-            (self._wlen[nd] == self.drift_window)
-            & ~self._drift_detected[nd]
-            & (fraction > self.drift_tolerance)
-        )
-        detected_nodes = nd[detect]
-        self._drift_detected[detected_nodes] = True
-        for j in np.nonzero(detect)[0]:
-            self._warn(
-                int(nd[j]),
-                f"drift detected: {float(fraction[j]):.0%} of the last "
-                f"{self.drift_window} intervals implausible",
-            )
+        wlen = self._wlen[nd]
+        wpos = self._wpos[nd]
+        old = np.where(wlen == window, self._ring[nd, wpos], 0)
+        wsum = self._wsum[nd] + (val - old)
+        self._wsum[nd] = wsum
+        self._ring[nd, wpos] = val
+        self._wpos[nd] = (wpos + 1) % window
+        wlen = np.minimum(wlen + 1, window)
+        self._wlen[nd] = wlen
+        fraction = wsum / wlen
+        drifting = (wlen == window) & (fraction > self.drift_tolerance)
+        if drifting.any():
+            detect = drifting & ~self._drift_detected[nd]
+            self._drift_detected[nd[detect]] = True
+            for j in detect.nonzero()[0]:
+                self._warn(
+                    int(nd[j]),
+                    f"drift detected: {float(fraction[j]):.0%} of the last "
+                    f"{window} intervals implausible",
+                )
 
         # Record: EWMA, timeline, interval count (oracle operand order).
-        sm_prev = self._smoothed[nd]
         smoothed = np.where(
             self._smoothed_valid[nd],
-            self.smoothing * power_w + (1.0 - self.smoothing) * sm_prev,
+            self.smoothing * power_w + (1.0 - self.smoothing) * self._smoothed[nd],
             power_w,
         )
         self._smoothed[nd] = smoothed
@@ -667,19 +688,19 @@ class FleetEstimator:
         t = np.where(
             t_valid,
             t_in,
-            np.where(
-                self._last_time_valid[nd],
-                self._last_time[nd] + interval,
-                interval,
-            ),
+            np.where(lt_valid, last_time + interval, interval),
         )
         self._last_time[nd] = t
         self._last_time_valid[nd] = True
         self._n_intervals[nd] += 1
 
-        # Quarantine overlay: a freshly latched node enters probation.
-        for node in detected_nodes:
-            self._enter_quarantine(int(node))
+        # Quarantine overlay: a drifting node not in quarantine enters
+        # probation — on the interval its drift latch fires, and again
+        # after each release (the latch itself stays set, as in the
+        # serial estimator).
+        if drifting.any():
+            for node in nd[drifting & ~self._quarantined[nd]]:
+                self._enter_quarantine(int(node))
 
         out.produced[rows] = True
         out.power_w[rows] = power_w
@@ -707,10 +728,10 @@ class FleetEstimator:
     def _maintain_quarantine(self, nodes: np.ndarray) -> None:
         """Release quarantined nodes whose probation elapsed *and*
         whose recent window is back under the drift tolerance."""
-        idx = np.unique(nodes)
-        q = idx[self._quarantined[idx]]
+        q = nodes[self._quarantined[nodes]]
         if q.size == 0:
             return
+        q = np.unique(q)
         served = self._n_intervals[q] >= self._quarantine_release[q]
         denom = np.maximum(self._wlen[q], 1)
         calm = self._wsum[q] / denom <= self.drift_tolerance

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import data as expdata
-from repro.experiments.runner import EXPERIMENTS, main
+from repro.experiments import runner
+from repro.experiments.runner import EXPERIMENTS, PAPER_ARTIFACTS, main
 
 
 class TestDataCache:
@@ -53,6 +54,26 @@ class TestRunnerCLI:
         out = capsys.readouterr().out
         assert "Table III" in out
         assert "paper" in out
+
+    def test_default_runs_the_paper_artifacts_only(self, capsys, monkeypatch):
+        ran = []
+
+        def record(name, seed):
+            ran.append(name)
+            return name, "", 0.0
+
+        monkeypatch.setattr(runner, "_run_experiment", record)
+        assert main([]) == 0
+        assert ran == list(PAPER_ARTIFACTS) and len(ran) == 9
+        assert "serve" not in ran
+        ran.clear()
+        assert main(["serve"]) == 0
+        assert ran == ["serve"]
+
+    def test_help_says_serve_runs_by_name(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "'serve' runs only when named" in " ".join(capsys.readouterr().out.split())
 
     def test_registry_covers_all_artifacts(self):
         assert set(EXPERIMENTS) == {

@@ -49,8 +49,7 @@ def run_identity_stream(
         submitted = injector.corrupt(
             make_fleet_samples(node_ids, tick, rng), tick
         )
-        samples = validator.validate(submitted)
-        batch = make_batch(samples, COUNTERS)
+        batch = validator.pack(submitted, COUNTERS)
         result = fleet.step_batch(batch)
         for i in range(batch.n_rows):
             sample = batch.row_sample(i)

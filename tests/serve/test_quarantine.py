@@ -1,11 +1,12 @@
-"""Quarantine release: probation, the calm-window condition, and the
-seeded probation draw.
+"""Quarantine release and re-entry: probation, the calm-window
+condition, and the seeded probation draw.
 
 A node whose drift latch fires enters quarantine for
 ``quarantine_probation`` intervals plus a draw in
 ``[0, quarantine_probation)`` seeded from ``(seed, node, entry)``.  It
 is released only once that probation has elapsed *and* its drift window
-is back under the tolerance.
+is back under the tolerance, and it enters again when its window drifts
+again; the drift report stays the serial estimator's throughout.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.serve import FleetEstimator, NodeSample, make_batch
+
+from tests.oracles.online import OnlineEstimator as SerialEstimator
 
 from .conftest import COUNTERS
 
@@ -48,12 +51,25 @@ class _Driver:
     def __init__(self, model, envelope, seed):
         self.fleet = FleetEstimator(model, envelope=envelope, seed=seed, **KW)
         self.tick = 0
+        self.samples = []
 
     def step(self, *, noisy: bool) -> None:
-        self.fleet.step_batch(
-            make_batch(_samples(self.tick, noisy=noisy), COUNTERS)
-        )
+        samples = _samples(self.tick, noisy=noisy)
+        self.samples.extend(samples)
+        self.fleet.step_batch(make_batch(samples, COUNTERS))
         self.tick += 1
+
+    def quarantine_entries(self, limit: int):
+        """Noisy intervals until every node is quarantined again;
+        returns each node's interval count at entry."""
+        entered = {}
+        for _ in range(limit):
+            self.step(noisy=True)
+            for nid, q in self.quarantined().items():
+                if q and nid not in entered:
+                    entered[nid] = self.tick
+        assert set(entered) == set(NODES), "a node never re-entered"
+        return entered
 
     def quarantined(self):
         return {nid: self.fleet.is_quarantined(nid) for nid in NODES}
@@ -116,6 +132,35 @@ def test_same_seed_releases_at_the_same_interval(model, envelope):
     # identical schedules from independent draws would be a fluke.
     assert len(set(first.values())) > 1
     assert release_schedule(8) != first
+
+
+def test_released_nodes_re_enter_quarantine(model, envelope):
+    """All eight released nodes drift again and are quarantined again,
+    each with a fresh probation draw (keyed by its entry count), while
+    every drift report still equals the serial estimator's."""
+    fleet_run = _Driver(model, envelope, seed=7)
+    fleet_run.latch()
+    latched_at = fleet_run.tick
+    first = fleet_run.release_intervals(limit=2 * PROBATION + WINDOW)
+    entered = fleet_run.quarantine_entries(limit=WINDOW)
+    second = fleet_run.release_intervals(limit=2 * PROBATION + WINDOW)
+    for nid in NODES:
+        assert first[nid] < entered[nid] < second[nid], nid
+        assert entered[nid] + PROBATION <= second[nid] < entered[nid] + 2 * PROBATION
+    assert {n: second[n] - entered[n] for n in NODES} != {
+        n: first[n] - latched_at for n in NODES
+    }
+    serial = {nid: SerialEstimator(model, envelope=envelope, drift_window=WINDOW,
+                                   drift_tolerance=0.4) for nid in NODES}
+    for s in fleet_run.samples:
+        serial[s.node_id].step(
+            s.counter_deltas, interval_s=s.interval_s, voltage_v=s.voltage_v,
+            frequency_mhz=s.frequency_mhz, time_s=s.time_s,
+        )
+    for nid in NODES:
+        report = fleet_run.fleet.drift_report(nid)
+        assert report.drift_detected
+        assert report == serial[nid].drift_report(), nid
 
 
 def test_noisy_and_calm_deltas_straddle_the_envelope(model, envelope):

@@ -1,18 +1,28 @@
-"""Backpressure semantics of the bounded ingestion queue."""
+"""Backpressure semantics of the bounded ingestion queue.
+
+The queue holds column chunks and counts rows; equality with the
+per-sample queue it replaced is asserted in ``test_ingest_columns.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.serve import POLICIES, BoundedIngestQueue
+from repro.serve import POLICIES, BoundedIngestQueue, concat_batches, make_batch
 
-from .conftest import make_fleet_samples
+from .conftest import COUNTERS, make_fleet_samples
 
 
 def samples(n, tick=0):
     rng = np.random.default_rng(42 + tick)
-    return make_fleet_samples([f"n{i}" for i in range(n)], tick, rng)
+    return make_batch(
+        make_fleet_samples([f"n{i}" for i in range(n)], tick, rng), COUNTERS
+    )
+
+
+def drained(q, max_items=0):
+    return concat_batches(q.drain(max_items), COUNTERS)
 
 
 class TestBoundedIngestQueue:
@@ -48,8 +58,7 @@ class TestBoundedIngestQueue:
         assert outcome.rejected == 3
         assert outcome.accepted == 0
         # Queued work survives: the original five drain in order.
-        drained = q.drain()
-        assert [s.node_id for s in drained] == [s.node_id for s in first]
+        assert drained(q).node_ids == first.node_ids
 
     def test_shed_oldest_keeps_freshest(self):
         q = BoundedIngestQueue(5, policy="shed-oldest")
@@ -57,10 +66,11 @@ class TestBoundedIngestQueue:
         outcome = q.offer(samples(2, tick=1))
         assert outcome.accepted == 2
         assert outcome.shed == 2
-        drained = q.drain()
-        assert len(drained) == 5
+        rows = drained(q)
+        assert rows.n_rows == 5
         # The two newest samples made it in; the two oldest are gone.
-        assert [s.time_s for s in drained[-2:]] == [1.0, 1.0]
+        assert rows.time_s[-2:].tolist() == [1.0, 1.0]
+        assert rows.node_ids == ("n2", "n3", "n4", "n0", "n1")
 
     def test_degrade_returns_diverted_samples(self):
         q = BoundedIngestQueue(5, policy="degrade-to-baseline")
@@ -68,9 +78,7 @@ class TestBoundedIngestQueue:
         overflow = samples(4, tick=1)
         outcome = q.offer(overflow)
         assert outcome.accepted == 0
-        assert [s.node_id for s in outcome.diverted] == [
-            s.node_id for s in overflow
-        ]
+        assert outcome.diverted.node_ids == overflow.node_ids
         # Diverted samples are never queued.
         assert q.depth == 5
         assert q.stats().diverted == 4
@@ -78,9 +86,9 @@ class TestBoundedIngestQueue:
     def test_drain_respects_max_items(self):
         q = BoundedIngestQueue(10)
         q.offer(samples(7))
-        assert len(q.drain(3)) == 3
+        assert drained(q, 3).n_rows == 3
         assert q.depth == 4
-        assert len(q.drain()) == 4
+        assert drained(q).n_rows == 4
         assert q.depth == 0
 
     def test_stats_account_every_outcome(self):

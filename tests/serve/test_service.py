@@ -22,7 +22,7 @@ from repro.faults import IngestFaultInjector, IngestFaultPlan
 from repro.serve import FleetService, NodeSample, SchemaValidator
 from tests.oracles.online import OnlineEstimator as SerialEstimator
 
-from .conftest import make_fleet_samples
+from .conftest import COUNTERS, make_fleet_samples
 
 
 NODES = [f"node-{i:02d}" for i in range(24)]
@@ -397,8 +397,11 @@ class TestServiceSoak:
             frequency_mhz=2400.0,
         )
         validator = SchemaValidator()
-        assert validator.validate([sample]) == [sample]
+        batch = validator.pack([sample], COUNTERS)
         assert validator.dropped == {}
+        assert batch.node_ids == ("n",)
+        assert np.isnan(batch.deltas[0]).tolist() == [True, True, True]
+        assert batch.present[0].tolist() == [True, False, False]
 
     def test_audit_grades_forced_degradation(self, model):
         """Drive every node implausible (tight envelope) and check the
