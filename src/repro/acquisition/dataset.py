@@ -9,7 +9,7 @@ error analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -63,8 +63,12 @@ class PowerDataset:
         ):
             if len(seq) != n:
                 raise ValueError(f"{name} must have {n} entries, got {len(seq)}")
-        if n and (np.any(self.power_w <= 0) or np.any(self.voltage_v <= 0)):
-            raise ValueError("power and voltage must be strictly positive")
+        for arr in (self.power_w, self.voltage_v):
+            # ``> 0`` is False for NaN, so NaN fails with the rest.
+            if not np.all((arr > 0) & np.isfinite(arr)):
+                raise ValueError(
+                    "power and voltage must be finite and strictly positive"
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -152,46 +156,6 @@ class PowerDataset:
                 None,
             )
         return list(seen)
-
-    def experiment_averages(self) -> "PowerDataset":
-        """One duration-weighted-equivalent row per experiment.
-
-        Phases of an experiment are averaged (unweighted — the phase
-        profile rows of one experiment have comparable durations),
-        matching the "average power for one specific experiment" data
-        points of Fig. 5.
-        """
-        keys = self.experiment_keys()
-        rows = []
-        for key in keys:
-            mask = np.array(
-                [
-                    (self.workloads[i], int(self.frequency_mhz[i]), int(self.threads[i]))
-                    == key
-                    for i in range(self.n_samples)
-                ]
-            )
-            sub = self.subset(mask)
-            rows.append(
-                (
-                    sub.counters.mean(axis=0),
-                    sub.power_w.mean(),
-                    sub.voltage_v.mean(),
-                    key,
-                    sub.suites[0],
-                )
-            )
-        return PowerDataset(
-            counters=np.vstack([r[0] for r in rows]),
-            power_w=np.array([r[1] for r in rows]),
-            voltage_v=np.array([r[2] for r in rows]),
-            frequency_mhz=np.array([r[3][1] for r in rows], dtype=np.float64),
-            threads=np.array([r[3][2] for r in rows], dtype=np.int64),
-            workloads=tuple(r[3][0] for r in rows),
-            suites=tuple(r[4] for r in rows),
-            phase_names=tuple(f"{r[3][0]}@avg" for r in rows),
-            counter_names=self.counter_names,
-        )
 
     # ------------------------------------------------------------------
     def save_npz(self, path: Union[str, Path]) -> None:

@@ -4,7 +4,7 @@
 artifacts behind the paper's headline tables — the counter selection
 (Table I), the fitted Equation 1 model, and the four validation
 scenarios (Tables II–IV / Fig. 4), plus the scenarios' warnings (fold
-fallbacks, skipped zero-power rows) when there are any — all built
+fallbacks) when there are any — all built
 from the shared cached campaign.  A clean checkout audits ``pass``;
 the tier-1 suite asserts that in strict mode, so a statistical-rigor
 regression fails it.

@@ -133,23 +133,19 @@ def _cv_fold(
     estimator: str,
     train: np.ndarray,
     test: np.ndarray,
-    on_zero: str,
-) -> Tuple[np.ndarray, float, Dict[str, float], int]:
+) -> Tuple[np.ndarray, float, Dict[str, float]]:
     """Fit and score one CV fold.
 
-    Returns (held-out predictions, fold MAPE, fit metrics, count of
-    zero-power rows skipped by ``on_zero="skip"``).
+    Returns (held-out predictions, fold MAPE, fit metrics).
     """
     model = PowerModel(counters, cov_type=cov_type, estimator=estimator)
     fitted = model.fit(dataset.subset(train))
     test_ds = dataset.subset(test)
     p = fitted.predict(test_ds)
-    n_zero = int(np.sum(test_ds.power_w == 0.0))  # exact-zero guard: MAPE division sentinel
     return (
         p,
-        mape(test_ds.power_w, p, on_zero=on_zero),
+        mape(test_ds.power_w, p),
         {"r2": fitted.rsquared, "adj_r2": fitted.rsquared_adj},
-        n_zero,
     )
 
 
@@ -161,16 +157,13 @@ def cv_out_of_fold_predictions(
     seed: int = DEFAULT_SEED,
     cov_type: str = "HC3",
     estimator: str = "ols",
-    on_zero: str = "raise",
     issues: Optional[List[str]] = None,
 ) -> Tuple[np.ndarray, Tuple[float, ...], List[Dict[str, float]]]:
     """k-fold CV with random indexing: out-of-fold predictions.
 
     Returns (predictions aligned with dataset rows, per-fold MAPEs,
     per-fold fit metrics [R², Adj.R²]).  ``estimator="huber"`` runs the
-    robust per-fold fits.  ``on_zero="skip"`` lets degraded pipelines
-    survive zero-power rows in a fold's MAPE; each occurrence is
-    recorded in the ``issues`` sink when one is given.  OLS folds are
+    robust per-fold fits.  OLS folds are
     solved from Gram downdates (:mod:`repro.stats.fastfit`); a fold the
     solver declines is refitted exactly, and the decline count is
     recorded in ``issues``.
@@ -197,21 +190,15 @@ def cv_out_of_fold_predictions(
             if solver is not None:
                 n_declined += 1
             outcomes.append(
-                _cv_fold(
-                    dataset, counters, cov_type, estimator, train, test,
-                    on_zero,
-                )
+                _cv_fold(dataset, counters, cov_type, estimator, train, test)
             )
             continue
         p = solver.predict(fit, test)
-        test_power_w = dataset.power_w[test]
-        n_zero = int(np.sum(test_power_w == 0.0))  # exact-zero guard: MAPE division sentinel
         outcomes.append(
             (
                 p,
-                mape(test_power_w, p, on_zero=on_zero),
+                mape(dataset.power_w[test], p),
                 {"r2": fit.rsquared, "adj_r2": fit.rsquared_adj},
-                n_zero,
             )
         )
     if n_declined and issues is not None:
@@ -225,16 +212,10 @@ def cv_out_of_fold_predictions(
     preds = np.full(dataset.n_samples, np.nan)
     fold_mapes: List[float] = []
     fold_fits: List[Dict[str, float]] = []
-    for fold, ((train, test), (p, fold_mape, fits, n_zero)) in enumerate(
-        zip(splits, outcomes)
-    ):
+    for (train, test), (p, fold_mape, fits) in zip(splits, outcomes):
         preds[test] = p
         fold_mapes.append(fold_mape)
         fold_fits.append(fits)
-        if n_zero and issues is not None:
-            issues.append(
-                f"fold {fold}: skipped {n_zero} zero-power row(s) in MAPE"
-            )
     if np.any(np.isnan(preds)):  # pragma: no cover - KFold covers all rows
         raise AssertionError("incomplete out-of-fold coverage")
     return preds, tuple(fold_mapes), fold_fits
@@ -334,7 +315,6 @@ def scenario_cv_all(
     n_splits: int = 10,
     seed: int = DEFAULT_SEED,
     estimator: str = "ols",
-    on_zero: str = "raise",
     issues: Optional[List[str]] = None,
 ) -> ScenarioResult:
     """Scenario 3: 10-fold CV over all experiments (the Table II run)."""
@@ -344,7 +324,6 @@ def scenario_cv_all(
         n_splits=n_splits,
         seed=seed,
         estimator=estimator,
-        on_zero=on_zero,
         issues=issues,
     )
     return ScenarioResult(
@@ -362,7 +341,6 @@ def scenario_cv_synthetic(
     n_splits: int = 10,
     seed: int = DEFAULT_SEED,
     estimator: str = "ols",
-    on_zero: str = "raise",
     issues: Optional[List[str]] = None,
 ) -> ScenarioResult:
     """Scenario 4: 10-fold CV over the roco2 experiments only."""
@@ -375,7 +353,6 @@ def scenario_cv_synthetic(
         n_splits=n_splits,
         seed=seed,
         estimator=estimator,
-        on_zero=on_zero,
         issues=issues,
     )
     return ScenarioResult(
@@ -392,7 +369,6 @@ def run_all_scenarios(
     *,
     seed: int = DEFAULT_SEED,
     n_train_random: int = 4,
-    on_zero: str = "raise",
     issues: Optional[List[str]] = None,
 ) -> Dict[str, ScenarioResult]:
     """All four scenarios (Fig. 4), keyed by scenario name."""
@@ -402,17 +378,9 @@ def run_all_scenarios(
         ),
         SCENARIO_NAMES[1]: scenario_synthetic_to_spec(dataset, counters),
         SCENARIO_NAMES[2]: scenario_cv_all(
-            dataset,
-            counters,
-            seed=seed,
-            on_zero=on_zero,
-            issues=issues,
+            dataset, counters, seed=seed, issues=issues
         ),
         SCENARIO_NAMES[3]: scenario_cv_synthetic(
-            dataset,
-            counters,
-            seed=seed,
-            on_zero=on_zero,
-            issues=issues,
+            dataset, counters, seed=seed, issues=issues
         ),
     }

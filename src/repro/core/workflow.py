@@ -133,9 +133,7 @@ def run_workflow(
         candidates survive, and a selection-frequency fallback to the
         full dataset when the degraded campaign lost that frequency
         entirely.  All such adaptations land in the result's
-        ``warnings``.  Robust validation additionally scores fold MAPEs
-        with ``on_zero="skip"``, recording skipped rows as warnings, so
-        one corrupt sample cannot abort the whole evaluation.
+        ``warnings``.
 
     The :mod:`repro.audit` statistical-rigor pass always runs over the
     produced artifacts and its report is attached as
@@ -237,7 +235,6 @@ def run_workflow(
             n_splits=n_splits,
             seed=seed,
             estimator=estimator,
-            on_zero="skip" if robust else "raise",
             issues=cv_issues,
         )
     run_warnings.extend(cv_issues)

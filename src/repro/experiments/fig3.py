@@ -33,9 +33,6 @@ class Fig3Result:
     def best(self) -> Tuple[str, float]:
         return min(self.per_workload_mape.items(), key=lambda kv: kv[1])
 
-    def worst_suite(self) -> str:
-        return self.suites[self.worst()[0]]
-
     def render(self) -> str:
         out = render_series(
             self.per_workload_mape,

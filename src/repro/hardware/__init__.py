@@ -34,7 +34,6 @@ from repro.hardware.dvfs import (
 from repro.hardware.microarch import (
     HiddenActivity,
     MicroarchState,
-    evaluate,
     place_threads,
 )
 from repro.hardware.platform import (
@@ -48,7 +47,6 @@ from repro.hardware.power import (
     HASWELL_EP_POWER_PARAMS,
     PowerBreakdown,
     PowerModelParams,
-    compute_power,
 )
 from repro.hardware.sensors import (
     PowerSensor,
@@ -83,11 +81,9 @@ __all__ = [
     "SELECTION_FREQUENCY_MHZ",
     "MicroarchState",
     "HiddenActivity",
-    "evaluate",
     "place_threads",
     "PowerModelParams",
     "PowerBreakdown",
-    "compute_power",
     "HASWELL_EP_POWER_PARAMS",
     "PMU",
     "EventSet",

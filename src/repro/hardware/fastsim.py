@@ -1,19 +1,16 @@
 """Batched acquisition kernel: vectorized phase simulation + memoization.
 
 Campaign acquisition is the outer loop everything in Section III-A
-feeds on, and the scalar microarchitecture and power models
-(:func:`repro.hardware.microarch.evaluate`,
-:func:`repro.hardware.power.compute_power`) evaluate one phase at a
-time through Python dict arithmetic.  This module provides the same
-physics as ndarray expressions over a *stack* of phases — the only
-path :meth:`~repro.hardware.platform.Platform.execute` takes:
+feeds on.  This module evaluates the microarchitecture and power models
+(:mod:`repro.hardware.microarch`, :mod:`repro.hardware.power`) as
+ndarray expressions over a *stack* of phases — the only path
+:meth:`~repro.hardware.platform.Platform.execute` takes:
 
 * :func:`simulate_phases` — evaluate ``(characterization, placement)``
-  rows against one operating point in a single pass, producing the
-  identical ``MicroarchState`` / ``PowerBreakdown`` pairs the scalar
-  path produces, bit for bit;
-* :class:`PhaseStateMemo` — a bounded cache over those pairs.
-  ``evaluate()`` is deterministic in ``(characterization,
+  rows against one operating point in a single pass, producing one
+  ``MicroarchState`` / ``PowerBreakdown`` pair per row;
+* :class:`PhaseStateMemo` — a bounded cache over those pairs.  The
+  simulation is deterministic in ``(characterization,
   operating_point, placement, cfg)`` and a multi-run campaign
   re-executes every experiment once per PMU event set
   (``runs_per_experiment = len(event_sets)``), so pre-jitter states
@@ -21,19 +18,28 @@ path :meth:`~repro.hardware.platform.Platform.execute` takes:
   and replays them, while run jitter and sensor noise stay per-run on
   their existing ``derive_rng`` streams.
 
+Idle sockets are no special case: the background characterization
+(one core at ``_BACKGROUND_DUTY``, IPC 0.4) goes through the same
+kernels as a one-row batch, and its counter contribution and hidden
+terms come from the same expressions (:func:`_socket_terms`) as an
+active socket's.
+
 Bit-identity contract
 ---------------------
-The batched expressions transliterate the scalar source *operation by
-operation*: identical operator order and associativity, ``np.minimum``
-/ ``np.maximum`` for ``min`` / ``max``, masked row assignment for the
-``_socket_ipc`` bandwidth branches, and the per-socket accumulation
-into the counter vector preserved as two sequential adds.  No
-reductions, no ``gemv``/``gemm`` — the §16 arena lesson — so BLAS
-accumulation-order drift cannot leak in.  Elementwise float64 ufuncs
-round identically to their scalar C-double counterparts, which the
-full-registry tests in ``tests/hardware/test_fastsim.py`` pin down to
-the last bit (including the ``np.exp`` / ``**2.5`` transcendental
-calls).
+The scalar reference is the one-phase-at-a-time simulator kept as the
+test oracle ``tests/oracles/physics.py`` (``evaluate`` +
+``compute_power``).  The batched expressions transliterate it
+*operation by operation*: identical operator order and associativity,
+``np.minimum`` / ``np.maximum`` for ``min`` / ``max``, masked row
+assignment for the ``_socket_ipc`` bandwidth branches, and the
+per-socket accumulation into the counter vector preserved as two
+sequential adds.  No reductions, no ``gemv``/``gemm`` — the §16 arena
+lesson — so BLAS accumulation-order drift cannot leak in.  Elementwise
+float64 ufuncs round identically to their scalar C-double
+counterparts, which the full-registry tests in
+``tests/hardware/test_fastsim.py`` pin down to the last bit on every
+P-state of the three platform configs, idle sockets included
+(including the ``np.exp`` / ``**2.5`` transcendental calls).
 """
 
 from __future__ import annotations
@@ -49,9 +55,6 @@ from repro.hardware.microarch import (
     _BACKGROUND_DUTY,
     HiddenActivity,
     MicroarchState,
-    _memory_chain,
-    _per_core_rates,
-    _stall_cycles_per_inst,
     place_threads,
 )
 from repro.hardware.power import (
@@ -153,6 +156,14 @@ _CHAR_FIELDS = (
     "sharing_factor",
     "latent_efficiency",
     "uop_expansion",
+    "vector_width",
+)
+
+#: Per-socket hidden terms, one float64 column each.
+_HIDDEN_KEYS = (
+    "uops", "fp_s", "fp_v", "l1a", "l2a", "l3a",
+    "dram_r", "dram_w", "remote", "stall_fr", "flush", "tlb",
+    "util", "ipc",
 )
 
 
@@ -164,7 +175,7 @@ def _char_columns(chars: Sequence[Characterization]) -> Dict[str, np.ndarray]:
 
 
 def _memory_chain_batch(c: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Vectorized :func:`repro.hardware.microarch._memory_chain`."""
+    """Vectorized ``_memory_chain`` of the scalar physics oracle."""
     loads = c["load_frac"]
     stores = c["store_frac"]
 
@@ -248,7 +259,7 @@ def _stall_batch(
     op: OperatingPoint,
     cfg: PlatformConfig,
 ) -> np.ndarray:
-    """Vectorized :func:`~repro.hardware.microarch._stall_cycles_per_inst`."""
+    """Vectorized ``_stall_cycles_per_inst`` of the scalar physics oracle."""
     f_ghz = op.frequency_ghz
     dram_cycles = cfg.dram_latency_ns * f_ghz * (
         1.0 + cfg.remote_latency_penalty * c["numa_remote_frac"]
@@ -283,9 +294,8 @@ def _socket_ipc_batch(
     cfg: PlatformConfig,
     cores_active: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.hardware.microarch._socket_ipc` for
-    rows with ``cores_active > 0`` (idle sockets take the scalar
-    background path)."""
+    """Vectorized ``_socket_ipc`` of the scalar physics oracle, for rows
+    with ``cores_active > 0`` (an idle socket runs at a fixed IPC)."""
     cpi = 1.0 / np.maximum(c["ipc_base"], 1e-3) + stall
     ipc_latency = 1.0 / cpi
 
@@ -316,7 +326,7 @@ def _per_core_rates_batch(
     cfg: PlatformConfig,
     n_active_on_socket: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`~repro.hardware.microarch._per_core_rates`.
+    """Vectorized ``_per_core_rates`` of the scalar physics oracle.
 
     Returns a ``(rows, n_counters)`` matrix of events per core-cycle in
     canonical counter order.
@@ -397,50 +407,75 @@ def _per_core_rates_batch(
     return rates
 
 
-def _idle_socket_terms(
-    op: OperatingPoint, cfg: PlatformConfig
-) -> Tuple[np.ndarray, Dict[str, float]]:
-    """Counter contribution and hidden terms of one idle socket.
+def _socket_terms(
+    c: Dict[str, np.ndarray],
+    mem: Dict[str, np.ndarray],
+    ipc: np.ndarray,
+    stall_per_inst: np.ndarray,
+    util: np.ndarray,
+    n_cores: np.ndarray,
+    scale: np.ndarray,
+    op: OperatingPoint,
+    cfg: PlatformConfig,
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Counter contribution and hidden terms of one socket, per row.
 
-    Computed once per batch *through the scalar functions themselves*,
-    then broadcast into the idle rows — the background characterization
-    is a constant, so there is nothing to vectorize.
+    ``n_cores`` is the core count the coherence terms see and ``scale``
+    the count the per-core rates are multiplied by: both the active
+    core count on a busy socket, 1 and ``_BACKGROUND_DUTY`` on an idle
+    one.
     """
-    ipc = 0.4
-    bg = Characterization(ipc_base=0.4)
-    bg_mem = _memory_chain(bg)
-    per_core = _per_core_rates(bg, bg_mem, ipc, op, cfg, 1)
-    contrib = np.zeros(len(COUNTER_NAMES), dtype=np.float64)
-    for key, val in per_core.items():
-        contrib[counter_index(key)] += val * _BACKGROUND_DUTY
-
-    inst_rate = ipc * _BACKGROUND_DUTY
-    stall_per_inst = _stall_cycles_per_inst(bg, bg_mem, op, cfg)
-    fills_ps = bg_mem["dram_fills"] * inst_rate * op.frequency_hz
-    wbs_ps = bg_mem["dram_writes"] * inst_rate * op.frequency_hz
+    rates = _per_core_rates_batch(c, mem, ipc, stall_per_inst, op, cfg, n_cores)
+    inst_rate = ipc * scale
+    fp_ops = inst_rate * c["fp_frac"]
+    vec = c["vector_width"] > 1
+    fills_ps = mem["dram_fills"] * inst_rate * op.frequency_hz
+    wbs_ps = mem["dram_writes"] * inst_rate * op.frequency_hz
     hidden = {
-        "uops": inst_rate * bg.uop_expansion,
-        "fp_s": inst_rate * bg.fp_frac,  # background vector_width == 1
-        "fp_v": 0.0,
-        "l1a": inst_rate * (bg.load_frac + bg.store_frac),
-        "l2a": bg_mem["L2_TCA"] * inst_rate,
-        "l3a": bg_mem["L3_TCA"] * inst_rate,
+        "uops": inst_rate * c["uop_expansion"],
+        "fp_s": np.where(vec, 0.0, fp_ops),
+        "fp_v": np.where(vec, fp_ops, 0.0),
+        "l1a": inst_rate * (c["load_frac"] + c["store_frac"]),
+        "l2a": mem["L2_TCA"] * inst_rate,
+        "l3a": mem["L3_TCA"] * inst_rate,
         "dram_r": fills_ps * cfg.cache_line_bytes,
         "dram_w": wbs_ps * cfg.cache_line_bytes,
         "remote": (fills_ps + wbs_ps) * cfg.cache_line_bytes
-        * bg.numa_remote_frac,
-        "stall_fr": min(stall_per_inst * ipc, 0.95),
+        * c["numa_remote_frac"],
+        "stall_fr": np.minimum(stall_per_inst * ipc, 0.95),
         "flush": inst_rate
-        * bg.branch_frac
-        * bg.branch_cond_frac
-        * bg.branch_mispred_rate,
+        * c["branch_frac"]
+        * c["branch_cond_frac"]
+        * c["branch_mispred_rate"],
         "tlb": inst_rate
-        * (bg.tlb_dm_per_kinst + bg.tlb_im_per_kinst)
+        * (c["tlb_dm_per_kinst"] + c["tlb_im_per_kinst"])
         / 1000.0,
-        "util": 0.0,
+        "util": util,
         "ipc": ipc,
     }
-    return contrib, hidden
+    return rates * scale[:, None], hidden
+
+
+def _idle_socket_terms(
+    op: OperatingPoint, cfg: PlatformConfig
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Counter contribution and hidden terms of one idle socket, as a
+    one-row batch: background housekeeping on one core at IPC 0.4,
+    weighted by ``_BACKGROUND_DUTY``."""
+    ipc = 0.4
+    c = _char_columns([Characterization(ipc_base=ipc)])
+    mem = _memory_chain_batch(c)
+    return _socket_terms(
+        c,
+        mem,
+        np.array([ipc]),
+        _stall_batch(c, mem, op, cfg),
+        np.zeros(1),
+        np.ones(1),
+        np.array([_BACKGROUND_DUTY]),
+        op,
+        cfg,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +490,8 @@ def _socket_power_batch(
     op: OperatingPoint,
     p: PowerModelParams,
 ) -> Tuple[np.ndarray, ...]:
-    """Vectorized :func:`~repro.hardware.power._socket_power_w` for one
-    socket across all phases.  ``s`` holds the per-phase hidden arrays
+    """Vectorized ``_socket_power_w`` of the scalar physics oracle, for
+    one socket across all phases.  ``s`` holds the per-phase hidden arrays
     of that socket."""
     v_scale = (op.voltage_v / p.v_ref) ** 2
     f = op.frequency_hz
@@ -506,8 +541,8 @@ def _socket_power_batch(
     internal = dyn + unc + static
     board = internal * (1.0 / p.vr_efficiency - 1.0) + p.p_board_const_w
     total = internal + board
-    # The scalar compute_power re-derives board as the residual; keep
-    # that exact (non-associative) subtraction order.
+    # The scalar oracle's compute_power re-derives board as the
+    # residual; keep that exact (non-associative) subtraction order.
     board_resid = total - dyn - unc - static
     return total, dyn, unc, static, board_resid, temp
 
@@ -524,7 +559,9 @@ def simulate_phases(
     cfg: PlatformConfig,
     params: PowerModelParams = HASWELL_EP_POWER_PARAMS,
 ) -> List[Tuple[MicroarchState, PowerBreakdown]]:
-    """Batched equivalent of ``evaluate`` + ``compute_power`` per phase.
+    """Microarchitecture state and power breakdown of each phase row —
+    the batched equivalent of the scalar oracle's ``evaluate`` +
+    ``compute_power``.
 
     All rows share one operating point (frequency is pinned for a run,
     Section III-A); characterization and placement vary per row.
@@ -542,19 +579,11 @@ def simulate_phases(
         [place_threads(t, cfg) for t in active_threads], dtype=np.int64
     )
     c = _char_columns(chars)
-    vector_width = np.array(
-        [ch.vector_width for ch in chars], dtype=np.float64
-    )
     mem = _memory_chain_batch(c)
     stall_all = _stall_batch(c, mem, op, cfg)
     idle_contrib, idle_hidden = _idle_socket_terms(op, cfg)
 
     total = np.zeros((n, len(COUNTER_NAMES)), dtype=np.float64)
-    _HIDDEN_KEYS = (
-        "uops", "fp_s", "fp_v", "l1a", "l2a", "l3a",
-        "dram_r", "dram_w", "remote", "stall_fr", "flush", "tlb",
-        "util", "ipc",
-    )
     per_socket: List[Dict[str, np.ndarray]] = []
 
     for sock in range(cfg.sockets):
@@ -562,7 +591,6 @@ def simulate_phases(
         active = n_active > 0
         contrib = np.zeros((n, len(COUNTER_NAMES)), dtype=np.float64)
         hid = {k: np.empty(n, dtype=np.float64) for k in _HIDDEN_KEYS}
-        hid["n_active"] = n_active.astype(np.float64)
 
         if not active.all():
             idle = ~active
@@ -577,114 +605,63 @@ def simulate_phases(
             stall = stall_all[rows]
             scale = n_active[rows].astype(np.float64)
             ipc, util = _socket_ipc_batch(ca, ma, stall, op, cfg, scale)
-            rates = _per_core_rates_batch(ca, ma, ipc, stall, op, cfg, scale)
-            contrib[rows] = rates * scale[:, None]
+            contrib[rows], terms = _socket_terms(
+                ca, ma, ipc, stall, util, scale, scale, op, cfg
+            )
+            for k in _HIDDEN_KEYS:
+                hid[k][rows] = terms[k]
 
-            inst_rate = ipc * scale
-            fp_ops = inst_rate * ca["fp_frac"]
-            vec = vector_width[rows] > 1
-            hid["uops"][rows] = inst_rate * ca["uop_expansion"]
-            hid["fp_v"][rows] = np.where(vec, fp_ops, 0.0)
-            hid["fp_s"][rows] = np.where(vec, 0.0, fp_ops)
-            hid["l1a"][rows] = inst_rate * (ca["load_frac"] + ca["store_frac"])
-            hid["l2a"][rows] = ma["L2_TCA"] * inst_rate
-            hid["l3a"][rows] = ma["L3_TCA"] * inst_rate
-            fills_ps = ma["dram_fills"] * inst_rate * op.frequency_hz
-            wbs_ps = ma["dram_writes"] * inst_rate * op.frequency_hz
-            hid["dram_r"][rows] = fills_ps * cfg.cache_line_bytes
-            hid["dram_w"][rows] = wbs_ps * cfg.cache_line_bytes
-            hid["remote"][rows] = (
-                (fills_ps + wbs_ps) * cfg.cache_line_bytes
-                * ca["numa_remote_frac"]
-            )
-            hid["stall_fr"][rows] = np.minimum(stall * ipc, 0.95)
-            hid["flush"][rows] = (
-                inst_rate
-                * ca["branch_frac"]
-                * ca["branch_cond_frac"]
-                * ca["branch_mispred_rate"]
-            )
-            hid["tlb"][rows] = (
-                inst_rate
-                * (ca["tlb_dm_per_kinst"] + ca["tlb_im_per_kinst"])
-                / 1000.0
-            )
-            hid["util"][rows] = util
-            hid["ipc"][rows] = ipc
-
+        hid["n_active"] = n_active.astype(np.float64)
         total += contrib
         per_socket.append(hid)
 
-    latent = c["latent_efficiency"]
     power_terms_w = [
-        _socket_power_batch(hid, vector_width, latent, op, params)
+        _socket_power_batch(
+            hid, c["vector_width"], c["latent_efficiency"], op, params
+        )
         for hid in per_socket
     ]
 
+    # One (rows × sockets) list of Python floats per field.
+    def by_row(columns: Sequence[np.ndarray]) -> list:
+        return np.column_stack(columns).tolist()
+
+    hidden_rows = {
+        k: by_row([hid[k] for hid in per_socket]) for k in _HIDDEN_KEYS
+    }
+    power_rows = [
+        by_row([terms[j] for terms in power_terms_w]) for j in range(6)
+    ]
+    cores = placements.tolist()
     out: List[Tuple[MicroarchState, PowerBreakdown]] = []
-    n_sockets = cfg.sockets
-    for i in range(n):
+    for i, ch in enumerate(chars):
         hidden = HiddenActivity(
-            active_cores=tuple(int(placements[i, s]) for s in range(n_sockets)),
-            uops_per_cycle=tuple(
-                float(per_socket[s]["uops"][i]) for s in range(n_sockets)
-            ),
-            fp_scalar_per_cycle=tuple(
-                float(per_socket[s]["fp_s"][i]) for s in range(n_sockets)
-            ),
-            fp_vector_per_cycle=tuple(
-                float(per_socket[s]["fp_v"][i]) for s in range(n_sockets)
-            ),
-            vector_width=chars[i].vector_width,
-            l1_accesses_per_cycle=tuple(
-                float(per_socket[s]["l1a"][i]) for s in range(n_sockets)
-            ),
-            l2_accesses_per_cycle=tuple(
-                float(per_socket[s]["l2a"][i]) for s in range(n_sockets)
-            ),
-            l3_accesses_per_cycle=tuple(
-                float(per_socket[s]["l3a"][i]) for s in range(n_sockets)
-            ),
-            dram_read_bytes_per_s=tuple(
-                float(per_socket[s]["dram_r"][i]) for s in range(n_sockets)
-            ),
-            dram_write_bytes_per_s=tuple(
-                float(per_socket[s]["dram_w"][i]) for s in range(n_sockets)
-            ),
-            remote_bytes_per_s=tuple(
-                float(per_socket[s]["remote"][i]) for s in range(n_sockets)
-            ),
-            stall_frac=tuple(
-                float(per_socket[s]["stall_fr"][i]) for s in range(n_sockets)
-            ),
-            flush_per_cycle=tuple(
-                float(per_socket[s]["flush"][i]) for s in range(n_sockets)
-            ),
-            tlb_walks_per_cycle=tuple(
-                float(per_socket[s]["tlb"][i]) for s in range(n_sockets)
-            ),
-            bw_utilization=tuple(
-                float(per_socket[s]["util"][i]) for s in range(n_sockets)
-            ),
-            latent_efficiency=chars[i].latent_efficiency,
-            ipc_per_socket=tuple(
-                float(per_socket[s]["ipc"][i]) for s in range(n_sockets)
-            ),
+            active_cores=tuple(cores[i]),
+            uops_per_cycle=tuple(hidden_rows["uops"][i]),
+            fp_scalar_per_cycle=tuple(hidden_rows["fp_s"][i]),
+            fp_vector_per_cycle=tuple(hidden_rows["fp_v"][i]),
+            vector_width=ch.vector_width,
+            l1_accesses_per_cycle=tuple(hidden_rows["l1a"][i]),
+            l2_accesses_per_cycle=tuple(hidden_rows["l2a"][i]),
+            l3_accesses_per_cycle=tuple(hidden_rows["l3a"][i]),
+            dram_read_bytes_per_s=tuple(hidden_rows["dram_r"][i]),
+            dram_write_bytes_per_s=tuple(hidden_rows["dram_w"][i]),
+            remote_bytes_per_s=tuple(hidden_rows["remote"][i]),
+            stall_frac=tuple(hidden_rows["stall_fr"][i]),
+            flush_per_cycle=tuple(hidden_rows["flush"][i]),
+            tlb_walks_per_cycle=tuple(hidden_rows["tlb"][i]),
+            bw_utilization=tuple(hidden_rows["util"][i]),
+            latent_efficiency=ch.latent_efficiency,
+            ipc_per_socket=tuple(hidden_rows["ipc"][i]),
         )
-        state = MicroarchState(
-            counter_rates=total[i].copy(), hidden=hidden
-        )
+        state = MicroarchState(counter_rates=total[i].copy(), hidden=hidden)
         breakdown = PowerBreakdown(
-            per_socket_w=tuple(float(power_terms_w[s][0][i]) for s in range(n_sockets)),
-            dynamic_core_w=tuple(
-                float(power_terms_w[s][1][i]) for s in range(n_sockets)
-            ),
-            uncore_w=tuple(float(power_terms_w[s][2][i]) for s in range(n_sockets)),
-            static_w=tuple(float(power_terms_w[s][3][i]) for s in range(n_sockets)),
-            board_w=tuple(float(power_terms_w[s][4][i]) for s in range(n_sockets)),
-            temperature_c=tuple(
-                float(power_terms_w[s][5][i]) for s in range(n_sockets)
-            ),
+            per_socket_w=tuple(power_rows[0][i]),
+            dynamic_core_w=tuple(power_rows[1][i]),
+            uncore_w=tuple(power_rows[2][i]),
+            static_w=tuple(power_rows[3][i]),
+            board_w=tuple(power_rows[4][i]),
+            temperature_c=tuple(power_rows[5][i]),
         )
         out.append((state, breakdown))
     return out

@@ -1,9 +1,12 @@
 """Ground-truth bottom-up power model of the simulated platform.
 
 This is the "real chip" the statistical method is trying to
-characterize from the outside.  It computes the power drawn at the 12 V
-inputs of each socket (where the paper's calibrated sensors sit) from
-the hidden activity of :mod:`repro.hardware.microarch`:
+characterize from the outside.  This module holds its coefficients and
+result type; :func:`repro.hardware.fastsim.simulate_phases` evaluates
+it (its scalar original is the test oracle ``tests/oracles/physics.py``).
+The model gives the power drawn at the 12 V inputs of each socket
+(where the paper's calibrated sensors sit) from the hidden activity of
+:mod:`repro.hardware.microarch`:
 
 * **Dynamic core power** — per-event switching energies scaled by
   :math:`(V/V_0)^2 f` (clock tree per active core with partial clock
@@ -28,16 +31,10 @@ what generates the systematic per-workload biases of Fig. 5a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
-from repro.hardware.config import PlatformConfig
-from repro.hardware.dvfs import OperatingPoint
-from repro.hardware.microarch import HiddenActivity
-
-__all__ = ["PowerModelParams", "PowerBreakdown", "compute_power", "HASWELL_EP_POWER_PARAMS"]
-
-_NANO = 1e-9
+__all__ = ["PowerModelParams", "PowerBreakdown", "HASWELL_EP_POWER_PARAMS"]
 
 
 @dataclass(frozen=True)
@@ -135,114 +132,3 @@ class PowerBreakdown:
     @property
     def measured_w(self) -> float:
         return float(sum(self.per_socket_w))
-
-
-def _dynamic_core_w(
-    hidden: HiddenActivity,
-    socket: int,
-    op: OperatingPoint,
-    p: PowerModelParams,
-) -> float:
-    """Dynamic power of one socket's cores (W)."""
-    v_scale = (op.voltage_v / p.v_ref) ** 2
-    f = op.frequency_hz
-    n_active = hidden.active_cores[socket]
-    stall = hidden.stall_frac[socket]
-
-    width_factor = hidden.vector_width**p.vector_width_exponent
-
-    # Effective active-cycle energy: stalled cycles are partially gated.
-    gating = 1.0 - p.clock_gate_saving * stall
-    per_cycle_nj = (
-        n_active * p.e_core_active * gating
-        + hidden.uops_per_cycle[socket] * p.e_uop
-        + hidden.fp_scalar_per_cycle[socket] * p.e_fp_scalar
-        + hidden.fp_vector_per_cycle[socket] * p.e_fp_vector * width_factor
-        + hidden.l1_accesses_per_cycle[socket] * p.e_l1_access
-        + hidden.l2_accesses_per_cycle[socket] * p.e_l2_access
-        + hidden.l3_accesses_per_cycle[socket] * p.e_l3_access
-        + hidden.flush_per_cycle[socket] * p.e_flush
-        + hidden.tlb_walks_per_cycle[socket] * p.e_tlb_walk
-    )
-    latent = 1.0 + p.latent_sensitivity * (hidden.latent_efficiency - 1.0)
-    return v_scale * f * per_cycle_nj * _NANO * latent
-
-
-def _uncore_w(
-    hidden: HiddenActivity,
-    socket: int,
-    op: OperatingPoint,
-    p: PowerModelParams,
-) -> float:
-    """Uncore + memory power of one socket (W)."""
-    v_scale = (op.voltage_v / p.v_ref) ** 2
-    util = hidden.bw_utilization[socket]
-    sat = 1.0
-    if util > p.saturation_knee:
-        sat += p.saturation_penalty * (util - p.saturation_knee) / (
-            1.0 - p.saturation_knee
-        )
-    dram = (
-        hidden.dram_read_bytes_per_s[socket] * p.e_dram_read_pj_per_byte
-        + hidden.dram_write_bytes_per_s[socket] * p.e_dram_write_pj_per_byte
-    ) * 1e-12 * sat
-    qpi = hidden.remote_bytes_per_s[socket] * p.e_qpi_pj_per_byte * 1e-12
-    return p.p_uncore_base * v_scale + dram + qpi + p.p_dram_background_w
-
-
-def _socket_power_w(
-    hidden: HiddenActivity,
-    socket: int,
-    op: OperatingPoint,
-    p: PowerModelParams,
-) -> Tuple[float, float, float, float, float]:
-    """Power of one socket at the 12 V input, with thermal fixed point.
-
-    Returns (total, dynamic, uncore, static, board, temperature) —
-    packed as the tuple the caller re-assembles.
-    """
-    dyn = _dynamic_core_w(hidden, socket, op, p)
-    unc = _uncore_w(hidden, socket, op, p)
-
-    # Leakage depends on temperature which depends on total power:
-    # iterate the fixed point (converges geometrically, 4 steps is
-    # plenty for the gains involved).
-    static = p.leakage_w_per_v * op.voltage_v
-    temp = p.t_ambient_c
-    for _ in range(4):
-        internal = dyn + unc + static
-        temp = p.t_ambient_c + p.thermal_resistance_k_per_w * internal
-        static = (
-            p.leakage_w_per_v
-            * op.voltage_v
-            * (1.0 + p.leakage_temp_coeff * (temp - p.t_reference_c))
-        )
-    internal = dyn + unc + static
-    board = internal * (1.0 / p.vr_efficiency - 1.0) + p.p_board_const_w
-    return internal + board, dyn, unc, static, temp
-
-
-def compute_power(
-    hidden: HiddenActivity,
-    op: OperatingPoint,
-    cfg: PlatformConfig,
-    params: PowerModelParams = HASWELL_EP_POWER_PARAMS,
-) -> PowerBreakdown:
-    """Ground-truth node power for one phase execution."""
-    totals, dyns, uncs, stats, boards, temps = [], [], [], [], [], []
-    for s in range(cfg.sockets):
-        total, dyn, unc, static, temp = _socket_power_w(hidden, s, op, params)
-        totals.append(total)
-        dyns.append(dyn)
-        uncs.append(unc)
-        stats.append(static)
-        boards.append(total - dyn - unc - static)
-        temps.append(temp)
-    return PowerBreakdown(
-        per_socket_w=tuple(totals),
-        dynamic_core_w=tuple(dyns),
-        uncore_w=tuple(uncs),
-        static_w=tuple(stats),
-        board_w=tuple(boards),
-        temperature_c=tuple(temps),
-    )

@@ -301,22 +301,3 @@ class SensorArray:
         for row in readings:
             np.add(total, row, out=total)
         return total
-
-    def sample_node_total(
-        self,
-        per_socket_true_w: Tuple[float, ...],
-        n: int,
-        interval_s: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Summed node-power plugin samples for one phase.
-
-        Each of the ``n`` plugin samples is the mean of one raw-sensor
-        interval; all channels' noise comes from a single
-        ``standard_normal((channels, n))`` block whose C-order fill
-        matches the per-channel ``normal(0, scale, size=n)`` draws of
-        the one-channel-at-a-time path bit for bit.
-        """
-        means = self.channel_means(per_socket_true_w)
-        z = rng.standard_normal((len(self.sensors), n))
-        return self.node_total(means[:, None], z, interval_s)

@@ -91,23 +91,6 @@ class Batch:
             time_valid=self.time_valid[rows],
         )
 
-    def row_sample(self, i: int) -> NodeSample:
-        """Row *i* back as a :class:`NodeSample` — the identity tests
-        feed the same rows to the kernel and to a reference."""
-        deltas = {
-            counter: float(self.deltas[i, k])
-            for k, counter in enumerate(self.counters)
-            if self.present[i, k]
-        }
-        return NodeSample(
-            node_id=self.node_ids[i],
-            counter_deltas=deltas,
-            interval_s=float(self.interval_s[i]),
-            voltage_v=float(self.voltage_v[i]),
-            frequency_mhz=float(self.frequency_mhz[i]),
-            time_s=float(self.time_s[i]) if self.time_valid[i] else None,
-        )
-
 
 def concat_batches(chunks: Sequence[Batch], counters: Sequence[str]) -> Batch:
     """The chunks' rows in order, as one batch over ``counters``."""

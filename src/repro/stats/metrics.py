@@ -23,31 +23,16 @@ def _pair(actual: np.ndarray, predicted: np.ndarray):
     return a, p
 
 
-def mape(
-    actual: np.ndarray, predicted: np.ndarray, *, on_zero: str = "raise"
-) -> float:
+def mape(actual: np.ndarray, predicted: np.ndarray) -> float:
     """Mean Absolute Percentage Error, in percent.
 
-    ``mean(|actual - predicted| / |actual|) * 100``.  By default raises
-    if any actual value is zero — power measurements are strictly
-    positive, so a zero here indicates a pipeline bug rather than a
-    valid sample; ``on_zero="skip"`` drops zero-actual rows instead —
-    the right mode for degraded/chaos pipelines where one corrupt
-    sample must not abort a whole evaluation (callers record a
-    warning).  All-zero input still raises.
+    ``mean(|actual - predicted| / |actual|) * 100``.  Raises if any
+    actual value is zero — power measurements are strictly positive,
+    so a zero here indicates a pipeline bug rather than a valid sample.
     """
-    if on_zero not in ("raise", "skip"):
-        raise ValueError(
-            f"on_zero must be 'raise' or 'skip', got {on_zero!r}"
-        )
     a, p = _pair(actual, predicted)
-    zero = a == 0.0  # exact-zero guard: APE division sentinel
-    if np.any(zero):
-        if on_zero == "raise":
-            raise ValueError("MAPE undefined: actual contains zeros")
-        if np.all(zero):
-            raise ValueError("MAPE undefined: every actual value is zero")
-        a, p = a[~zero], p[~zero]
+    if np.any(a == 0.0):  # exact-zero guard: APE division sentinel
+        raise ValueError("MAPE undefined: actual contains zeros")
     return float(np.mean(np.abs((a - p) / a)) * 100.0)
 
 

@@ -88,21 +88,6 @@ class MetricStream:
         stream.values = values
         return stream
 
-    def window_mean(self, start_s: float, end_s: float) -> float:
-        """Average of the samples inside ``[start_s, end_s)``.
-
-        This is the aggregation the phase-profile generation performs
-        ("the average over time for each async metric").  Returns NaN
-        when no sample falls into the window.
-        """
-        if end_s < start_s:
-            raise ValueError("window end before start")
-        lo = int(np.searchsorted(self.times_s, start_s, side="left"))
-        hi = int(np.searchsorted(self.times_s, end_s, side="left"))
-        if hi <= lo:
-            return float("nan")
-        return float(self.values[lo:hi].mean())
-
 
 class Trace:
     """One OTF2-like application trace.

@@ -96,8 +96,9 @@ def _window_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     Windows of equal length are gathered into one C-contiguous
     ``(rows, windows, length)`` array and reduced over its last axis:
     ``np.add.reduce`` sums a contiguous last axis pairwise exactly as
-    it sums a 1-D slice, so each mean is bit-identical to
-    :meth:`~repro.tracing.otf2.MetricStream.window_mean`.  (A
+    it sums a 1-D slice, so each mean is bit-identical to the
+    per-stream ``window_mean`` of the acquisition oracle
+    (``tests/oracles/acquisition.py``).  (A
     non-contiguous gather, such as ``values[:, index]``, would be
     summed in another order.)  Empty windows give NaN.
     """

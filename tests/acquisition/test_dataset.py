@@ -1,5 +1,7 @@
 """Unit tests for the PowerDataset container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,16 @@ class TestConstruction:
                 suites=ds.suites,
                 phase_names=ds.phase_names,
             )
+
+
+    @pytest.mark.parametrize("column", ["power_w", "voltage_v"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_nonfinite_or_nonpositive(self, column, value):
+        ds = _dataset()
+        bad = getattr(ds, column).copy()
+        bad[1] = value
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            dataclasses.replace(ds, **{column: bad})
 
 
 class TestAccess:
@@ -142,17 +154,21 @@ class TestCombinators:
         assert ("a", 1200, 1) in keys
         assert len(keys) == len(set(keys))
 
-    def test_experiment_averages(self):
-        ds = _dataset()
-        avg = ds.experiment_averages()
-        assert avg.n_samples == len(ds.experiment_keys())
-        # Averaging a single-row experiment is the identity.
-        key = ("c", 2600, 8)
-        i_avg = avg.experiment_keys().index(key)
-        assert avg.power_w[i_avg] == pytest.approx(ds.power_w[5])
-
 
 class TestPersistence:
+    @pytest.mark.parametrize("column", ["power_w", "voltage_v"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_load_rejects_nonfinite_or_nonpositive(self, tmp_path, column, value):
+        ds = _dataset()
+        path = tmp_path / "ds.npz"
+        ds.save_npz(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[column][1] = value
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            PowerDataset.load_npz(path)
+
     def test_npz_roundtrip(self, tmp_path):
         ds = _dataset()
         path = tmp_path / "ds.npz"

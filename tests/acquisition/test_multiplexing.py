@@ -9,10 +9,10 @@ from repro.hardware import (
     FIXED_COUNTERS,
     HASWELL_EP_CONFIG,
     PMU,
-    evaluate,
 )
 from repro.hardware.dvfs import HASWELL_EP_CURVE
 from repro.workloads import Characterization, get_workload
+from tests.oracles.physics import evaluate
 
 CFG = HASWELL_EP_CONFIG
 

@@ -9,11 +9,10 @@ from repro.hardware import (
     CORTEX_A15_POWER_PARAMS,
     HASWELL_EP_CONFIG,
     Platform,
-    compute_power,
-    evaluate,
 )
 from repro.hardware.power import PowerModelParams
 from repro.workloads import Characterization, get_workload
+from tests.oracles.physics import compute_power, evaluate
 
 
 class TestArmPlatform:

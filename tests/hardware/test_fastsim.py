@@ -16,12 +16,19 @@ import pytest
 from repro.acquisition import campaign as campaign_module
 from repro.acquisition.campaign import Campaign, CampaignPlan
 from repro.acquisition.postprocess import build_dataset, merge_runs
+from repro.hardware import (
+    CORTEX_A15_CONFIG,
+    CORTEX_A15_POWER_PARAMS,
+    HASWELL_EP_CONFIG,
+    SKYLAKE_SP_CONFIG,
+    SKYLAKE_SP_POWER_PARAMS,
+)
 from repro.hardware.counters import COUNTER_NAMES
 from repro.hardware.fastsim import PhaseStateMemo, simulate_phases
-from repro.hardware.microarch import evaluate
+from repro.hardware.microarch import place_threads
 from repro.hardware.platform import Platform
 from repro.hardware.pmu import EventSet
-from repro.hardware.power import HASWELL_EP_POWER_PARAMS, compute_power
+from repro.hardware.power import HASWELL_EP_POWER_PARAMS
 from repro.tracing.phases import profile_trace
 from repro.tracing.plugins import (
     ApapiPlugin,
@@ -38,9 +45,17 @@ from tests.oracles.acquisition import (
     scalar_profile_trace,
     scalar_trace,
 )
+from tests.oracles.physics import compute_power, evaluate
 
 FREQUENCIES = (1200, 1800, 2400)
 THREAD_COUNTS = (1, 2, 8, 12, 13, 24)
+
+#: Every platform config with its own power parameters.
+PLATFORMS = (
+    pytest.param(HASWELL_EP_CONFIG, HASWELL_EP_POWER_PARAMS, id="haswell-ep"),
+    pytest.param(SKYLAKE_SP_CONFIG, SKYLAKE_SP_POWER_PARAMS, id="skylake-sp"),
+    pytest.param(CORTEX_A15_CONFIG, CORTEX_A15_POWER_PARAMS, id="cortex-a15"),
+)
 
 
 def assert_states_equal(a, b):
@@ -48,6 +63,29 @@ def assert_states_equal(a, b):
     ambiguous on the ndarray member)."""
     assert np.array_equal(a.counter_rates, b.counter_rates)
     assert a.hidden == b.hidden
+
+
+def assert_kernel_matches_oracle(chars, threads, op, cfg, params):
+    """One ``simulate_phases`` batch against the scalar oracle, row by
+    row; returns the number of rows checked."""
+    batched = simulate_phases(chars, threads, op, cfg, params)
+    assert len(batched) == len(chars)
+    for char, t, (state, breakdown) in zip(chars, threads, batched):
+        ref = evaluate(char, op, t, cfg)
+        assert_states_equal(state, ref)
+        assert breakdown == compute_power(ref.hidden, op, cfg, params)
+    return len(batched)
+
+
+def registry_rows(thread_counts):
+    """Every registry phase at each thread count, as (chars, threads)."""
+    chars, threads = [], []
+    for wl in all_workloads():
+        for t in thread_counts:
+            for spec in wl.phases(t):
+                chars.append(spec.characterization)
+                threads.append(spec.active_threads)
+    return chars, threads
 
 
 class TestKernelBitIdentity:
@@ -92,6 +130,38 @@ class TestKernelBitIdentity:
         assert breakdown == compute_power(
             ref.hidden, op, platform.cfg, HASWELL_EP_POWER_PARAMS
         )
+
+    @pytest.mark.parametrize("cfg, params", PLATFORMS)
+    def test_every_pstate_identical(self, cfg, params):
+        per_socket = cfg.cores_per_socket
+        counts = sorted(
+            {1, per_socket, min(per_socket + 1, cfg.total_cores), cfg.total_cores}
+        )
+        chars, threads = registry_rows(counts)
+        for pstate in cfg.curve.pstates:
+            op = cfg.curve.operating_point(pstate.frequency_mhz)
+            assert_kernel_matches_oracle(chars, threads, op, cfg, params)
+
+    @pytest.mark.parametrize("cfg, params", PLATFORMS)
+    def test_all_idle_placement_identical(self, cfg, params):
+        # Every socket of every row takes the background path.
+        chars, _ = registry_rows((1,))
+        threads = [0] * len(chars)
+        for pstate in cfg.curve.pstates:
+            op = cfg.curve.operating_point(pstate.frequency_mhz)
+            assert_kernel_matches_oracle(chars, threads, op, cfg, params)
+
+    @pytest.mark.parametrize("cfg, params", PLATFORMS[:2])
+    def test_one_idle_socket_identical(self, cfg, params):
+        # A full first socket and an idle second one, mixed in one
+        # batch with rows that use both sockets.
+        busy = cfg.cores_per_socket
+        assert place_threads(busy, cfg)[1] == 0
+        chars, _ = registry_rows((1,))
+        threads = [busy if i % 2 else cfg.total_cores for i in range(len(chars))]
+        for pstate in cfg.curve.pstates:
+            op = cfg.curve.operating_point(pstate.frequency_mhz)
+            assert_kernel_matches_oracle(chars, threads, op, cfg, params)
 
 
 class TestExecuteBitIdentity:

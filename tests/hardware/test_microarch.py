@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import HASWELL_EP_CONFIG, evaluate, place_threads
+from repro.hardware import HASWELL_EP_CONFIG, place_threads
 from repro.hardware.dvfs import HASWELL_EP_CURVE
 from repro.workloads import Characterization, get_workload
+from tests.oracles.physics import evaluate
 
 CFG = HASWELL_EP_CONFIG
 OP24 = HASWELL_EP_CURVE.operating_point(2400)

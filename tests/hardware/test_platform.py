@@ -83,8 +83,8 @@ class TestDeterminismAndJitter:
         rescale exactly the same counters — everything except the cycle
         counters, which are fixed by frequency and wall time."""
         from repro.hardware.counters import COUNTER_NAMES
-        from repro.hardware.microarch import evaluate
         from tests.oracles.acquisition import scalar_execute
+        from tests.oracles.physics import evaluate
 
         wl = get_workload("md")
         exempt = {"TOT_CYC", "REF_CYC"}

@@ -9,11 +9,11 @@ from repro.hardware import (
     HASWELL_EP_CONFIG,
     PMU,
     EventSet,
-    evaluate,
     schedule_events,
 )
 from repro.hardware.dvfs import HASWELL_EP_CURVE
 from repro.workloads import Characterization
+from tests.oracles.physics import evaluate
 
 CFG = HASWELL_EP_CONFIG
 

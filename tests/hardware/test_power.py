@@ -7,10 +7,9 @@ from repro.hardware import (
     HASWELL_EP_CURVE,
     HASWELL_EP_POWER_PARAMS,
     PowerModelParams,
-    compute_power,
-    evaluate,
 )
 from repro.workloads import Characterization, get_workload
+from tests.oracles.physics import compute_power, evaluate
 
 CFG = HASWELL_EP_CONFIG
 

@@ -14,10 +14,9 @@ from repro.hardware import (
     HASWELL_EP_CONFIG,
     HASWELL_EP_CURVE,
     HASWELL_EP_POWER_PARAMS,
-    compute_power,
-    evaluate,
 )
 from repro.workloads import Characterization
+from tests.oracles.physics import compute_power, evaluate
 
 CFG = HASWELL_EP_CONFIG
 

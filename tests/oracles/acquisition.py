@@ -7,16 +7,18 @@ profiles with hoisted window bounds.  This module keeps the original
 one-phase-at-a-time implementation of each of those stages:
 
 * :func:`scalar_execute` — ``Platform.execute`` through the scalar
-  :func:`~repro.hardware.microarch.evaluate` /
-  :func:`~repro.hardware.power.compute_power` pair and a per-phase
+  :func:`~tests.oracles.physics.evaluate` /
+  :func:`~tests.oracles.physics.compute_power` pair and a per-phase
   masked jitter multiply;
 * :func:`scalar_trace` — the per-phase, per-plugin recording loop with
   a freshly derived RNG per stream (a block of runs is their traces
   stacked by :func:`stack_traces`);
 * :data:`REFERENCE_SAMPLERS` — the four plugins' event-at-a-time
   sampling loops;
-* :func:`scalar_profile_trace` — per-stream ``window_mean`` extraction
-  (a block: each run's trace in turn).
+* :func:`scalar_profile_trace` — per-stream :func:`window_mean`
+  extraction (a block: each run's trace in turn);
+* :func:`sample_node_total` — one phase's summed node-power plugin
+  samples from a single noise block.
 
 :func:`scalar_acquisition` swaps all of them in for the duration of a
 ``with`` block, so single-run tracing and a whole campaign, faulty or
@@ -30,20 +32,21 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from repro.hardware.counters import COUNTER_NAMES, FIXED_COUNTERS, counter_index
-from repro.hardware.microarch import MicroarchState, evaluate
+from repro.hardware.microarch import MicroarchState
 from repro.hardware.platform import (
     _JITTER_EXEMPT,
     PhaseExecution,
     Platform,
     RunExecution,
 )
-from repro.hardware.power import PowerBreakdown, compute_power
+from repro.hardware.power import PowerBreakdown
+from repro.hardware.sensors import SensorArray
 from repro.seeding import derive_rng
 from repro.tracing import phases as phases_module
 from repro.tracing.otf2 import MetricStream, Trace, TraceBlock
@@ -55,15 +58,18 @@ from repro.tracing.plugins import (
     VoltagePlugin,
 )
 from repro.tracing.scorep import ScorePTracer
+from tests.oracles.physics import compute_power, evaluate
 
 __all__ = [
     "REFERENCE_SAMPLERS",
+    "sample_node_total",
     "scalar_acquisition",
     "scalar_execute",
     "scalar_profile_block",
     "scalar_profile_trace",
     "scalar_trace",
     "stack_traces",
+    "window_mean",
 ]
 
 
@@ -184,6 +190,27 @@ def _power_reference(self, run, phase, sample_times, interval_s, rng):
             0.0, sensor.noise_sigma_w / np.sqrt(raw_per_sample), size=n
         )
     return {self.METRIC: total}
+
+
+def sample_node_total(
+    array: SensorArray,
+    per_socket_true_w: Tuple[float, ...],
+    n: int,
+    interval_s: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Summed node-power plugin samples for one phase, through the
+    production :meth:`SensorArray.node_total`.
+
+    Each of the ``n`` plugin samples is the mean of one raw-sensor
+    interval; all channels' noise comes from a single
+    ``standard_normal((channels, n))`` block whose C-order fill
+    matches the per-channel ``normal(0, scale, size=n)`` draws of
+    :func:`_power_reference` bit for bit.
+    """
+    means = array.channel_means(per_socket_true_w)
+    z = rng.standard_normal((len(array.sensors), n))
+    return array.node_total(means[:, None], z, interval_s)
 
 
 def _voltage_reference(self, run, phase, sample_times, interval_s, rng):
@@ -356,6 +383,22 @@ def scalar_trace(self, runs):
 # ---------------------------------------------------------------------------
 
 
+def window_mean(stream: MetricStream, start_s: float, end_s: float) -> float:
+    """Average of the stream's samples inside ``[start_s, end_s)``.
+
+    This is the aggregation the phase-profile generation performs
+    ("the average over time for each async metric").  Returns NaN
+    when no sample falls into the window.
+    """
+    if end_s < start_s:
+        raise ValueError("window end before start")
+    lo = int(np.searchsorted(stream.times_s, start_s, side="left"))
+    hi = int(np.searchsorted(stream.times_s, end_s, side="left"))
+    if hi <= lo:
+        return float("nan")
+    return float(stream.values[lo:hi].mean())
+
+
 def scalar_profile_trace(
     trace: Trace, *, min_duration_s: float = 0.5
 ) -> List[PhaseProfile]:
@@ -378,13 +421,13 @@ def scalar_profile_trace(
     for region, start, end, active in trace.phase_intervals():
         if end - start < min_duration_s:
             continue
-        p = power_metric.window_mean(start, end)
-        v = voltage_metric.window_mean(start, end)
+        p = window_mean(power_metric, start, end)
+        v = window_mean(voltage_metric, start, end)
         if math.isnan(p) or math.isnan(v):
             continue
         rates = {}
         for name in papi_names:
-            mean = trace.metrics[name].window_mean(start, end)
+            mean = window_mean(trace.metrics[name], start, end)
             if not math.isnan(mean):
                 rates[name[len(ApapiPlugin.PREFIX) :]] = mean
         out.append(

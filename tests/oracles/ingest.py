@@ -23,7 +23,13 @@ import numpy as np
 from repro.serve.api import Batch, NodeSample
 from repro.serve.queue import POLICIES, QueueStats
 
-__all__ = ["SchemaValidator", "BoundedIngestQueue", "OfferOutcome", "make_batch"]
+__all__ = [
+    "SchemaValidator",
+    "BoundedIngestQueue",
+    "OfferOutcome",
+    "make_batch",
+    "row_sample",
+]
 
 #: What ``float()`` raises on a value it cannot turn into a float:
 #: a non-number, an unparsable string, or an int past the float range.
@@ -114,6 +120,24 @@ def make_batch(samples: Sequence[NodeSample], counters: Sequence[str]) -> Batch:
         frequency_mhz=frequency_mhz,
         time_s=time_s,
         time_valid=time_valid,
+    )
+
+
+def row_sample(batch: Batch, i: int) -> NodeSample:
+    """Row *i* of a batch back as a :class:`NodeSample` — the identity
+    tests feed the same rows to the kernel and to a reference."""
+    deltas = {
+        counter: float(batch.deltas[i, k])
+        for k, counter in enumerate(batch.counters)
+        if batch.present[i, k]
+    }
+    return NodeSample(
+        node_id=batch.node_ids[i],
+        counter_deltas=deltas,
+        interval_s=float(batch.interval_s[i]),
+        voltage_v=float(batch.voltage_v[i]),
+        frequency_mhz=float(batch.frequency_mhz[i]),
+        time_s=float(batch.time_s[i]) if batch.time_valid[i] else None,
     )
 
 

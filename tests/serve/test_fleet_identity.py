@@ -18,6 +18,7 @@ import pytest
 from repro.core.online import PowerEnvelope
 from repro.faults import IngestFaultInjector, IngestFaultPlan
 from repro.serve import FleetEstimator, SchemaValidator, make_batch
+from tests.oracles.ingest import row_sample
 from tests.oracles.online import OnlineEstimator as SerialEstimator
 
 from .conftest import COUNTERS, make_fleet_samples
@@ -52,7 +53,7 @@ def run_identity_stream(
         batch = validator.pack(submitted, COUNTERS)
         result = fleet.step_batch(batch)
         for i in range(batch.n_rows):
-            sample = batch.row_sample(i)
+            sample = row_sample(batch, i)
             est_serial = serial[sample.node_id].step(
                 sample.counter_deltas,
                 interval_s=sample.interval_s,
@@ -127,7 +128,7 @@ class TestFleetIdentity:
             batch = make_batch(samples, COUNTERS)
             result = fleet.step_batch(batch)
             for i in range(batch.n_rows):
-                sample = batch.row_sample(i)
+                sample = row_sample(batch, i)
                 est_serial = serial[sample.node_id].step(
                     sample.counter_deltas,
                     interval_s=sample.interval_s,
@@ -159,7 +160,7 @@ class TestFleetIdentity:
         batch = make_batch(samples, COUNTERS)
         result = fleet.step_batch(batch)
         for i in range(batch.n_rows):
-            sample = batch.row_sample(i)
+            sample = row_sample(batch, i)
             est_serial = serial.step(
                 sample.counter_deltas,
                 interval_s=sample.interval_s,
@@ -208,7 +209,7 @@ class TestFleetIdentity:
             batch = make_batch(samples, COUNTERS)
             fleet.step_batch(batch)
             for i in range(batch.n_rows):
-                s = batch.row_sample(i)
+                s = row_sample(batch, i)
                 serial[s.node_id].step(
                     s.counter_deltas,
                     interval_s=s.interval_s,
@@ -224,7 +225,7 @@ class TestFleetIdentity:
             batch = make_batch(samples, COUNTERS)
             result = resumed.step_batch(batch)
             for i in range(batch.n_rows):
-                s = batch.row_sample(i)
+                s = row_sample(batch, i)
                 est_serial = serial[s.node_id].step(
                     s.counter_deltas,
                     interval_s=s.interval_s,

@@ -100,29 +100,6 @@ class TestCrossValidate:
             assert runs[2][1] != runs[0][1]
 
 
-class TestParallelCrossValidate:
-    """Fold-level options reach every fold.
-
-    The class name predates the single serial fold loop; it is kept so
-    the test ids stay stable.
-    """
-
-    def test_on_zero_forwarded_to_folds(self, rng):
-        ds = _dataset(rng, n=40)
-        # PowerDataset rejects zero power at construction; a row zeroed
-        # afterwards stands in for a corrupt sample.
-        ds.power_w[7] = 0.0
-        with pytest.raises(ValueError, match="MAPE undefined"):
-            cv_out_of_fold_predictions(ds, ("A", "B"), n_splits=4)
-        issues = []
-        _, fold_mapes, _ = cv_out_of_fold_predictions(
-            ds, ("A", "B"), n_splits=4, on_zero="skip", issues=issues
-        )
-        assert len(fold_mapes) == 4 and np.all(np.isfinite(fold_mapes))
-        assert len(issues) == 1
-        assert "skipped 1 zero-power row(s) in MAPE" in issues[0]
-
-
 class TestKFoldSeedGuard:
     def test_shuffle_without_seed_rejected(self):
         # The bugfix satellite: default_rng(None) would silently draw

@@ -64,16 +64,3 @@ class TestOnZero:
     def test_default_raises_on_zero_actual(self):
         with pytest.raises(ValueError, match="MAPE undefined"):
             mape(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
-    def test_skip_drops_zero_actual_rows(self):
-        actual = np.array([0.0, 100.0, 200.0])
-        predicted = np.array([50.0, 110.0, 180.0])
-        assert mape(actual, predicted, on_zero="skip") == pytest.approx(10.0)
-
-    def test_all_zero_still_raises_in_skip_mode(self):
-        with pytest.raises(ValueError, match="every actual value is zero"):
-            mape(np.zeros(3), np.ones(3), on_zero="skip")
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="on_zero"):
-            mape(np.ones(3), np.ones(3), on_zero="ignore")

@@ -19,6 +19,10 @@ a ``DATA_VERSION`` bump fails the same pin) have no check here.
 * ``raw-linalg``: ``numpy.linalg``/``scipy.linalg`` ``solve``, ``inv``,
   ``cholesky``, ``tensorsolve`` or ``tensorinv``.  They raise or amplify
   noise on a degraded design; fits go through :mod:`repro.stats.linalg`.
+* ``src-imports-tests``: a module in ``src/`` importing ``tests`` or
+  ``tests.*`` (the oracles live there).  Tier-1 runs with ``tests/``
+  on the path, so the import passes every test and breaks only an
+  installed package.
 
 Intentional exceptions are listed in :data:`EXEMPT` by file and
 enclosing function.
@@ -49,7 +53,7 @@ EXEMPT: Dict[Tuple[str, str], Tuple[str, ...]] = {
 }
 
 #: Tests may write fixture files and catch broadly while probing errors.
-_SRC_ONLY = {"raw-write", "silent-broad-except"}
+_SRC_ONLY = {"raw-write", "silent-broad-except", "src-imports-tests"}
 _SAVERS = {"numpy.save", "numpy.savez", "numpy.savez_compressed"}
 _SOLVERS = {"solve", "inv", "cholesky", "tensorsolve", "tensorinv"}
 _LOG_METHODS = {"debug", "info", "warning", "warn", "error", "exception", "critical", "log"}
@@ -124,6 +128,17 @@ def _call_checks(call: ast.Call, aliases: Dict[str, str]) -> Iterator[str]:
             yield "raw-linalg"
 
 
+def _imports_tests(node: ast.AST) -> bool:
+    """``import tests…`` or ``from tests… import …``."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module or ""]
+    else:
+        return False
+    return any(m == "tests" or m.startswith("tests.") for m in modules)
+
+
 def _silent_broad(handler: ast.ExceptHandler, aliases: Dict[str, str]) -> bool:
     """``except:``/``except Exception`` whose body never raises or reports."""
     if handler.type is not None:
@@ -156,6 +171,8 @@ def scan(tree: ast.Module, path: str) -> List[Finding]:
             checks = list(_call_checks(node, aliases))
         elif isinstance(node, ast.ExceptHandler) and _silent_broad(node, aliases):
             checks = ["silent-broad-except"]
+        elif _imports_tests(node):
+            checks = ["src-imports-tests"]
         for check in checks:
             if in_src or check not in _SRC_ONLY:
                 found.append(Finding(check, path, node.lineno, scope or "<module>"))
@@ -202,6 +219,12 @@ BAD = {
         "def vif(sub, r):\n"
         "    return r @ np.linalg.solve(sub, r)\n"
     ),
+    "src-imports-tests": (
+        "from repro.hardware.fastsim import simulate_phases\n"
+        "def reference(char, op, cfg):\n"
+        "    from tests.oracles.physics import evaluate\n"
+        "    return evaluate(char, op, 1, cfg)\n"
+    ),
 }
 
 GOOD = {
@@ -235,6 +258,12 @@ GOOD = {
         "from repro.stats.linalg import safe_pinv\n"
         "def vif(sub, r):\n"
         "    return r @ safe_pinv(sub) @ r + np.linalg.norm(r)\n"
+    ),
+    "src-imports-tests": (
+        "import testfixtures\n"
+        "from repro.hardware import fastsim\n"
+        "from . import tests_common\n"
+        "from .tests import helpers\n"
     ),
 }
 

