@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.io.atomic import atomic_savez, atomic_write_json
+from repro.io.atomic import CORRUPT_ARCHIVE_ERRORS, atomic_savez, atomic_write_json
 from repro.tracing.phases import PhaseProfile
 
 __all__ = [
@@ -57,15 +56,6 @@ __all__ = [
 #: Bump when the cell archive layout changes; old checkpoints are
 #: discarded, never misread.
 CHECKPOINT_FORMAT = 1
-
-#: Errors that mean "this on-disk artifact is corrupt, not a bug".
-_CORRUPT_ERRORS = (
-    zipfile.BadZipFile,
-    KeyError,
-    OSError,
-    EOFError,
-    ValueError,
-)
 
 
 def cell_id(
@@ -203,7 +193,7 @@ class CampaignCheckpoint:
                     _unpack_profile(data, names, rates, i)
                     for i in range(rates.shape[0])
                 ]
-        except _CORRUPT_ERRORS as exc:
+        except CORRUPT_ARCHIVE_ERRORS as exc:
             try:
                 path.unlink()
                 self._log_event(
@@ -341,7 +331,7 @@ class ShardedArchiveStore:
 
     def _unpack_shard(self, data) -> Dict[str, object]:
         """Entries out of one loaded ``npz`` archive.  Malformed
-        content must raise one of the corrupt-archive errors so the
+        content must raise one of ``CORRUPT_ARCHIVE_ERRORS`` so the
         shard is discarded, never half-trusted."""
         raise NotImplementedError  # pragma: no cover
 
@@ -433,7 +423,7 @@ class ShardedArchiveStore:
                     raise ValueError("unknown shard format")
                 self.shard_reads += 1
                 cells.update(self._unpack_shard(data))
-        except _CORRUPT_ERRORS as exc:
+        except CORRUPT_ARCHIVE_ERRORS as exc:
             # One corrupt shard loses only its own entries; fleet nodes
             # restart from the baseline model.
             cells.clear()

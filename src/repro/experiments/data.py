@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -22,6 +21,7 @@ from repro.acquisition.dataset import PowerDataset
 from repro.core.selection import SelectionResult, select_events
 from repro.hardware.dvfs import PAPER_FREQUENCIES_MHZ, SELECTION_FREQUENCY_MHZ
 from repro.hardware.platform import Platform
+from repro.io.atomic import CORRUPT_ARCHIVE_ERRORS
 from repro.seeding import DEFAULT_SEED
 
 __all__ = [
@@ -80,9 +80,9 @@ def full_dataset(
     if use_disk_cache and path.exists():
         try:
             ds = PowerDataset.load_npz(path)
-        except (zipfile.BadZipFile, KeyError, OSError, EOFError, ValueError):
-            # Truncated / partially written / otherwise corrupt cache
-            # (e.g. a crash before save_npz went atomic).  Drop it and
+        except CORRUPT_ARCHIVE_ERRORS:
+            # Truncated / partially written / bit-rotten cache (e.g. a
+            # crash before save_npz went atomic).  Drop it and
             # fall through to regeneration — a stale artifact must
             # never be fatal, only slow.
             try:

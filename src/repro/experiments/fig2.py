@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 from repro.acquisition.dataset import PowerDataset
 from repro.core.report import render_table
 from repro.core.selection import SelectionResult, select_events
+from repro.experiments import json_ready
 from repro.experiments.data import selection_dataset
 from repro.experiments.paper_values import PAPER_TABLE1
 from repro.seeding import DEFAULT_SEED
@@ -43,6 +44,17 @@ class Fig2Result:
     def is_monotone(self) -> bool:
         r = self.r2_series
         return all(b >= a - 1e-12 for a, b in zip(r, r[1:]))
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "counters": self.selection.selected,
+                "r2": self.r2_series,
+                "adj_r2": self.adj_r2_series,
+                "max_r2_adj_gap": self.max_r2_adj_gap(),
+                "monotone": self.is_monotone(),
+            }
+        )
 
     def render(self) -> str:
         rows = []

@@ -13,6 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.acquisition.dataset import PowerDataset
 from repro.core.report import render_series
 from repro.core.scenarios import scenario_cv_all
+from repro.experiments import json_ready
 from repro.experiments.data import full_dataset, selected_counters
 from repro.experiments.paper_values import PAPER_FIG3_CLAIMS
 from repro.seeding import DEFAULT_SEED
@@ -32,6 +33,18 @@ class Fig3Result:
 
     def best(self) -> Tuple[str, float]:
         return min(self.per_workload_mape.items(), key=lambda kv: kv[1])
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "per_workload": {
+                    w: {"suite": self.suites[w], "mape_percent": m}
+                    for w, m in self.per_workload_mape.items()
+                },
+                "worst": dict(zip(("workload", "mape_percent"), self.worst())),
+                "best": dict(zip(("workload", "mape_percent"), self.best())),
+            }
+        )
 
     def render(self) -> str:
         out = render_series(

@@ -15,6 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.acquisition.dataset import PowerDataset
 from repro.core.report import render_series
 from repro.core.scenarios import SCENARIO_NAMES, ScenarioResult, run_all_scenarios
+from repro.experiments import json_ready
 from repro.experiments.data import full_dataset, selected_counters
 from repro.experiments.paper_values import PAPER_CV_MAPE, PAPER_FIG4_SCENARIO2_MAPE
 from repro.seeding import DEFAULT_SEED
@@ -42,6 +43,16 @@ class Fig4Result:
         m = self.mapes
         s1, s2, s3, s4 = (m[n] for n in SCENARIO_NAMES)
         return s2 == max(m.values()) and s3 < s1 and s4 < s1
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "mape_percent": self.mapes,
+                "scenario1_draw_mape_percent": self.scenarios[SCENARIO_NAMES[0]].fold_mapes,
+                "scenario2_over_cv_ratio": self.scenario2_over_cv_ratio(),
+                "ordering_matches_paper": self.ordering_matches_paper(),
+            }
+        )
 
     def render(self) -> str:
         out = render_series(

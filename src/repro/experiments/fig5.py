@@ -26,6 +26,7 @@ from repro.core.scenarios import (
     scenario_cv_all,
     scenario_synthetic_to_spec,
 )
+from repro.experiments import json_ready
 from repro.experiments.data import full_dataset, selected_counters
 from repro.seeding import DEFAULT_SEED
 from repro.stats.correlation import pearson
@@ -33,6 +34,7 @@ from repro.stats.correlation import pearson
 __all__ = ["Fig5Result", "run"]
 
 ScatterRow = Tuple[str, str, int, int, float, float]
+_SCATTER_COLUMNS = ("workload", "suite", "frequency_mhz", "threads", "actual_w", "predicted_w")
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,17 @@ class Fig5Result:
         """Mean signed error of panel (b), W (≈0 expected)."""
         return float(
             np.mean(self.scenario3.predicted - self.scenario3.validation.power_w)
+        )
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "scatter_a": [dict(zip(_SCATTER_COLUMNS, r)) for r in self.scatter_a],
+                "scatter_b": [dict(zip(_SCATTER_COLUMNS, r)) for r in self.scatter_b],
+                "systematic_bias_w": self.systematic_bias_workloads(),
+                "overall_bias_b_w": self.overall_bias_b(),
+                "heteroscedasticity_correlation": self.heteroscedasticity_correlation(),
+            }
         )
 
     def render(self) -> str:

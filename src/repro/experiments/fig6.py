@@ -15,6 +15,7 @@ import numpy as np
 from repro.acquisition.dataset import PowerDataset
 from repro.core.analysis import counter_power_pcc
 from repro.core.report import render_series
+from repro.experiments import json_ready
 from repro.experiments.data import selected_counters, selection_dataset
 from repro.hardware.counters import PAPI_PRESETS
 from repro.seeding import DEFAULT_SEED
@@ -43,6 +44,15 @@ class Fig6Result:
         ranked = sorted(self.pcc.items(), key=lambda kv: -abs(kv[1]))
         ranks = {name: i + 1 for i, (name, _) in enumerate(ranked)}
         return {c: ranks[c] for c in self.selected}
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "pcc": self.pcc,
+                "selected": self.selected,
+                "selected_rank_by_pcc": self.selected_rank_by_pcc(),
+            }
+        )
 
     def render(self) -> str:
         out = render_series(

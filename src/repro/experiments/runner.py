@@ -7,33 +7,41 @@ Usage::
     repro-experiments serve          # the fleet-serving soak (only when named)
     repro-experiments --list         # show available experiments
     repro-experiments --seed 7       # different measurement campaign
+    repro-experiments table1 --export-dir out/   # also write out/table1.json
+
+``--export-dir`` writes ``<name>.json`` for each experiment run, from
+the ``to_dict()`` of the same result object whose ``render()`` was
+printed, so an export costs no second computation.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import data
+from repro.io.atomic import atomic_write_text
 from repro.seeding import DEFAULT_SEED
-from repro.timing import MONOTONIC_CLOCK, StageTimer
+from repro.timing import MONOTONIC_CLOCK
 
 __all__ = ["main", "EXPERIMENTS", "PAPER_ARTIFACTS"]
 
 
-def _runner(module_name: str) -> Callable[[int], str]:
-    def run(seed: int) -> str:
+def _runner(module_name: str) -> Callable[[int], Any]:
+    def run(seed: int):
         import importlib
 
         module = importlib.import_module(f"repro.experiments.{module_name}")
-        return module.run(seed=seed).render()
+        return module.run(seed=seed)
 
     return run
 
 
-#: Experiment id → callable(seed) -> rendered report.
-EXPERIMENTS: Dict[str, Callable[[int], str]] = {
+#: Experiment id → callable(seed) -> result (with ``render``/``to_dict``).
+EXPERIMENTS: Dict[str, Callable[[int], Any]] = {
     "table1": _runner("table1"),
     "fig2": _runner("fig2"),
     "table2": _runner("table2"),
@@ -53,15 +61,15 @@ EXPERIMENTS: Dict[str, Callable[[int], str]] = {
 PAPER_ARTIFACTS: Tuple[str, ...] = tuple(name for name in EXPERIMENTS if name != "serve")
 
 
-def _run_experiment(name: str, seed: int) -> Tuple[str, str, float]:
-    """Run one experiment; returns (name, rendered report, elapsed s).
+def _run_experiment(name: str, seed: int) -> Tuple[Any, float]:
+    """Run one experiment; returns (result, elapsed s).
 
     Elapsed time uses the repository's monotonic clock — wall-clock
     sources jump under NTP corrections and suspend/resume.
     """
     t0 = MONOTONIC_CLOCK()
-    report = EXPERIMENTS[name](seed)
-    return name, report, MONOTONIC_CLOCK() - t0
+    result = EXPERIMENTS[name](seed)
+    return result, MONOTONIC_CLOCK() - t0
 
 
 def _print_report(name: str, report: str, elapsed: float) -> None:
@@ -102,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--export-dir",
         metavar="DIR",
-        help="also write every artifact as CSV/JSON into DIR",
+        help="also write each experiment run as DIR/<name>.json",
     )
     args = parser.parse_args(argv)
 
@@ -124,21 +132,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Force a rebuild by bypassing the disk cache once.
         data.full_dataset(seed=args.seed, use_disk_cache=False)
 
+    t0 = MONOTONIC_CLOCK()
+    for name in chosen:
+        result, elapsed = _run_experiment(name, args.seed)
+        _print_report(name, result.render(), elapsed)
+        if args.export_dir:
+            atomic_write_text(
+                Path(args.export_dir) / f"{name}.json",
+                json.dumps(result.to_dict(), indent=2, allow_nan=False) + "\n",
+            )
+        # Free this result before the next experiment runs, so the
+        # run's peak memory holds one result at a time.
+        del result
     if args.export_dir:
-        from repro.experiments.export import export_all
-
-        written = export_all(args.export_dir, seed=args.seed)
-        print(f"exported {len(written)} files to {args.export_dir}")
-
-    timer = StageTimer()
-    with timer.stage("experiments", n_items=len(chosen)):
-        for name in chosen:
-            _print_report(*_run_experiment(name, args.seed))
-    report = timer.report()
+        print(f"exported {len(chosen)} files to {args.export_dir}")
     # The end-to-end benchmark drops this line from its output digest
     # by its exact shape, parenthesised suffix included.
     print(
-        f"ran {len(chosen)} experiment(s) in {report.total_s:.1f} s "
+        f"ran {len(chosen)} experiment(s) in {MONOTONIC_CLOCK() - t0:.1f} s "
         f"(seed {args.seed})"
     )
     return 0

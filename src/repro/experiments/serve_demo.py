@@ -15,7 +15,7 @@ degradation the faults caused is graded by the AU013 audit rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -60,6 +60,12 @@ class ServeDemoResult:
     @property
     def all_replay_identical(self) -> bool:
         return all(o.healthy_replay_identical for o in self.outcomes)
+
+    def to_dict(self) -> dict:
+        return {
+            "outcomes": [asdict(o) for o in self.outcomes],
+            "all_replay_identical": self.all_replay_identical,
+        }
 
     def render(self) -> str:
         rows = [

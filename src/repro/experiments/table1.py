@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 from repro.acquisition.dataset import PowerDataset
 from repro.core.report import render_table
 from repro.core.selection import SelectionResult, SelectionStep, select_events
+from repro.experiments import json_ready, step_dict
 from repro.experiments.data import selection_dataset
 from repro.experiments.paper_values import PAPER_TABLE1, PAPER_TABLE1_EXTENDED
 from repro.seeding import DEFAULT_SEED
@@ -41,6 +42,15 @@ class Table1Result:
         if idx is None:
             return None
         return self.extended.steps[idx - 1]
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "steps": [step_dict(s) for s in self.steps],
+                "extended_steps": [step_dict(s) for s in self.extended.steps],
+                "first_unstable_step": self.extended.first_unstable_step(),
+            }
+        )
 
     def render(self) -> str:
         rows = []

@@ -15,6 +15,7 @@ import numpy as np
 from repro.acquisition.dataset import PowerDataset
 from repro.core.report import render_table
 from repro.core.scenarios import cv_out_of_fold_predictions
+from repro.experiments import json_ready
 from repro.experiments.data import full_dataset, selected_counters
 from repro.experiments.paper_values import PAPER_TABLE2
 from repro.seeding import DEFAULT_SEED
@@ -46,6 +47,21 @@ class Table2Result:
         """Mean R² minus mean Adj.R² — the paper notes ≈0.0004."""
         s = self.summary()
         return s["R2"][2] - s["Adj.R2"][2]
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "counters": self.counters,
+                "summary": {
+                    k: {"min": v[0], "max": v[1], "mean": v[2]}
+                    for k, v in self.summary().items()
+                },
+                "fold_r2": self.fold_r2,
+                "fold_adj_r2": self.fold_adj_r2,
+                "fold_mape": self.fold_mape,
+                "r2_adj_gap": self.r2_adj_gap(),
+            }
+        )
 
     def render(self) -> str:
         rows = []

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.acquisition.dataset import PowerDataset
 from repro.core.analysis import counter_power_pcc
 from repro.core.report import render_table
+from repro.experiments import json_ready
 from repro.experiments.data import selected_counters, selection_dataset
 from repro.experiments.paper_values import PAPER_TABLE3
 from repro.seeding import DEFAULT_SEED
@@ -34,6 +35,15 @@ class Table3Result:
         """Selected counters with weak individual correlation."""
         items = list(self.pcc.items())
         return [name for name, v in items[1:] if abs(v) < threshold]
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "pcc": self.pcc,
+                "first_counter_pcc": self.first_counter_pcc(),
+                "weak_counters": self.weak_counters(),
+            }
+        )
 
     def render(self) -> str:
         paper_items = list(PAPER_TABLE3.items())

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 from repro.acquisition.dataset import PowerDataset
 from repro.core.report import render_table
 from repro.core.selection import SelectionResult, select_events
+from repro.experiments import json_ready, step_dict
 from repro.experiments.data import selection_dataset, selection_result
 from repro.experiments.paper_values import PAPER_TABLE4
 from repro.seeding import DEFAULT_SEED
@@ -48,6 +49,17 @@ class Table4Result:
         n = len(self.synthetic_selection.steps)
         all_steps = self.all_workload_selection.steps[:n]
         return self.final_vif() / all_steps[-1].mean_vif
+
+    def to_dict(self) -> dict:
+        return json_ready(
+            {
+                "steps": [step_dict(s) for s in self.synthetic_selection.steps],
+                "differs_from_all_workloads": self.differs_from_all_workloads(),
+                "n_common": self.n_common(),
+                "final_mean_vif": self.final_vif(),
+                "vif_ratio_vs_all": self.vif_ratio_vs_all(),
+            }
+        )
 
     def render(self) -> str:
         rows = []

@@ -1,6 +1,6 @@
 """Atomic artifact writes: temp file in the target directory + ``os.replace``.
 
-Campaign caches, exported tables and serialized models must never be
+Campaign caches, exported results and serialized models must never be
 observable in a half-written state: a process killed mid-write would
 otherwise leave a truncated ``.npz`` that every later run trips over
 (``zipfile.BadZipFile``) instead of regenerating.  The protocol here is
@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import tokenize
 import uuid
+import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Union
@@ -34,7 +37,20 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_savez",
+    "CORRUPT_ARCHIVE_ERRORS",
 ]
+
+#: What loading a damaged :func:`atomic_savez` archive can raise.  The
+#: zip layer raises ``BadZipFile``, ``zlib.error`` (bad deflate stream),
+#: ``NotImplementedError`` (a flipped compression method or version)
+#: and ``RuntimeError`` (a flipped encryption flag); numpy raises
+#: ``tokenize.TokenError`` or ``ValueError`` for a mangled array header
+#: and ``EOFError`` for short data; a missing member is a ``KeyError``.
+#: Loaders catch exactly these to discard the file instead of failing.
+CORRUPT_ARCHIVE_ERRORS = (
+    zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError,
+    tokenize.TokenError, ValueError, EOFError, KeyError, OSError,
+)
 
 
 def _temp_sibling(path: Path) -> Path:

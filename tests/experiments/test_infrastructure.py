@@ -1,5 +1,7 @@
 """Tests for the experiment data cache and the CLI runner."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestRunnerCLI:
 
         def record(name, seed):
             ran.append(name)
-            return name, "", 0.0
+            return SimpleNamespace(render=lambda: ""), 0.0
 
         monkeypatch.setattr(runner, "_run_experiment", record)
         assert main([]) == 0
