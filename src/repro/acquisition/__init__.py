@@ -14,7 +14,7 @@ from repro.acquisition.campaign import (
 from repro.acquisition.checkpoint import CampaignCheckpoint, cell_id
 from repro.acquisition.dataset import ExperimentKey, PowerDataset
 from repro.acquisition.postprocess import (
-    MergedPhase,
+    MergedPhases,
     build_dataset,
     counter_coverage,
     merge_runs,
@@ -33,7 +33,7 @@ __all__ = [
     "cell_id",
     "PowerDataset",
     "ExperimentKey",
-    "MergedPhase",
+    "MergedPhases",
     "merge_runs",
     "counter_coverage",
     "build_dataset",

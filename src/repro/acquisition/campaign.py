@@ -45,15 +45,12 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.acquisition.checkpoint import CampaignCheckpoint, cell_id
 from repro.acquisition.dataset import PowerDataset
 from repro.audit.framework import AuditReport
-from repro.acquisition.postprocess import (
-    MergedPhase,
-    build_dataset,
-    counter_coverage,
-    merge_runs,
-)
+from repro.acquisition.postprocess import build_dataset, counter_coverage, merge_runs
 from repro.faults.errors import AcquisitionError, FaultError, RunFailure
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -62,7 +59,7 @@ from repro.hardware.counters import COUNTER_NAMES
 from repro.hardware.platform import Platform, RunExecution
 from repro.hardware.pmu import EventSet, schedule_events
 from repro.timing import StageTimer, TimingReport
-from repro.tracing.phases import PhaseProfile, haecsim_profiles, postprocess_profiles
+from repro.tracing.phases import PhaseTable, haecsim_profiles, postprocess_profiles
 from repro.tracing.plugins import (
     ApapiPlugin,
     MultiplexedApapiPlugin,
@@ -347,8 +344,8 @@ class _Ledger:
     """
 
     def __init__(self, n_cells: int) -> None:
-        #: Profiles of each completed cell (``None`` until completed).
-        self.profiles: List[Optional[List[PhaseProfile]]] = [None] * n_cells
+        #: Each completed cell's rows ``(table, lo, hi)`` (or ``None``).
+        self.rows: List[Optional[Tuple[PhaseTable, int, int]]] = [None] * n_cells
         self.resumed = 0
         #: Attempts made at each cell that needed more than one.
         self.attempts: Dict[int, int] = {}
@@ -571,12 +568,12 @@ class Campaign:
         plan has each run's trace materialized, corrupted and profiled
         on its own; otherwise only runs the screen flags get a
         :class:`~repro.tracing.otf2.Trace`, for ``validate_trace`` to
-        diagnose.  Every cell that passes is stored at once.
+        diagnose.  Every cell that passes is filed as its row range of
+        the table and stored at once.
         """
         block = tracer.trace([run for _, run in members])
         kernel = _is_kernel(members[0][1].suite)
         generator = haecsim_profiles if kernel else postprocess_profiles
-        by_run: Dict[Tuple[str, int, int, int], List[PhaseProfile]] = {}
         if self.faults.corrupts_traces:
             traces = {
                 r: self.injector.corrupt_trace(block.trace(r), attempt=attempt)
@@ -584,24 +581,23 @@ class Campaign:
             }
         else:
             traces = {r: block.trace(r) for r in screen_block(block)}
-            for p in generator(block):
-                key = (p.workload, p.frequency_mhz, p.threads, p.run_index)
-                by_run.setdefault(key, []).append(p)
+            table = generator(block)
         for r, (i, run) in enumerate(members):
             try:
                 if r in traces:
                     validate_trace(traces[r])
-                    profiles = generator(traces[r])
+                    own = generator(traces[r])
+                    rows = (own, 0, len(own))
                 else:
-                    profiles = by_run.get(cells[i].key, [])
-                validate_profiles(profiles, run)
+                    rows = (table, table.run_offsets[r], table.run_offsets[r + 1])
+                validate_profiles(rows[0].phase_names[rows[1] : rows[2]], run)
             except AcquisitionError as exc:
                 ledger.fail(i, exc)
                 continue
-            ledger.profiles[i] = profiles
+            ledger.rows[i] = rows
             if self.checkpoint is not None:
                 self.checkpoint.store(
-                    cell_id(*cells[i].key, self.plan.events), profiles
+                    cell_id(*cells[i].key, self.plan.events), PhaseTable.gather([rows])
                 )
 
     def _retry(
@@ -620,7 +616,7 @@ class Campaign:
             run = self._attempt(cells, ledger, i, attempt)
             if run is not None:
                 self._acquire_block(tracer, cells, ledger, [(i, run)], attempt)
-            if ledger.profiles[i] is not None:
+            if ledger.rows[i] is not None:
                 return
 
     def _acquire(
@@ -642,7 +638,7 @@ class Campaign:
             if self.checkpoint is not None:
                 stored = self.checkpoint.load(cell_id(*cell.key, self.plan.events))
                 if stored is not None:
-                    ledger.profiles[i] = stored
+                    ledger.rows[i] = (stored, 0, len(stored))
                     ledger.resumed += 1
                     return None
             return self._attempt(cells, ledger, i, 0)
@@ -662,7 +658,7 @@ class Campaign:
                 if members:
                     self._acquire_block(tracer, cells, ledger, members, 0)
                 for i in indices:
-                    if ledger.profiles[i] is None:
+                    if ledger.rows[i] is None:
                         self._retry(tracer, cells, ledger, i)
 
         first, samples = 0, 0
@@ -715,13 +711,10 @@ class Campaign:
         with timer.stage("acquisition", n_items=len(cells)):
             self._acquire(cells, ledger, progress)
 
-        profiles = [
-            p for done in ledger.profiles if done is not None for p in done
-        ]
         quarantined = [
             (cell.describe(), str(ledger.errors[i]))
             for i, cell in enumerate(cells)
-            if ledger.profiles[i] is None
+            if ledger.rows[i] is None
         ]
         faults_observed: Dict[str, int] = {}
         for i in sorted(ledger.faults):
@@ -737,18 +730,16 @@ class Campaign:
         failure: Optional[Exception] = (
             ledger.errors[min(ledger.errors)] if ledger.errors else None
         )
-        # The merge's transient peak is the campaign's memory high-water
-        # mark; the ledger's per-cell lists are freed before it.
+        # Completed cells' rows in cell order.  The merge's transient
+        # peak is the campaign's memory high-water mark; the per-block
+        # tables are freed before it.
+        table = PhaseTable.gather([rows for rows in ledger.rows if rows is not None])
         del ledger
 
         merge_issues: List[str] = []
-        with timer.stage("merge", n_items=len(profiles)):
-            merged: List[MergedPhase] = merge_runs(
-                profiles,
-                on_phase_mismatch="record",
-                on_counter_disagreement="record",
-                issues=merge_issues,
-            )
+        with timer.stage("merge", n_items=len(table)):
+            merged = merge_runs(table, issues=merge_issues)
+        del table
         coverage = counter_coverage(merged, self.plan.events)
         kept = tuple(
             c
@@ -758,16 +749,12 @@ class Campaign:
         dropped_counters = tuple(c for c in self.plan.events if c not in kept)
         dataset: Optional[PowerDataset] = None
         degraded_phases = 0
-        if merged and kept:
-            rows = [
-                m
-                for m in merged
-                if all(c in m.counter_rates_per_s for c in kept)
-            ]
-            degraded_phases = len(merged) - len(rows)
-            if rows:
+        if len(merged) and kept:
+            complete = int((~np.isnan(merged.columns(kept))).all(axis=1).sum())
+            degraded_phases = len(merged) - complete
+            if complete:
                 dataset = build_dataset(
-                    rows, require_complete=True, counter_names=kept
+                    merged, require_complete=False, counter_names=kept
                 )
 
         if failure is None and merge_issues:

@@ -2,7 +2,7 @@
 
 A multi-day campaign must never lose finished work to a crash, an OOM
 kill, or a cluster drain.  The campaign loop therefore persists the
-phase profiles of every completed cell (one run of one experiment) the
+phase-table rows of every completed cell (one run of one experiment) the
 moment it finishes, and on restart loads them back instead of
 re-executing — checkpoint/resume at run granularity.
 
@@ -27,9 +27,10 @@ old complete cell file or none, and corrupt cells found during resume
 are discarded and re-executed rather than trusted (the same recovery
 discipline as the experiment data cache).
 
-Cell archives store the profile scalars as parallel arrays plus an
-``(n_profiles, n_counters)`` rate matrix with NaN marking counters a
-profile does not carry — float64 end to end, so a resumed campaign is
+Cell archives store a cell's rows of the phase table as parallel
+arrays plus an ``(n_profiles, n_counters)`` rate matrix of the
+counters the cell recorded, in name order, with NaN marking counters a
+row does not carry — float64 end to end, so a resumed campaign is
 bit-identical to an uninterrupted one.
 """
 
@@ -37,13 +38,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro.io.atomic import CORRUPT_ARCHIVE_ERRORS, atomic_savez, atomic_write_json
-from repro.tracing.phases import PhaseProfile
+from repro.tracing.phases import PhaseTable
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -56,6 +58,12 @@ __all__ = [
 #: Bump when the cell archive layout changes; old checkpoints are
 #: discarded, never misread.
 CHECKPOINT_FORMAT = 1
+
+#: What reading a damaged JSON manifest can raise: ``ValueError`` for
+#: bad UTF-8, bad JSON or an integer past the digit limit,
+#: ``RecursionError`` for nesting too deep to decode, ``OSError`` for
+#: the read.  Any of them resets the directory.
+MANIFEST_ERRORS = (ValueError, RecursionError, OSError)
 
 
 def cell_id(
@@ -70,87 +78,126 @@ def cell_id(
     return hashlib.blake2b(raw.encode(), digest_size=8).hexdigest()
 
 
-class CampaignCheckpoint:
-    """One checkpoint directory bound to one campaign fingerprint."""
+class _ArchiveDirectory:
+    """A directory of :func:`~repro.io.atomic.atomic_savez` archives,
+    adopted through a JSON file (``META``) that names its format and
+    fingerprint.
 
-    MANIFEST = "manifest.json"
+    On open, a file that does not decode to an object carrying this
+    store's :meth:`_meta` resets the directory: every ``PREFIX_*.npz``
+    archive is removed, then a fresh file is written.  Its ``events``
+    list is the audit trail of recovery actions (corrupt archives
+    discarded, files that vanished under a concurrent cleanup).
+    """
+
+    META: str
+    PREFIX: str
+    FORMAT: int
 
     def __init__(self, directory: Union[str, Path], fingerprint: str) -> None:
         self.directory = Path(directory)
         self.fingerprint = fingerprint
         self._events: List[Dict[str, str]] = []
-        self._manifest_ready = False
-        self._initialise()
-
-    # ------------------------------------------------------------------
-    def _manifest_path(self) -> Path:
-        return self.directory / self.MANIFEST
-
-    def _initialise(self) -> None:
-        """Adopt a matching checkpoint or reset a stale/corrupt one."""
+        self._meta_ready = False
         self.directory.mkdir(parents=True, exist_ok=True)
-        manifest = None
-        path = self._manifest_path()
+        meta = None
+        path = self.directory / self.META
         if path.is_file():
             try:
-                manifest = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-                manifest = None
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != CHECKPOINT_FORMAT
-            or manifest.get("fingerprint") != self.fingerprint
+                meta = json.loads(path.read_text())
+            except MANIFEST_ERRORS:
+                meta = None
+        if not isinstance(meta, dict) or any(
+            meta.get(key) != value for key, value in self._meta().items()
         ):
-            # Order matters: reset first, write the new manifest after.
-            # A crash between the two leaves an invalid manifest, so the
-            # next start resets again instead of adopting stale cells.
+            # Order matters: reset first, write the new file after.  A
+            # crash between the two leaves an invalid file, so the next
+            # start resets again instead of adopting stale archives.
             # Events logged during the reset are buffered and land in
-            # the first manifest write below.
+            # the first write below.
             self.reset()
-            self._write_manifest()
+            self._write_meta()
         else:
-            prior = manifest.get("events", [])
+            prior = meta.get("events", [])
             if isinstance(prior, list):
                 self._events = [e for e in prior if isinstance(e, dict)]
-            self._manifest_ready = True
+            self._meta_ready = True
 
-    def _write_manifest(self) -> None:
+    def _meta(self) -> Dict[str, object]:
+        """What the JSON file must carry for the directory to be adopted."""
+        return {"format": self.FORMAT, "fingerprint": self.fingerprint}
+
+    def _write_meta(self) -> None:
         atomic_write_json(
-            self._manifest_path(),
-            {
-                "format": CHECKPOINT_FORMAT,
-                "fingerprint": self.fingerprint,
-                "events": self._events,
-            },
+            self.directory / self.META, {**self._meta(), "events": self._events}
         )
-        self._manifest_ready = True
+        self._meta_ready = True
 
     def _log_event(self, kind: str, detail: str) -> None:
-        """Record a recovery action in the manifest's audit trail."""
+        """Record a recovery action in the audit trail."""
         self._events.append({"kind": kind, "detail": detail})
-        if self._manifest_ready:
-            self._write_manifest()
+        if self._meta_ready:
+            self._write_meta()
 
     def events(self) -> List[Dict[str, str]]:
-        """The manifest's recovery audit trail (copy)."""
+        """The recovery audit trail (copy)."""
         return list(self._events)
 
     def reset(self) -> None:
-        """Drop every stored cell (stale fingerprint / fresh start)."""
-        for cell_path in self.directory.glob("cell_*.npz"):
+        """Drop every stored archive (stale fingerprint / fresh start)."""
+        for path in self.directory.glob(f"{self.PREFIX}_*.npz"):
             try:
-                cell_path.unlink()
+                path.unlink()
             except FileNotFoundError:
-                # Already gone: a concurrent cleanup (another campaign
+                # Already gone: a concurrent cleanup (another process
                 # sharing the directory) unlinked it between the glob
                 # and here.  Benign, but worth an audit line; any other
                 # OSError (permissions, I/O) propagates.
                 self._log_event(
-                    "concurrent-cleanup",
-                    f"{cell_path.name} vanished during reset",
+                    "concurrent-cleanup", f"{path.name} vanished during reset"
                 )
 
-    # ------------------------------------------------------------------
+    def _read(self, path: Path, unpack: Callable[[Any], object]) -> Optional[object]:
+        """``unpack`` of the archive at ``path``, or ``None`` if absent
+        or corrupt.
+
+        A corrupt archive (truncated write from a previous non-atomic
+        tool, bit rot, wrong format) is deleted, so its entries are
+        recomputed instead of tripped over again — recovery, not
+        trust.  ``unpack`` must raise one of ``CORRUPT_ARCHIVE_ERRORS``
+        on malformed content.
+        """
+        if not path.is_file():
+            return None
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                if int(data["format"]) != self.FORMAT:
+                    raise ValueError(f"unknown {self.PREFIX} format")
+                return unpack(data)
+        except CORRUPT_ARCHIVE_ERRORS as exc:
+            try:
+                path.unlink()
+                self._log_event(
+                    f"corrupt-{self.PREFIX}-discarded",
+                    f"{path.name}: {type(exc).__name__}: {exc}",
+                )
+            except FileNotFoundError:
+                # A concurrent cleanup unlinked it first; other OSErrors
+                # (permissions, I/O) propagate rather than being eaten.
+                self._log_event(
+                    "concurrent-cleanup",
+                    f"{path.name} vanished during corrupt-{self.PREFIX} discard",
+                )
+            return None
+
+
+class CampaignCheckpoint(_ArchiveDirectory):
+    """One checkpoint directory bound to one campaign fingerprint."""
+
+    META = "manifest.json"
+    PREFIX = "cell"
+    FORMAT = CHECKPOINT_FORMAT
+
     def cell_path(self, cid: str) -> Path:
         return self.directory / f"cell_{cid}.npz"
 
@@ -163,103 +210,61 @@ class CampaignCheckpoint:
             p.stem[len("cell_"):] for p in self.directory.glob("cell_*.npz")
         )
 
-    # ------------------------------------------------------------------
-    def store(self, cid: str, profiles: Sequence[PhaseProfile]) -> None:
-        """Atomically persist one completed cell's profiles."""
+    def store(self, cid: str, table: PhaseTable) -> None:
+        """Atomically persist one completed cell's phase table."""
         atomic_savez(
             self.cell_path(cid),
             format=np.array(CHECKPOINT_FORMAT),
-            **_pack_profiles(profiles),
+            **_pack_table(table),
         )
 
-    def load(self, cid: str) -> Optional[List[PhaseProfile]]:
-        """Profiles of one stored cell, or ``None`` if absent/corrupt.
-
-        A corrupt archive (truncated write from a previous non-atomic
-        tool, bit rot, wrong format) is deleted so the campaign re-runs
-        the cell instead of tripping over it again — recovery, not
-        trust.
-        """
-        path = self.cell_path(cid)
-        if not path.is_file():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if int(data["format"]) != CHECKPOINT_FORMAT:
-                    raise ValueError("unknown checkpoint cell format")
-                names = [str(c) for c in data["counter_names"]]
-                rates = data["counter_rates_per_s"]
-                return [
-                    _unpack_profile(data, names, rates, i)
-                    for i in range(rates.shape[0])
-                ]
-        except CORRUPT_ARCHIVE_ERRORS as exc:
-            try:
-                path.unlink()
-                self._log_event(
-                    "corrupt-cell-discarded",
-                    f"{path.name}: {type(exc).__name__}: {exc}",
-                )
-            except FileNotFoundError:
-                # A concurrent cleanup unlinked it first; other OSErrors
-                # (permissions, I/O) propagate rather than being eaten.
-                self._log_event(
-                    "concurrent-cleanup",
-                    f"{path.name} vanished during corrupt-cell discard",
-                )
-            return None
+    def load(self, cid: str) -> Optional[PhaseTable]:
+        """Phase table of one stored cell, or ``None`` if absent or
+        corrupt (then deleted, so the campaign re-runs the cell)."""
+        return self._read(self.cell_path(cid), _unpack_table)
 
 
-def _pack_profiles(profiles: Sequence[PhaseProfile]) -> Dict[str, np.ndarray]:
-    """Profile scalars as parallel arrays plus the NaN-marked rate
-    matrix — the cell archive layout."""
-    names = sorted({c for p in profiles for c in p.counter_rates_per_s})
-    rates = np.full((len(profiles), len(names)), np.nan)
-    for i, p in enumerate(profiles):
-        for j, name in enumerate(names):
-            if name in p.counter_rates_per_s:
-                rates[i, j] = p.counter_rates_per_s[name]
-    return {
-        "workload": np.array([p.workload for p in profiles]),
-        "suite": np.array([p.suite for p in profiles]),
-        "frequency_mhz": np.array(
-            [p.frequency_mhz for p in profiles], dtype=np.int64
-        ),
-        "threads": np.array([p.threads for p in profiles], dtype=np.int64),
-        "run_index": np.array([p.run_index for p in profiles], dtype=np.int64),
-        "phase_name": np.array([p.phase_name for p in profiles]),
-        "start_s": np.array([p.start_s for p in profiles]),
-        "end_s": np.array([p.end_s for p in profiles]),
-        "active_threads": np.array(
-            [p.active_threads for p in profiles], dtype=np.int64
-        ),
-        "power_w": np.array([p.power_w for p in profiles]),
-        "voltage_v": np.array([p.voltage_v for p in profiles]),
-        "counter_names": np.array(names),
-        "counter_rates_per_s": rates,
+#: Archive key of each per-row column of a :class:`PhaseTable`: its
+#: name, the string columns' in the singular.
+_STRING_KEYS = {"workloads": "workload", "suites": "suite", "phase_names": "phase_name"}
+_ARCHIVE_KEYS = {f.name: _STRING_KEYS.get(f.name, f.name) for f in fields(PhaseTable)[:-3]}
+
+
+def _pack_table(table: PhaseTable) -> Dict[str, np.ndarray]:
+    """A cell's rows as parallel arrays plus the NaN-marked rate matrix
+    of the counters it recorded, in name order — the cell archive
+    layout."""
+    recorded = ~np.isnan(table.rates_per_s)
+    names = sorted(
+        name for name, seen in zip(table.counter_names, recorded.any(axis=0)) if seen
+    )
+    columns = [table.counter_names.index(name) for name in names]
+    packed = {}
+    for name, key in _ARCHIVE_KEYS.items():
+        value = getattr(table, name)
+        packed[key] = np.array(list(value)) if isinstance(value, tuple) else value
+    # One NaN for "not recorded", whatever NaN the mean produced; C
+    # order, as the archive has always stored it.
+    rates = np.where(recorded[:, columns], table.rates_per_s[:, columns], np.nan)
+    packed["counter_names"] = np.array(names)
+    packed["counter_rates_per_s"] = np.ascontiguousarray(rates)
+    return packed
+
+
+def _unpack_table(data) -> PhaseTable:
+    """The phase table of one cell archive; columns of unequal length
+    raise ``ValueError``."""
+    columns = {
+        name: tuple(map(str, data[key])) if name in _STRING_KEYS else data[key]
+        for name, key in _ARCHIVE_KEYS.items()
     }
-
-
-def _unpack_profile(data, names: List[str], rates: np.ndarray, i: int) -> PhaseProfile:
-    """One profile row out of a packed cell archive."""
-    row = {
-        name: float(rates[i, j])
-        for j, name in enumerate(names)
-        if not np.isnan(rates[i, j])
-    }
-    return PhaseProfile(
-        workload=str(data["workload"][i]),
-        suite=str(data["suite"][i]),
-        frequency_mhz=int(data["frequency_mhz"][i]),
-        threads=int(data["threads"][i]),
-        run_index=int(data["run_index"][i]),
-        phase_name=str(data["phase_name"][i]),
-        start_s=float(data["start_s"][i]),
-        end_s=float(data["end_s"][i]),
-        active_threads=int(data["active_threads"][i]),
-        power_w=float(data["power_w"][i]),
-        voltage_v=float(data["voltage_v"][i]),
-        counter_rates_per_s=row,
+    names = tuple(map(str, data["counter_names"]))
+    rates = data["counter_rates_per_s"]
+    n = len(rates)
+    if rates.shape != (n, len(names)) or any(len(c) != n for c in columns.values()):
+        raise ValueError("cell archive columns disagree in length")
+    return PhaseTable(
+        **columns, counter_names=names, rates_per_s=rates, run_offsets=(0, n)
     )
 
 
@@ -274,7 +279,7 @@ def shard_key(key: str) -> int:
     )
 
 
-class ShardedArchiveStore:
+class ShardedArchiveStore(_ArchiveDirectory):
     """Generic sharded, atomic, corruption-tolerant key → value store.
 
     The recovery discipline of :class:`CampaignCheckpoint` — atomic
@@ -301,6 +306,7 @@ class ShardedArchiveStore:
     """
 
     META = "shards.json"
+    PREFIX = "shard"
     #: Archive-format stamp; subclasses bump their own independently.
     FORMAT: int = 1
 
@@ -313,16 +319,12 @@ class ShardedArchiveStore:
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
-        self.directory = Path(directory)
-        self.fingerprint = fingerprint
         self.n_shards = int(n_shards)
-        self._events: List[Dict[str, str]] = []
-        self._meta_ready = False
         #: shard index → {key → value}, for shards read or written.
         self._shards: Dict[int, Dict[str, object]] = {}
         self.shard_reads = 0
         self.shard_writes = 0
-        self._initialise()
+        super().__init__(directory, fingerprint)
 
     # -- subclass hooks -------------------------------------------------
     def _pack_shard(self, cells: Dict[str, object]) -> Dict[str, np.ndarray]:
@@ -336,70 +338,14 @@ class ShardedArchiveStore:
         raise NotImplementedError  # pragma: no cover
 
     # ------------------------------------------------------------------
-    def _meta_path(self) -> Path:
-        return self.directory / self.META
-
-    def _initialise(self) -> None:
-        """Adopt a matching shard store or reset a stale/corrupt one."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        meta = None
-        path = self._meta_path()
-        if path.is_file():
-            try:
-                meta = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-                meta = None
-        if (
-            not isinstance(meta, dict)
-            or meta.get("format") != self.FORMAT
-            or meta.get("fingerprint") != self.fingerprint
-            or meta.get("n_shards") != self.n_shards
-        ):
-            # Reset first, write the new meta after — a crash between
-            # the two resets again rather than adopting stale shards.
-            self.reset()
-            self._write_meta()
-        else:
-            prior = meta.get("events", [])
-            if isinstance(prior, list):
-                self._events = [e for e in prior if isinstance(e, dict)]
-            self._meta_ready = True
-
-    def _write_meta(self) -> None:
-        atomic_write_json(
-            self._meta_path(),
-            {
-                "format": self.FORMAT,
-                "fingerprint": self.fingerprint,
-                "n_shards": self.n_shards,
-                "events": self._events,
-            },
-        )
-        self._meta_ready = True
-
-    def _log_event(self, kind: str, detail: str) -> None:
-        """Record a recovery action in the meta file's audit trail."""
-        self._events.append({"kind": kind, "detail": detail})
-        if self._meta_ready:
-            self._write_meta()
-
-    def events(self) -> List[Dict[str, str]]:
-        """The shard store's recovery audit trail (copy)."""
-        return list(self._events)
+    def _meta(self) -> Dict[str, object]:
+        return {**super()._meta(), "n_shards": self.n_shards}
 
     def reset(self) -> None:
         """Drop every shard (stale fingerprint / fresh start)."""
         self._shards = {}
-        for shard_path in self.directory.glob("shard_*.npz"):
-            try:
-                shard_path.unlink()
-            except FileNotFoundError:
-                self._log_event(
-                    "concurrent-cleanup",
-                    f"{shard_path.name} vanished during reset",
-                )
+        super().reset()
 
-    # ------------------------------------------------------------------
     def shard_of(self, key: str) -> int:
         """Shard index a key hashes into."""
         return shard_key(key) % self.n_shards
@@ -408,37 +354,18 @@ class ShardedArchiveStore:
         return self.directory / f"shard_{shard:04d}.npz"
 
     def _load_shard(self, shard: int) -> Dict[str, object]:
-        """Entries of one shard, reading the file on first touch only."""
-        cached = self._shards.get(shard)
-        if cached is not None:
-            return cached
-        cells: Dict[str, object] = {}
-        self._shards[shard] = cells
-        path = self.shard_path(shard)
-        if not path.is_file():
-            return cells
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if int(data["format"]) != self.FORMAT:
-                    raise ValueError("unknown shard format")
-                self.shard_reads += 1
-                cells.update(self._unpack_shard(data))
-        except CORRUPT_ARCHIVE_ERRORS as exc:
-            # One corrupt shard loses only its own entries; fleet nodes
-            # restart from the baseline model.
-            cells.clear()
-            try:
-                path.unlink()
-                self._log_event(
-                    "corrupt-shard-discarded",
-                    f"{path.name}: {type(exc).__name__}: {exc}",
-                )
-            except FileNotFoundError:
-                self._log_event(
-                    "concurrent-cleanup",
-                    f"{path.name} vanished during corrupt-shard discard",
-                )
+        """Entries of one shard, reading the file on first touch only.
+        A corrupt shard loses only its own entries; fleet nodes restart
+        from the baseline model."""
+        cells = self._shards.get(shard)
+        if cells is None:
+            cells = self._read(self.shard_path(shard), self._count_read) or {}
+            self._shards[shard] = cells
         return cells
+
+    def _count_read(self, data) -> Dict[str, object]:
+        self.shard_reads += 1
+        return self._unpack_shard(data)
 
     def _write_shard(self, shard: int) -> None:
         cells = self._shards.get(shard, {})

@@ -97,32 +97,29 @@ class ScenarioResult:
         self,
     ) -> List[Tuple[str, str, int, int, float, float]]:
         """Fig. 5 data points: one (workload, suite, freq, threads,
-        actual mean, predicted mean) tuple per experiment."""
-        rows = []
-        for key in self.validation.experiment_keys():
-            w, f, t = key
-            m = np.array(
-                [
-                    (
-                        self.validation.workloads[i],
-                        int(self.validation.frequency_mhz[i]),
-                        int(self.validation.threads[i]),
-                    )
-                    == key
-                    for i in range(self.validation.n_samples)
-                ]
+        actual mean, predicted mean) tuple per experiment, in first-seen
+        order; each mean runs over the experiment's rows in index
+        order."""
+        v = self.validation
+        members: Dict[Tuple[str, int, int], List[int]] = {}
+        keys = zip(
+            v.workloads,
+            v.frequency_mhz.astype(np.int64).tolist(),
+            v.threads.astype(np.int64).tolist(),
+        )
+        for i, key in enumerate(keys):
+            members.setdefault(key, []).append(i)
+        return [
+            (
+                w,
+                v.suites[rows[0]],
+                f,
+                t,
+                float(v.power_w[rows].mean()),
+                float(self.predicted[rows].mean()),
             )
-            rows.append(
-                (
-                    w,
-                    self.validation.suites[int(np.flatnonzero(m)[0])],
-                    f,
-                    t,
-                    float(self.validation.power_w[m].mean()),
-                    float(self.predicted[m].mean()),
-                )
-            )
-        return rows
+            for (w, f, t), rows in members.items()
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ import numpy as np
 from repro.faults.errors import AcquisitionError
 from repro.hardware.platform import RunExecution
 from repro.tracing.otf2 import Trace, TraceBlock
-from repro.tracing.phases import PhaseProfile
 from repro.tracing.plugins import ApapiPlugin, PowerPlugin
 
 __all__ = [
@@ -158,20 +157,22 @@ def validate_trace(trace: Trace) -> None:
 
 
 def validate_profiles(
-    profiles: Sequence[PhaseProfile],
+    phase_names: Sequence[str],
     run: RunExecution,
     *,
     min_duration_s: float = 0.5,
 ) -> None:
-    """Raise :class:`AcquisitionError` when profiles lost phases.
+    """Raise :class:`AcquisitionError` when a run's profiles, whose
+    phase names (its rows of a phase table) are ``phase_names``, lost
+    phases.
 
     ``min_duration_s`` must match the profile generation's cutoff:
     phases shorter than it are legitimately absent.
     """
-    expected = [
+    expected = tuple(
         pe.phase.name for pe in run.phases if pe.duration_s >= min_duration_s
-    ]
-    got = [p.phase_name for p in profiles]
+    )
+    got = tuple(phase_names)
     if got == expected:
         return
     missing = Counter(expected) - Counter(got)

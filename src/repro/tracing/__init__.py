@@ -9,7 +9,7 @@ from repro.tracing.otf2 import (
     TraceBlock,
 )
 from repro.tracing.phases import (
-    PhaseProfile,
+    PhaseTable,
     haecsim_profiles,
     postprocess_profiles,
     profile_block,
@@ -35,7 +35,7 @@ __all__ = [
     "ApapiPlugin",
     "ScorePTracer",
     "trace_run",
-    "PhaseProfile",
+    "PhaseTable",
     "profile_trace",
     "profile_block",
     "haecsim_profiles",

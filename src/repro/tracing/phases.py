@@ -15,9 +15,9 @@ sharing one engine.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from dataclasses import dataclass, fields
+from itertools import accumulate, chain, compress
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.tracing.otf2 import Trace, TraceBlock
 from repro.tracing.plugins import ApapiPlugin, PowerPlugin, VoltagePlugin
 
 __all__ = [
-    "PhaseProfile",
+    "PhaseTable",
     "profile_trace",
     "profile_block",
     "haecsim_profiles",
@@ -33,124 +33,208 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Aggregated view of one phase of one traced run."""
+@dataclass(frozen=True, eq=False)
+class PhaseTable:
+    """Phase profiles of a sequence of runs, as columns.
 
-    workload: str
-    suite: str
-    frequency_mhz: int
-    threads: int
-    run_index: int
-    phase_name: str
-    start_s: float
-    end_s: float
-    active_threads: int
-    power_w: float
-    voltage_v: float
-    counter_rates_per_s: Dict[str, float] = field(default_factory=dict)
-    """Mean recorded PMC rates in events/second, keyed by counter name."""
+    One row per kept phase window: the run's identification, the
+    window, the window means of power and voltage, and a
+    ``(rows, counters)`` matrix of mean recorded PMC rates in
+    events/second, NaN where the run did not record the counter.  Run
+    ``r`` owns rows ``run_offsets[r]:run_offsets[r + 1]`` (empty when
+    every window of the run was dropped), its windows in phase order.
+    """
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
+    workloads: Tuple[str, ...]
+    suites: Tuple[str, ...]
+    frequency_mhz: np.ndarray
+    threads: np.ndarray
+    run_index: np.ndarray
+    phase_names: Tuple[str, ...]
+    start_s: np.ndarray
+    end_s: np.ndarray
+    active_threads: np.ndarray
+    power_w: np.ndarray
+    voltage_v: np.ndarray
+    counter_names: Tuple[str, ...]
+    rates_per_s: np.ndarray
+    run_offsets: Tuple[int, ...]
 
-    def rate_per_cycle(self, counter: str) -> float:
-        """Event rate per cpu cycle — the E_n of Equation 1."""
-        return self.counter_rates_per_s[counter] / (self.frequency_mhz * 1e6)
+    def __len__(self) -> int:
+        return len(self.phase_names)
+
+    @staticmethod
+    def gather(parts: Sequence[Tuple["PhaseTable", int, int]]) -> "PhaseTable":
+        """Row ranges ``(table, lo, hi)`` of tables, in order, as one
+        table whose runs are the ranges.  Its counters are the union of
+        the tables' counters, in first-seen order."""
+        tables = list({id(t): t for t, _, _ in parts}.values())
+        base = dict(zip(map(id, tables), accumulate((len(t) for t in tables), initial=0)))
+        lengths = [hi - lo for _, lo, hi in parts]
+        offsets = list(accumulate(lengths, initial=0))
+        # Row k of the result, in range r, is row starts[r] + k of the
+        # tables stacked.
+        starts = [base[id(t)] + lo - off for (t, lo, _), off in zip(parts, offsets)]
+        rows = np.repeat(np.array(starts, dtype=np.int64), lengths) + np.arange(offsets[-1])
+        names = tuple(dict.fromkeys(chain.from_iterable(t.counter_names for t in tables)))
+        column = {name: j for j, name in enumerate(names)}
+        rates = np.full((rows.size, len(names)), np.nan)
+        source = np.repeat(np.arange(len(tables)), [len(t) for t in tables])[rows]
+        by_table = np.argsort(source, kind="stable")
+        bounds = [0, *np.cumsum(np.bincount(source, minlength=len(tables))).tolist()]
+        for t, table in enumerate(tables):
+            dst = by_table[bounds[t] : bounds[t + 1]]
+            cols = [column[name] for name in table.counter_names]
+            rates[dst[:, None], cols] = table.rates_per_s[rows[dst] - base[id(table)]]
+        picked = rows.tolist()
+
+        def stacked(name: str):
+            parts = [getattr(t, name) for t in tables]
+            if name in ("workloads", "suites", "phase_names"):
+                return tuple(map(list(chain.from_iterable(parts)).__getitem__, picked))
+            return np.concatenate(parts or [np.zeros(0)])[rows]
+
+        return PhaseTable(
+            *map(stacked, _ROW_COLUMNS),
+            counter_names=names,
+            rates_per_s=rates,
+            run_offsets=tuple(offsets),
+        )
+
+
+#: The per-row columns of a :class:`PhaseTable` besides the rate matrix.
+_ROW_COLUMNS = tuple(f.name for f in fields(PhaseTable))[:-3]
 
 
 Traced = Union[Trace, TraceBlock]
 
+#: A run's identification: (workload, suite, frequency, threads, run index).
+RunKey = Tuple[str, str, int, int, int]
 
-def _run_fields(meta) -> Tuple[str, str, int, int, int]:
+
+def _run_key(meta) -> RunKey:
     """(workload, suite, frequency, threads, run index) of a run."""
-    for key in ("workload", "suite", "frequency_mhz", "threads", "run_index"):
-        if key not in meta:
-            raise ValueError(f"trace metadata missing {key!r}")
-    return (
-        str(meta["workload"]),
-        str(meta["suite"]),
-        int(meta["frequency_mhz"]),
-        int(meta["threads"]),
-        int(meta["run_index"]),
-    )
+    try:
+        return (
+            str(meta["workload"]),
+            str(meta["suite"]),
+            int(meta["frequency_mhz"]),
+            int(meta["threads"]),
+            int(meta["run_index"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"trace metadata missing {exc.args[0]!r}") from None
 
 
 def _kept_windows(intervals, min_duration_s: float):
-    """The phase intervals long enough to profile, in order."""
-    kept = []
-    for interval in intervals:
-        _, start, end, _ = interval
-        if end - start < min_duration_s:
-            continue
-        if end < start:
-            raise ValueError("window end before start")
-        kept.append(interval)
-    return kept
+    """The phase intervals long enough to profile, in order, as
+    (names, starts, ends, active threads) columns."""
+    kept = [w for w in intervals if not w[2] - w[1] < min_duration_s]
+    if any(end < start for _, start, end, _ in kept):
+        raise ValueError("window end before start")
+    names, starts, ends, active = zip(*kept) if kept else ((), (), (), ())
+    return (
+        names,
+        np.array(starts, dtype=np.float64),
+        np.array(ends, dtype=np.float64),
+        np.array(active, dtype=np.int64),
+    )
+
+
+#: Kept windows and their sample bounds, keyed by a run's phase
+#: intervals, the identity of its sample grid and the cutoff.  Every
+#: event-set run of an experiment carries equal intervals and shares
+#: one grid (``tracing.scorep._sample_grids``), so the windows of an
+#: experiment are found once, not once per run.  An entry holds its
+#: grid, which keeps the grid's ``id`` from being reused while cached.
+_WINDOW_CACHE: Dict[tuple, tuple] = {}
+_WINDOW_CACHE_CAPACITY = 512
+
+
+def _run_windows(intervals, times: np.ndarray, min_duration_s: float):
+    """(names, starts, ends, active threads, lo, hi) of a run's kept
+    windows, ``lo``/``hi`` the sample bounds of each window in
+    ``times``."""
+    key = (intervals, id(times), min_duration_s)
+    hit = _WINDOW_CACHE.get(key)
+    if hit is not None:
+        return hit[1]
+    kept = _kept_windows(intervals, min_duration_s)
+    windows = (*kept, *(np.searchsorted(times, edge, side="left") for edge in kept[1:3]))
+    if len(_WINDOW_CACHE) >= _WINDOW_CACHE_CAPACITY:
+        _WINDOW_CACHE.pop(next(iter(_WINDOW_CACHE)))
+    _WINDOW_CACHE[key] = (times, windows)
+    return windows
 
 
 def _window_means(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mean of ``values[:, lo[k]:hi[k]]`` for every window ``k``.
 
-    Windows of equal length are gathered into one C-contiguous
-    ``(rows, windows, length)`` array and reduced over its last axis:
-    ``np.add.reduce`` sums a contiguous last axis pairwise exactly as
-    it sums a 1-D slice, so each mean is bit-identical to the
-    per-stream ``window_mean`` of the acquisition oracle
-    (``tests/oracles/acquisition.py``).  (A
-    non-contiguous gather, such as ``values[:, index]``, would be
-    summed in another order.)  Empty windows give NaN.
+    Windows of equal length are copied side by side into one
+    C-contiguous ``(rows, windows, length)`` array (one slice per
+    window, so the copy moves whole runs of samples) and reduced over
+    its last axis: ``np.add.reduce`` sums a contiguous last axis
+    pairwise exactly as it sums a 1-D slice, so each mean is
+    bit-identical to the per-stream ``window_mean`` of the acquisition
+    oracle (``tests/oracles/acquisition.py``).  (A non-contiguous
+    view, such as a strided window, could be summed in another order.)
+    Empty windows give NaN.
     """
     out = np.full((values.shape[0], lo.size), np.nan)
-    lengths = hi - lo
-    for n in set(lengths.tolist()):
-        if n <= 0:
-            continue
-        sel = np.flatnonzero(lengths == n)
-        gathered = np.take(values, lo[sel, None] + np.arange(n), axis=1)
+    starts = lo.tolist()
+    by_length: Dict[int, List[int]] = {}
+    for k, n in enumerate((hi - lo).tolist()):
+        if n > 0:
+            by_length.setdefault(n, []).append(k)
+    for n, sel in by_length.items():
+        gathered = np.concatenate(
+            [values[:, starts[k] : starts[k] + n] for k in sel], axis=1
+        ).reshape(values.shape[0], len(sel), n)
         out[:, sel] = np.add.reduce(gathered, axis=2) / n
     return out
 
 
-def _assemble(windows, names, means: np.ndarray) -> List[PhaseProfile]:
-    """Profiles from per-window means, ``means[m, k]`` of metric
-    ``names[m]`` over window ``k`` = (run fields, region, start, end,
-    active threads).  Windows without a power or voltage mean are
-    dropped, as are counters without a mean."""
+def _table(runs: Sequence[RunKey], windows, names, means: np.ndarray) -> PhaseTable:
+    """The table of ``runs``, given each run's kept windows (as
+    :func:`_run_windows` returns them) and ``means[m, k]``, the mean of
+    metric ``names[m]`` over window ``k`` of the runs in order.
+    Windows without a power or voltage mean are dropped."""
     if PowerPlugin.METRIC not in names or VoltagePlugin.METRIC not in names:
         raise ValueError("trace lacks power/voltage metric streams")
-    power_w = means[names.index(PowerPlugin.METRIC)].tolist()
-    voltage_v = means[names.index(VoltagePlugin.METRIC)].tolist()
+    power = names.index(PowerPlugin.METRIC)
+    voltage = names.index(VoltagePlugin.METRIC)
+    keep = ~np.isnan(means[[power, voltage]]).any(axis=0)
+    if not keep.all():
+        ends = accumulate(len(w[0]) for w in windows)
+        kept = [keep[end - len(w[0]) : end] for w, end in zip(windows, ends)]
+        windows = [
+            (tuple(compress(w[0], k)), *(c[k] for c in w[1:4]))
+            for w, k in zip(windows, kept)
+        ]
+        means = means[:, keep]
     prefix = ApapiPlugin.PREFIX
     papi = [m for m, name in enumerate(names) if name.startswith(prefix)]
-    counters = [names[m][len(prefix) :] for m in papi]
-    rates_by_window = means[papi].T.tolist()
-    out: List[PhaseProfile] = []
-    for k, (run, region, start, end, active) in enumerate(windows):
-        p, v = power_w[k], voltage_v[k]
-        if math.isnan(p) or math.isnan(v):
-            continue
-        out.append(
-            PhaseProfile(
-                *run,
-                phase_name=region,
-                start_s=start,
-                end_s=end,
-                active_threads=active,
-                power_w=p,
-                voltage_v=v,
-                counter_rates_per_s={
-                    c: r
-                    for c, r in zip(counters, rates_by_window[k])
-                    if not math.isnan(r)
-                },
-            )
-        )
-    return out
+    counts = [len(w[0]) for w in windows]
+    ints = np.repeat(np.array([key[2:] for key in runs], dtype=np.int64), counts, axis=0)
+    return PhaseTable(
+        workloads=tuple(chain.from_iterable([k[0]] * n for k, n in zip(runs, counts))),
+        suites=tuple(chain.from_iterable([k[1]] * n for k, n in zip(runs, counts))),
+        frequency_mhz=ints[:, 0],
+        threads=ints[:, 1],
+        run_index=ints[:, 2],
+        phase_names=tuple(chain.from_iterable(w[0] for w in windows)),
+        start_s=np.concatenate([w[1] for w in windows]),
+        end_s=np.concatenate([w[2] for w in windows]),
+        active_threads=np.concatenate([w[3] for w in windows]),
+        power_w=means[power],
+        voltage_v=means[voltage],
+        counter_names=tuple(names[m][len(prefix) :] for m in papi),
+        rates_per_s=np.ascontiguousarray(means[papi].T),
+        run_offsets=tuple(accumulate(counts, initial=0)),
+    )
 
 
-def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhaseProfile]:
+def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> PhaseTable:
     """Phase profiles of every sufficiently long region of a trace.
 
     Phases shorter than ``min_duration_s`` carry too few async samples
@@ -163,57 +247,46 @@ def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhasePro
     :func:`profile_block`, while streams with their own grid (e.g.
     fault-corrupted copies) get their own window bounds.
     """
-    run = _run_fields(trace.meta)
+    run = _run_key(trace.meta)
     names = list(trace.metrics)
     windows = _kept_windows(trace.phase_intervals(), min_duration_s)
-    starts = np.array([w[1] for w in windows], dtype=np.float64)
-    ends = np.array([w[2] for w in windows], dtype=np.float64)
+    _, starts, ends, _ = windows
     groups: Dict[int, List[int]] = {}
     for m, name in enumerate(names):
         groups.setdefault(id(trace.metrics[name].times_s), []).append(m)
-    means = np.empty((len(names), len(windows)))
+    means = np.empty((len(names), starts.size))
     for rows in groups.values():
         times = trace.metrics[names[rows[0]]].times_s
         values = np.stack([trace.metrics[names[m]].values for m in rows])
-        means[rows] = _window_means(
-            values,
-            np.searchsorted(times, starts, side="left"),
-            np.searchsorted(times, ends, side="left"),
-        )
-    return _assemble([(run, *w) for w in windows], names, means)
+        bounds = (np.searchsorted(times, edge, side="left") for edge in (starts, ends))
+        means[rows] = _window_means(values, *bounds)
+    return _table([run], [windows], names, means)
 
 
-def profile_block(
-    block: TraceBlock, *, min_duration_s: float = 0.5
-) -> List[PhaseProfile]:
+def profile_block(block: TraceBlock, *, min_duration_s: float = 0.5) -> PhaseTable:
     """Phase profiles of every run of a block, in run order, from one
     window-mean pass over the block's stacked samples (see
     :func:`profile_trace` for the per-run semantics)."""
-    windows = []
-    bounds = []
-    for meta, intervals, times, offset in zip(
-        block.metas, block.intervals, block.times, block.offsets
-    ):
-        run = _run_fields(meta)
-        kept = _kept_windows(intervals, min_duration_s)
-        windows.extend((run, *w) for w in kept)
-        edges = [w[1] for w in kept] + [w[2] for w in kept]
-        # Row 0 the window starts, row 1 the ends, as block columns.
-        bounds.append(
-            np.searchsorted(times, edges, side="left").reshape(2, -1) + offset
-        )
-    lo, hi = np.concatenate(bounds, axis=1)
+    runs = [_run_key(meta) for meta in block.metas]
+    windows = [
+        _run_windows(intervals, times, min_duration_s)
+        for intervals, times in zip(block.intervals, block.times)
+    ]
+    counts = [len(w[0]) for w in windows]
+    shift = np.repeat(block.offsets[:-1], counts)
+    lo = np.concatenate([w[4] for w in windows]) + shift
+    hi = np.concatenate([w[5] for w in windows]) + shift
     names = [mdef.name for mdef in block.defs]
-    return _assemble(windows, names, _window_means(block.values, lo, hi))
+    return _table(runs, windows, names, _window_means(block.values, lo, hi))
 
 
-def _profiles(traced: Traced) -> List[PhaseProfile]:
+def _profiles(traced: Traced) -> PhaseTable:
     if isinstance(traced, TraceBlock):
         return profile_block(traced)
     return profile_trace(traced)
 
 
-def haecsim_profiles(traced: Traced) -> List[PhaseProfile]:
+def haecsim_profiles(traced: Traced) -> PhaseTable:
     """HAEC-SIM-style profiles for roco2 kernel traces (one trace, or
     every run of a block).
 
@@ -239,7 +312,7 @@ def haecsim_profiles(traced: Traced) -> List[PhaseProfile]:
     return _profiles(traced)
 
 
-def postprocess_profiles(traced: Traced) -> List[PhaseProfile]:
+def postprocess_profiles(traced: Traced) -> PhaseTable:
     """Custom OTF2 post-processing for standardized benchmark traces
     (one trace, or every run of a block)."""
     return _profiles(traced)

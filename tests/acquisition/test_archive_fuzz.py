@@ -27,7 +27,7 @@ from repro.acquisition.checkpoint import CampaignCheckpoint
 from repro.acquisition.dataset import PowerDataset
 from repro.experiments import data as expdata
 from repro.serve import FleetStateStore
-from repro.tracing.phases import PhaseProfile
+from tests.oracles.acquisition import PhaseProfile, profile_table, tables_equal
 
 FP = "fingerprint"
 FREQS = (1200,)
@@ -44,7 +44,7 @@ DATASET = PowerDataset(
     phase_names=("main",) * 6,
     counter_names=("TOT_CYC", "TOT_INS", "L3_TCM"),
 )
-PROFILES = [
+TABLE = profile_table([[
     PhaseProfile(
         workload="compute",
         suite="roco2",
@@ -57,10 +57,11 @@ PROFILES = [
         active_threads=threads,
         power_w=40.0 + threads,
         voltage_v=1.05,
-        counter_rates_per_s={"TOT_INS": 1e9 * threads, "TOT_CYC": 2e9},
+        # Archives keep counters in name order.
+        counter_rates_per_s={"TOT_CYC": 2e9, "TOT_INS": 1e9 * threads},
     )
     for threads in (1, 2, 4)
-]
+]])
 STATES = {
     f"node-{i}": {"smoothed_w": 100.0 + i, "window": [1.5 * i] * 8, "breaker": "closed"}
     for i in range(4)
@@ -91,9 +92,9 @@ def _load_cell(directory, blob):
     path = CampaignCheckpoint(directory, FP).cell_path(CELL)
     path.write_bytes(blob)
     checkpoint = CampaignCheckpoint(directory, FP)
-    profiles = checkpoint.load(CELL)
-    if profiles is not None:
-        assert profiles == PROFILES
+    table = checkpoint.load(CELL)
+    if table is not None:
+        assert tables_equal(table, TABLE)
         return
     assert not path.exists()
     assert [e["kind"] for e in checkpoint.events()] == ["corrupt-cell-discarded"]
@@ -120,7 +121,7 @@ def archives(tmp_path_factory):
     root = tmp_path_factory.mktemp("archives")
     DATASET.save_npz(root / "cache.npz")
     checkpoint = CampaignCheckpoint(root / "cell", FP)
-    checkpoint.store(CELL, PROFILES)
+    checkpoint.store(CELL, TABLE)
     store = FleetStateStore(root / "shard", FP, n_shards=1)
     store.store_many(STATES)
     blobs = {

@@ -5,8 +5,8 @@ import pytest
 
 from repro.acquisition import Campaign, CampaignPlan, build_dataset, merge_runs, run_campaign
 from repro.hardware import COUNTER_NAMES, Platform
-from repro.tracing import PhaseProfile
 from repro.workloads import get_workload
+from tests.oracles.acquisition import PhaseProfile, profile_table
 
 
 class TestCampaignPlan:
@@ -136,35 +136,35 @@ def _profile(run_index, counters, power_w=100.0, phase="k.loop", threads=8):
     )
 
 
+def _merge(*profiles, issues=None):
+    return merge_runs(profile_table([profiles]), issues=issues)
+
+
+def _counters(merged, row=0):
+    """Merged row ``row``'s counters, by name, as a dict."""
+    return {
+        name: rate
+        for name, rate in zip(merged.counter_names, merged.rates_per_s[row])
+        if not np.isnan(rate)
+    }
+
+
 class TestMerge:
     def test_power_averaged_across_runs(self):
-        merged = merge_runs(
-            [
-                _profile(0, {"TOT_CYC": 1e9}, power_w=100.0),
-                _profile(1, {"PRF_DM": 1e6}, power_w=104.0),
-            ]
+        merged = _merge(
+            _profile(0, {"TOT_CYC": 1e9}, power_w=100.0),
+            _profile(1, {"PRF_DM": 1e6}, power_w=104.0),
         )
         assert len(merged) == 1
-        assert merged[0].power_w == pytest.approx(102.0)
-        assert set(merged[0].counter_rates_per_s) == {"TOT_CYC", "PRF_DM"}
+        assert merged.power_w[0] == pytest.approx(102.0)
+        assert set(_counters(merged)) == {"TOT_CYC", "PRF_DM"}
 
     def test_fixed_counter_averaged(self):
-        merged = merge_runs(
-            [
-                _profile(0, {"TOT_CYC": 1.0e9}),
-                _profile(1, {"TOT_CYC": 1.1e9}),
-            ]
+        merged = _merge(
+            _profile(0, {"TOT_CYC": 1.0e9}),
+            _profile(1, {"TOT_CYC": 1.1e9}),
         )
-        assert merged[0].counter_rates_per_s["TOT_CYC"] == pytest.approx(1.05e9)
-
-    def test_inconsistent_counter_rejected(self):
-        with pytest.raises(ValueError, match="disagrees"):
-            merge_runs(
-                [
-                    _profile(0, {"TOT_CYC": 1.0e9}),
-                    _profile(1, {"TOT_CYC": 2.0e9}),
-                ]
-            )
+        assert _counters(merged)["TOT_CYC"] == pytest.approx(1.05e9)
 
     def test_inconsistent_thread_count_rejected(self):
         a = _profile(0, {"TOT_CYC": 1e9})
@@ -175,37 +175,24 @@ class TestMerge:
             counter_rates_per_s={"TOT_CYC": 1e9},
         )
         with pytest.raises(ValueError, match="thread counts"):
-            merge_runs([a, b])
+            _merge(a, b)
 
     def test_distinct_phases_stay_separate(self):
-        merged = merge_runs(
-            [
-                _profile(0, {"TOT_CYC": 1e9}, phase="p0"),
-                _profile(0, {"TOT_CYC": 1e9}, phase="p1"),
-            ]
+        merged = _merge(
+            _profile(0, {"TOT_CYC": 1e9}, phase="p0"),
+            _profile(0, {"TOT_CYC": 1e9}, phase="p1"),
         )
         assert len(merged) == 2
 
-    def test_phase_set_mismatch_rejected_by_default(self):
-        # Run 1 lost phase p1 (truncated trace): the merged p1 would
-        # silently lack run 1's counters — strict mode refuses.
-        profiles = [
-            _profile(0, {"TOT_CYC": 1e9}, phase="p0"),
-            _profile(0, {"TOT_CYC": 1e9}, phase="p1"),
-            _profile(1, {"PRF_DM": 1e6}, phase="p0"),
-        ]
-        with pytest.raises(ValueError, match="phase sets differ"):
-            merge_runs(profiles)
-
     def test_phase_set_mismatch_recorded(self):
-        profiles = [
+        # Run 1 lost phase p1 (truncated trace): the merged p1 lacks
+        # run 1's counters, and the merge says so.
+        issues = []
+        merged = _merge(
             _profile(0, {"TOT_CYC": 1e9}, phase="p0"),
             _profile(0, {"TOT_CYC": 1e9}, phase="p1"),
             _profile(1, {"PRF_DM": 1e6}, phase="p0"),
-        ]
-        issues = []
-        merged = merge_runs(
-            profiles, on_phase_mismatch="record", issues=issues
+            issues=issues,
         )
         assert len(merged) == 2
         assert len(issues) == 1
@@ -213,32 +200,22 @@ class TestMerge:
 
     def test_consistent_phase_sets_not_flagged(self):
         issues = []
-        merge_runs(
-            [
-                _profile(0, {"TOT_CYC": 1e9}, phase="p0"),
-                _profile(1, {"PRF_DM": 1e6}, phase="p0"),
-            ],
-            on_phase_mismatch="record",
+        _merge(
+            _profile(0, {"TOT_CYC": 1e9}, phase="p0"),
+            _profile(1, {"PRF_DM": 1e6}, phase="p0"),
             issues=issues,
         )
         assert issues == []
 
     def test_counter_disagreement_recorded_keeps_mean(self):
         issues = []
-        merged = merge_runs(
-            [
-                _profile(0, {"TOT_CYC": 1.0e9}),
-                _profile(1, {"TOT_CYC": 2.0e9}),
-            ],
-            on_counter_disagreement="record",
+        merged = _merge(
+            _profile(0, {"TOT_CYC": 1.0e9}),
+            _profile(1, {"TOT_CYC": 2.0e9}),
             issues=issues,
         )
-        assert merged[0].counter_rates_per_s["TOT_CYC"] == pytest.approx(1.5e9)
+        assert _counters(merged)["TOT_CYC"] == pytest.approx(1.5e9)
         assert len(issues) == 1 and "disagrees" in issues[0]
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="on_phase_mismatch"):
-            merge_runs([], on_phase_mismatch="explode")
 
 
 class TestBuildDataset:
@@ -247,27 +224,25 @@ class TestBuildDataset:
         return _profile(run_index, rates)
 
     def test_complete_phase_builds(self):
-        ds = build_dataset(merge_runs([self._complete_profile()]))
+        ds = build_dataset(_merge(self._complete_profile()))
         assert ds.n_samples == 1
         # events/s / (f_clk) → events per cycle.
         assert ds.column("PRF_DM")[0] == pytest.approx(1e6 / 2.4e9)
 
     def test_incomplete_raises_by_default(self):
-        merged = merge_runs([_profile(0, {"TOT_CYC": 1e9})])
+        merged = _merge(_profile(0, {"TOT_CYC": 1e9}))
         with pytest.raises(ValueError, match="missing"):
             build_dataset(merged)
 
     def test_incomplete_dropped_when_allowed(self):
-        merged = merge_runs(
-            [
-                _profile(0, {"TOT_CYC": 1e9}, phase="partial"),
-                self._complete_profile(),
-            ]
+        merged = _merge(
+            _profile(0, {"TOT_CYC": 1e9}, phase="partial"),
+            self._complete_profile(),
         )
         ds = build_dataset(merged, require_complete=False)
         assert ds.n_samples == 1
 
     def test_nothing_left_raises(self):
-        merged = merge_runs([_profile(0, {"TOT_CYC": 1e9})])
+        merged = _merge(_profile(0, {"TOT_CYC": 1e9}))
         with pytest.raises(ValueError, match="no complete phases"):
             build_dataset(merged, require_complete=False)

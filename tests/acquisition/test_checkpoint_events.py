@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from repro.acquisition.checkpoint import CampaignCheckpoint, cell_id
-from repro.tracing.phases import PhaseProfile
+from tests.oracles.acquisition import PhaseProfile, profile_table
 
 FP = "fingerprint-a"
 
 
-def profile(power_w=42.0):
-    return PhaseProfile(
+def table(power_w=42.0):
+    """One cell's phase table: a single profiled phase."""
+    profile = PhaseProfile(
         workload="compute",
         suite="synthetic",
         frequency_mhz=2400,
@@ -34,6 +35,7 @@ def profile(power_w=42.0):
         voltage_v=1.05,
         counter_rates_per_s={"TOT_INS": 1e9},
     )
+    return profile_table([[profile]])
 
 
 def vanish_cells(monkeypatch):
@@ -60,7 +62,7 @@ class TestResetPath:
     def test_vanished_cell_logged_not_raised(self, tmp_path, monkeypatch):
         ckpt = CampaignCheckpoint(tmp_path, FP)
         cid = cell_id("compute", 2400, 8, 0, ("TOT_INS",))
-        ckpt.store(cid, [profile()])
+        ckpt.store(cid, table())
 
         vanish_cells(monkeypatch)
         ckpt.reset()  # must absorb the race, not crash
@@ -77,7 +79,7 @@ class TestResetPath:
         # Fingerprint mismatch → __init__ resets; events raised before
         # the manifest exists are buffered into the first write.
         old = CampaignCheckpoint(tmp_path, "fingerprint-old")
-        old.store(cell_id("idle", 2400, 8, 0, ("TOT_INS",)), [profile()])
+        old.store(cell_id("idle", 2400, 8, 0, ("TOT_INS",)), table())
 
         vanish_cells(monkeypatch)
         fresh = CampaignCheckpoint(tmp_path, FP)
@@ -88,7 +90,7 @@ class TestResetPath:
 
     def test_other_oserror_propagates(self, tmp_path, monkeypatch):
         ckpt = CampaignCheckpoint(tmp_path, FP)
-        ckpt.store(cell_id("compute", 2400, 8, 0, ("TOT_INS",)), [profile()])
+        ckpt.store(cell_id("compute", 2400, 8, 0, ("TOT_INS",)), table())
 
         def denied(self, *args, **kwargs):
             raise PermissionError(self)
@@ -154,7 +156,7 @@ class TestEventPersistence:
     def test_clean_checkpoint_has_no_events(self, tmp_path):
         ckpt = CampaignCheckpoint(tmp_path, FP)
         cid = cell_id("compute", 2400, 8, 0, ("TOT_INS",))
-        ckpt.store(cid, [profile()])
+        ckpt.store(cid, table())
         assert ckpt.load(cid) is not None
         assert ckpt.events() == []
         assert manifest_events(tmp_path) == []

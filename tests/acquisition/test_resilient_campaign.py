@@ -25,6 +25,7 @@ from repro.faults import FaultPlan, RunFailure
 from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS
 from repro.tracing.scorep import ScorePTracer
 from repro.workloads import get_workload
+from tests.oracles.acquisition import tables_equal
 
 #: Small event list → 2 PMU event sets (3 fixed ride along in both).
 PROG = tuple(c for c in COUNTER_NAMES if c not in FIXED_COUNTERS)[:8]
@@ -217,7 +218,7 @@ class TestBlockIsolation:
     VICTIM = ("idle", 2400, 8, 1)
 
     def _stored(self, campaign):
-        """Every cell's stored profiles, by cell key."""
+        """Every cell's stored phase table, by cell key."""
         return {
             cell.key: campaign.checkpoint.load(
                 cell_id(*cell.key, campaign.plan.events)
@@ -245,7 +246,9 @@ class TestBlockIsolation:
         assert result.report.retries == 1
         assert dict(result.report.faults_observed) == {kind: 1}
         assert result.report.completed_cells == result.report.total_cells
-        assert self._stored(campaign) == self._stored(clean)
+        stored, expected = self._stored(campaign), self._stored(clean)
+        assert list(stored) == list(expected)
+        assert all(tables_equal(stored[k], expected[k]) for k in expected)
         assert datasets_equal(result.dataset, reference.dataset)
 
     def test_crash_on_first_attempt(self, platform, tmp_path, monkeypatch):

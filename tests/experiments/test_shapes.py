@@ -162,6 +162,34 @@ class TestFig5:
         ]
         assert len(result.scatter_a) == len(spec_experiments)
 
+    def test_to_dict_equals_per_experiment_masks(self, result):
+        """The one-pass grouping of ``experiment_scatter`` gives the
+        dict that one boolean mask per experiment gave."""
+
+        def masked_scatter(scenario):
+            v = scenario.validation
+            keys = list(
+                zip(v.workloads, v.frequency_mhz.astype(int).tolist(), v.threads.tolist())
+            )
+            rows = []
+            for key in v.experiment_keys():
+                m = np.array([k == key for k in keys])
+                rows.append(
+                    (
+                        *key[:1],
+                        v.suites[int(np.flatnonzero(m)[0])],
+                        *key[1:],
+                        float(v.power_w[m].mean()),
+                        float(scenario.predicted[m].mean()),
+                    )
+                )
+            return [dict(zip(fig5._SCATTER_COLUMNS, r)) for r in rows]
+
+        exported = result.to_dict()
+        assert exported["scatter_a"] == masked_scatter(result.scenario2)
+        assert exported["scatter_b"] == masked_scatter(result.scenario3)
+        assert len(exported["scatter_b"]) == 415
+
 
 class TestTable3:
     @pytest.fixture(scope="class")

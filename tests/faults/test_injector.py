@@ -158,13 +158,13 @@ class TestTraceCorruption:
         assert bad.duration_s < trace.duration_s
         validate_trace(bad)  # streams themselves are plausible
         with pytest.raises(AcquisitionError) as exc_info:
-            validate_profiles(haecsim_profiles(bad), run)
+            validate_profiles(haecsim_profiles(bad).phase_names, run)
         assert exc_info.value.kind == "phase-loss"
 
     def test_clean_trace_validates(self, clean_trace):
         run, trace = clean_trace
         validate_trace(trace)
-        validate_profiles(haecsim_profiles(trace), run)
+        validate_profiles(haecsim_profiles(trace).phase_names, run)
 
     def test_inactive_plan_is_identity(self, clean_trace):
         _, trace = clean_trace

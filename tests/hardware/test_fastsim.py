@@ -15,7 +15,6 @@ import pytest
 
 from repro.acquisition import campaign as campaign_module
 from repro.acquisition.campaign import Campaign, CampaignPlan
-from repro.acquisition.postprocess import build_dataset, merge_runs
 from repro.hardware import (
     CORTEX_A15_CONFIG,
     CORTEX_A15_POWER_PARAMS,
@@ -40,10 +39,14 @@ from repro.tracing.scorep import ScorePTracer, trace_multiplexed_run, trace_run
 from repro.workloads import get_workload
 from repro.workloads.registry import all_workloads
 from tests.oracles.acquisition import (
+    build_dataset,
+    merge_runs,
+    profile_table,
     scalar_acquisition,
     scalar_execute,
     scalar_profile_trace,
     scalar_trace,
+    tables_equal,
 )
 from tests.oracles.physics import compute_power, evaluate
 
@@ -319,7 +322,9 @@ class TestTracerBitIdentity:
         with scalar_acquisition():
             scalar = trace_run(platform, run, evset)
         self.assert_traces_equal(fast, scalar)
-        assert profile_trace(fast) == scalar_profile_trace(scalar)
+        assert tables_equal(
+            profile_trace(fast), profile_table([scalar_profile_trace(scalar)])
+        )
 
     def test_trace_multiplexed_identical(self, platform):
         run = platform.execute(get_workload("memory_read"), 1200, 8)
@@ -413,7 +418,8 @@ class TestRngWordsPriming:
 def _oracle_dataset(plan):
     """The plan's dataset from the scalar oracle's own per-cell loop:
     ``scalar_execute`` → ``scalar_trace`` → ``scalar_profile_trace``
-    for every cell of the grid, then merge and assemble."""
+    for every cell of the grid, then the oracle's per-profile merge and
+    assembly."""
     platform = Platform()
     profiles = []
     for cell in Campaign(platform, plan).cells():

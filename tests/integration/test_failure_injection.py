@@ -7,8 +7,12 @@ import pytest
 from repro.acquisition import Campaign, CampaignPlan, build_dataset, merge_runs
 from repro.acquisition.dataset import PowerDataset
 from repro.hardware import COUNTER_NAMES, Platform
-from repro.tracing import PhaseProfile
 from repro.workloads import get_workload
+from tests.oracles.acquisition import PhaseProfile, profile_table
+
+
+def _merge(*profiles, issues=None):
+    return merge_runs(profile_table([profiles]), issues=issues)
 
 
 def _profile(run_index, counters, power_w=100.0, voltage_v=0.97):
@@ -35,15 +39,12 @@ class TestSensorFailures:
         complete = {c: 1e6 for c in COUNTER_NAMES}
         partial = dict(list(complete.items())[:40])
         with pytest.raises(ValueError, match="missing"):
-            build_dataset(merge_runs([_profile(0, partial)]))
+            build_dataset(_merge(_profile(0, partial)))
 
     def test_dropped_group_recoverable_with_flag(self):
         complete = {c: 1e6 for c in COUNTER_NAMES}
-        merged = merge_runs(
-            [_profile(0, complete), _profile(0, dict(list(complete.items())[:40]))]
-        )
-        # Two phases (different... same phase name & key -> merged), so
-        # construct distinct phases instead.
+        # Two runs of one phase would merge into one row, so give the
+        # broken run a phase of its own.
         profiles = [
             _profile(0, complete),
         ]
@@ -61,28 +62,26 @@ class TestSensorFailures:
             voltage_v=0.97,
             counter_rates_per_s=dict(list(complete.items())[:40]),
         )
-        ds = build_dataset(
-            merge_runs(profiles + [broken]), require_complete=False
-        )
+        ds = build_dataset(_merge(*profiles, broken), require_complete=False)
         assert ds.n_samples == 1
         assert ds.workloads == ("k",)
 
     def test_miscalibrated_run_detected(self):
         """A counter disagreeing wildly across runs (e.g. broken PMU
-        multiplexing) must be rejected by the merge."""
-        with pytest.raises(ValueError, match="disagrees"):
-            merge_runs(
-                [
-                    _profile(0, {"PRF_DM": 1.0e6}),
-                    _profile(1, {"PRF_DM": 2.0e6}),
-                ]
-            )
+        multiplexing) must be flagged by the merge."""
+        issues = []
+        _merge(
+            _profile(0, {"PRF_DM": 1.0e6}),
+            _profile(1, {"PRF_DM": 2.0e6}),
+            issues=issues,
+        )
+        assert len(issues) == 1 and "PRF_DM disagrees" in issues[0]
 
     def test_dead_sensor_rejected_by_dataset(self):
         """A sensor reading zero/negative power violates dataset
         invariants at construction."""
         complete = {c: 1e6 for c in COUNTER_NAMES}
-        merged = merge_runs([_profile(0, complete, power_w=-5.0)])
+        merged = _merge(_profile(0, complete, power_w=-5.0))
         with pytest.raises(ValueError, match="positive"):
             build_dataset(merged)
 

@@ -16,7 +16,13 @@ one-phase-at-a-time implementation of each of those stages:
 * :data:`REFERENCE_SAMPLERS` — the four plugins' event-at-a-time
   sampling loops;
 * :func:`scalar_profile_trace` — per-stream :func:`window_mean`
-  extraction (a block: each run's trace in turn);
+  extraction into one :class:`PhaseProfile` object per phase (a block:
+  each run's trace in turn);
+* :func:`merge_runs` / :func:`build_dataset` — the per-profile,
+  dict-of-lists merge into :class:`MergedPhase` objects and the
+  dataset assembly from them (:func:`profile_table` and
+  :func:`table_profiles` convert between profiles and the production
+  :class:`~repro.tracing.phases.PhaseTable`);
 * :func:`sample_node_total` — one phase's summed node-power plugin
   samples from a single noise block.
 
@@ -31,12 +37,16 @@ code with production.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
-from typing import Dict, List, Sequence, Tuple
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
 
+from repro.acquisition.dataset import PowerDataset
 from repro.hardware.counters import COUNTER_NAMES, FIXED_COUNTERS, counter_index
 from repro.hardware.microarch import MicroarchState
 from repro.hardware.platform import (
@@ -50,7 +60,7 @@ from repro.hardware.sensors import SensorArray
 from repro.seeding import derive_rng
 from repro.tracing import phases as phases_module
 from repro.tracing.otf2 import MetricStream, Trace, TraceBlock
-from repro.tracing.phases import PhaseProfile
+from repro.tracing.phases import PhaseTable
 from repro.tracing.plugins import (
     ApapiPlugin,
     MultiplexedApapiPlugin,
@@ -61,7 +71,14 @@ from repro.tracing.scorep import ScorePTracer
 from tests.oracles.physics import compute_power, evaluate
 
 __all__ = [
+    "MergedPhase",
+    "PhaseProfile",
     "REFERENCE_SAMPLERS",
+    "build_dataset",
+    "merge_runs",
+    "profile_table",
+    "table_profiles",
+    "tables_equal",
     "sample_node_total",
     "scalar_acquisition",
     "scalar_execute",
@@ -383,6 +400,33 @@ def scalar_trace(self, runs):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PhaseProfile:
+    """Aggregated view of one phase of one traced run."""
+
+    workload: str
+    suite: str
+    frequency_mhz: int
+    threads: int
+    run_index: int
+    phase_name: str
+    start_s: float
+    end_s: float
+    active_threads: int
+    power_w: float
+    voltage_v: float
+    counter_rates_per_s: Dict[str, float] = field(default_factory=dict)
+    """Mean recorded PMC rates in events/second, keyed by counter name."""
+
+    @property
+    def duration_s(self) -> float:
+        return self.end_s - self.start_s
+
+    def rate_per_cycle(self, counter: str) -> float:
+        """Event rate per cpu cycle — the E_n of Equation 1."""
+        return self.counter_rates_per_s[counter] / (self.frequency_mhz * 1e6)
+
+
 def window_mean(stream: MetricStream, start_s: float, end_s: float) -> float:
     """Average of the stream's samples inside ``[start_s, end_s)``.
 
@@ -451,15 +495,302 @@ def scalar_profile_trace(
 
 def scalar_profile_block(
     block: TraceBlock, *, min_duration_s: float = 0.5
-) -> List[PhaseProfile]:
-    """Scalar ``profile_block``: each run's trace profiled in turn."""
+) -> PhaseTable:
+    """Scalar ``profile_block``: each run's trace profiled in turn, as
+    the production table."""
+    return profile_table(
+        [
+            scalar_profile_trace(block.trace(r), min_duration_s=min_duration_s)
+            for r in range(len(block.metas))
+        ]
+    )
+
+
+def profile_table(runs: Sequence[Sequence[PhaseProfile]]) -> PhaseTable:
+    """The :class:`PhaseTable` of per-run profile lists: run ``r``'s
+    rows are ``runs[r]``; counters are columns in first-seen order."""
+    profiles = [p for run in runs for p in run]
+    names = tuple(
+        dict.fromkeys(c for p in profiles for c in p.counter_rates_per_s)
+    )
+    rates = np.full((len(profiles), len(names)), np.nan)
+    for i, p in enumerate(profiles):
+        for j, name in enumerate(names):
+            if name in p.counter_rates_per_s:
+                rates[i, j] = p.counter_rates_per_s[name]
+
+    def column(attr, dtype=None):
+        values = [getattr(p, attr) for p in profiles]
+        return tuple(values) if dtype is None else np.array(values, dtype=dtype)
+
+    return PhaseTable(
+        workloads=column("workload"),
+        suites=column("suite"),
+        frequency_mhz=column("frequency_mhz", np.int64),
+        threads=column("threads", np.int64),
+        run_index=column("run_index", np.int64),
+        phase_names=column("phase_name"),
+        start_s=column("start_s", np.float64),
+        end_s=column("end_s", np.float64),
+        active_threads=column("active_threads", np.int64),
+        power_w=column("power_w", np.float64),
+        voltage_v=column("voltage_v", np.float64),
+        counter_names=names,
+        rates_per_s=rates,
+        run_offsets=tuple(np.cumsum([0] + [len(run) for run in runs]).tolist()),
+    )
+
+
+def tables_equal(a: PhaseTable, b: PhaseTable) -> bool:
+    """Column-wise equality of two tables; NaN (a counter not recorded)
+    equals NaN."""
+    for f in dataclasses.fields(PhaseTable):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if not np.array_equal(x, y, equal_nan=True):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def table_profiles(table: PhaseTable) -> List[PhaseProfile]:
+    """One :class:`PhaseProfile` per table row; a row's counters are
+    the columns it recorded, in column order."""
     return [
-        profile
-        for r in range(len(block.metas))
-        for profile in scalar_profile_trace(
-            block.trace(r), min_duration_s=min_duration_s
+        PhaseProfile(
+            workload=table.workloads[i],
+            suite=table.suites[i],
+            frequency_mhz=int(table.frequency_mhz[i]),
+            threads=int(table.threads[i]),
+            run_index=int(table.run_index[i]),
+            phase_name=table.phase_names[i],
+            start_s=float(table.start_s[i]),
+            end_s=float(table.end_s[i]),
+            active_threads=int(table.active_threads[i]),
+            power_w=float(table.power_w[i]),
+            voltage_v=float(table.voltage_v[i]),
+            counter_rates_per_s={
+                name: float(rate)
+                for name, rate in zip(table.counter_names, table.rates_per_s[i])
+                if not math.isnan(rate)
+            },
         )
+        for i in range(len(table))
     ]
+
+
+# ---------------------------------------------------------------------------
+# merge
+# ---------------------------------------------------------------------------
+
+
+#: Valid values of the ``on_*`` merge-consistency modes.
+_MODES = ("raise", "record", "ignore")
+
+
+class MergedPhase:
+    """One phase of one experiment, merged across counter-group runs."""
+
+    def __init__(
+        self,
+        workload: str,
+        suite: str,
+        frequency_mhz: int,
+        threads: int,
+        phase_name: str,
+        active_threads: int,
+    ) -> None:
+        self.workload = workload
+        self.suite = suite
+        self.frequency_mhz = frequency_mhz
+        self.threads = threads
+        self.phase_name = phase_name
+        self.active_threads = active_threads
+        self.power_samples: List[float] = []
+        self.voltage_samples: List[float] = []
+        self.counter_rates_per_s: Dict[str, float] = {}
+
+    @property
+    def power_w(self) -> float:
+        return float(np.mean(self.power_samples))
+
+    @property
+    def voltage_v(self) -> float:
+        return float(np.mean(self.voltage_samples))
+
+    def rate_per_cycle(self, counter: str) -> float:
+        return self.counter_rates_per_s[counter] / (self.frequency_mhz * 1e6)
+
+
+def _handle(
+    mode: str, issues: Optional[List[str]], message: str
+) -> None:
+    if mode == "raise":
+        raise ValueError(message)
+    if mode == "record" and issues is not None:
+        issues.append(message)
+
+
+def merge_runs(
+    profiles: Sequence[PhaseProfile],
+    *,
+    on_phase_mismatch: str = "raise",
+    on_counter_disagreement: str = "raise",
+    issues: Optional[List[str]] = None,
+) -> List[MergedPhase]:
+    """Merge phase profiles from all runs of one or more experiments.
+
+    Fixed counters appear in every run; their rate is averaged across
+    runs.  Programmable counters appear once (their scheduled run).
+
+    Consistency handling (each mode is one of ``"raise"``/``"record"``/
+    ``"ignore"``; recorded messages are appended to ``issues``):
+
+    * ``on_phase_mismatch`` — runs of the same experiment carry
+      different phase sets, so some merged phases are missing that
+      run's counter contribution;
+    * ``on_counter_disagreement`` — the same counter recorded twice
+      with wildly inconsistent values (> 25 % spread) — broken
+      campaign, not run-to-run noise.  In non-raise modes the mean is
+      kept.
+    """
+    for name, mode in (
+        ("on_phase_mismatch", on_phase_mismatch),
+        ("on_counter_disagreement", on_counter_disagreement),
+    ):
+        if mode not in _MODES:
+            raise ValueError(f"{name} must be one of {_MODES}, got {mode!r}")
+
+    buckets: Dict[tuple, MergedPhase] = {}
+    # Per merged phase: counter -> its one rate, or the list of rates
+    # once a second run recorded it.
+    counter_acc: Dict[tuple, Dict[str, object]] = {}
+    # experiment key -> run_index -> phase names seen in that run
+    run_phases: Dict[tuple, Dict[int, Set[str]]] = defaultdict(
+        lambda: defaultdict(set)
+    )
+    for p in profiles:
+        key = (p.workload, p.frequency_mhz, p.threads, p.phase_name)
+        run_phases[(p.workload, p.frequency_mhz, p.threads)][p.run_index].add(
+            p.phase_name
+        )
+        if key not in buckets:
+            buckets[key] = MergedPhase(
+                workload=p.workload,
+                suite=p.suite,
+                frequency_mhz=p.frequency_mhz,
+                threads=p.threads,
+                phase_name=p.phase_name,
+                active_threads=p.active_threads,
+            )
+        merged = buckets[key]
+        if p.active_threads != merged.active_threads:
+            raise ValueError(
+                f"{key}: inconsistent active thread counts across runs "
+                f"({p.active_threads} vs {merged.active_threads})"
+            )
+        merged.power_samples.append(p.power_w)
+        merged.voltage_samples.append(p.voltage_v)
+        acc = counter_acc.setdefault(key, {})
+        for counter, rate in p.counter_rates_per_s.items():
+            seen = acc.get(counter)
+            if seen is None:
+                acc[counter] = rate
+            elif type(seen) is list:
+                seen.append(rate)
+            else:
+                acc[counter] = [seen, rate]
+
+    if on_phase_mismatch != "ignore":
+        for exp_key, by_run in sorted(run_phases.items()):
+            if len(by_run) < 2:
+                continue
+            union: Set[str] = set().union(*by_run.values())
+            gaps = []
+            for run_index in sorted(by_run):
+                missing = union - by_run[run_index]
+                if missing:
+                    gaps.append(
+                        f"run {run_index} missing {sorted(missing)}"
+                    )
+            if gaps:
+                workload, frequency_mhz, threads = exp_key
+                _handle(
+                    on_phase_mismatch,
+                    issues,
+                    f"experiment {workload}@{frequency_mhz}MHz/{threads}t: "
+                    f"phase sets differ across runs ({'; '.join(gaps)}) — "
+                    f"affected phases lack those runs' counter rates",
+                )
+
+    for key, merged in buckets.items():
+        for counter, values in counter_acc[key].items():
+            if type(values) is not list:
+                # Mean of one sample is the sample: programmable
+                # counters appear in exactly one event-set run, and
+                # skipping the ndarray round-trip here removes the
+                # dominant per-counter cost of a merge.
+                merged.counter_rates_per_s[counter] = values
+                continue
+            arr = np.asarray(values)
+            mean = float(arr.mean())
+            if len(values) > 1 and mean > 0:
+                spread = float(arr.max() - arr.min()) / mean
+                if spread > 0.25:
+                    _handle(
+                        on_counter_disagreement,
+                        issues,
+                        f"{key}: counter {counter} disagrees across runs "
+                        f"by {spread:.0%} — inconsistent campaign",
+                    )
+            merged.counter_rates_per_s[counter] = mean
+    return list(buckets.values())
+
+
+def build_dataset(
+    merged: Sequence[MergedPhase],
+    *,
+    require_complete: bool = True,
+    counter_names: Optional[Sequence[str]] = None,
+) -> PowerDataset:
+    """Assemble the regression dataset from merged phases.
+
+    ``counter_names`` selects the dataset columns (default: all 54
+    paper counters) — the degradation path passes the covered subset.
+    With ``require_complete`` (default) every phase must carry all
+    selected counters; otherwise incomplete phases are dropped.
+    """
+    names: Tuple[str, ...] = (
+        tuple(counter_names) if counter_names is not None else COUNTER_NAMES
+    )
+    if not names:
+        raise ValueError("need at least one counter column")
+    rows = []
+    for m in merged:
+        missing = [c for c in names if c not in m.counter_rates_per_s]
+        if missing:
+            if require_complete:
+                raise ValueError(
+                    f"phase {m.phase_name!r} of {m.workload!r} is missing "
+                    f"{len(missing)} counters (e.g. {missing[:3]})"
+                )
+            continue
+        rows.append(m)
+    if not rows:
+        raise ValueError("no complete phases to build a dataset from")
+    counters = np.array([[m.rate_per_cycle(c) for c in names] for m in rows])
+    return PowerDataset(
+        counters=counters,
+        power_w=np.array([m.power_w for m in rows]),
+        voltage_v=np.array([m.voltage_v for m in rows]),
+        frequency_mhz=np.array([m.frequency_mhz for m in rows], dtype=np.float64),
+        threads=np.array([m.threads for m in rows], dtype=np.int64),
+        workloads=tuple(m.workload for m in rows),
+        suites=tuple(m.suite for m in rows),
+        phase_names=tuple(m.phase_name for m in rows),
+        counter_names=names,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +804,17 @@ def scalar_acquisition():
 
     Patches ``Platform.execute``, ``ScorePTracer.trace`` (single runs
     and blocks) and the module-level ``profile_trace`` and
-    ``profile_block`` that both phase-profile generators call.
+    ``profile_block`` that both phase-profile generators call (their
+    scalar profiles converted to the production table).
     Everything is restored on exit.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Platform, "execute", scalar_execute)
         mp.setattr(ScorePTracer, "trace", scalar_trace)
-        mp.setattr(phases_module, "profile_trace", scalar_profile_trace)
+        mp.setattr(
+            phases_module,
+            "profile_trace",
+            lambda trace, **kw: profile_table([scalar_profile_trace(trace, **kw)]),
+        )
         mp.setattr(phases_module, "profile_block", scalar_profile_block)
         yield

@@ -10,6 +10,7 @@ from repro.tracing import (
     PowerPlugin,
     ScorePTracer,
     VoltagePlugin,
+    PhaseTable,
     haecsim_profiles,
     postprocess_profiles,
     profile_block,
@@ -17,6 +18,7 @@ from repro.tracing import (
     trace_run,
 )
 from repro.workloads import get_workload
+from tests.oracles.acquisition import tables_equal
 
 EVENTS = EventSet(events=tuple(FIXED_COUNTERS) + ("PRF_DM",))
 
@@ -102,22 +104,27 @@ class TestPhaseProfiles:
 
     def test_profile_contents(self, roco2_trace):
         run, trace = roco2_trace
-        (profile,) = haecsim_profiles(trace)
-        assert profile.workload == "compute"
-        assert profile.active_threads == 8
-        assert profile.power_w == pytest.approx(
+        table = haecsim_profiles(trace)
+        assert len(table) == 1
+        assert table.workloads == ("compute",)
+        assert table.active_threads.tolist() == [8]
+        assert table.power_w[0] == pytest.approx(
             run.phases[0].power_breakdown.measured_w, rel=0.02
         )
-        assert profile.voltage_v == pytest.approx(
+        assert table.voltage_v[0] == pytest.approx(
             run.phases[0].true_voltage_v, abs=0.005
         )
-        assert set(profile.counter_rates_per_s) == set(EVENTS.events)
+        assert set(table.counter_names) == set(EVENTS.events)
+        assert not np.isnan(table.rates_per_s).any()
 
     def test_rate_per_cycle_normalization(self, roco2_trace):
         run, trace = roco2_trace
-        (profile,) = haecsim_profiles(trace)
+        table = haecsim_profiles(trace)
+        cycles_per_s = table.rates_per_s[0, table.counter_names.index("TOT_CYC")]
         # TOT_CYC per cycle must equal the active core count.
-        assert profile.rate_per_cycle("TOT_CYC") == pytest.approx(8, rel=0.02)
+        assert cycles_per_s / (table.frequency_mhz[0] * 1e6) == pytest.approx(
+            8, rel=0.02
+        )
 
     def test_haecsim_rejects_spec_traces(self, spec_trace):
         _, trace = spec_trace
@@ -133,8 +140,9 @@ class TestPhaseProfiles:
     def test_short_phases_dropped(self, platform):
         run = platform.execute(get_workload("md"), 2400, 24)
         trace = trace_run(platform, run, EVENTS, sampling_interval_s=0.5)
-        profiles = profile_trace(trace, min_duration_s=1e9)
-        assert profiles == []
+        table = profile_trace(trace, min_duration_s=1e9)
+        assert len(table) == 0
+        assert table.run_offsets == (0, 0)
 
 
 class TestTraceBlock:
@@ -174,9 +182,10 @@ class TestTraceBlock:
 
     def test_block_profiles_equal_single_profiles(self, tracer_and_runs):
         tracer, runs = tracer_and_runs
-        expected = [p for run in runs for p in profile_trace(tracer.trace(run))]
-        assert postprocess_profiles(tracer.trace(runs)) == expected
-        assert profile_block(tracer.trace(runs)) == expected
+        alone = [profile_trace(tracer.trace(run)) for run in runs]
+        expected = PhaseTable.gather([(t, 0, len(t)) for t in alone])
+        assert tables_equal(postprocess_profiles(tracer.trace(runs)), expected)
+        assert tables_equal(profile_block(tracer.trace(runs)), expected)
 
     def test_haecsim_checks_every_run_of_a_block(self, tracer_and_runs):
         tracer, runs = tracer_and_runs
